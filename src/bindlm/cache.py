@@ -45,7 +45,7 @@ class EmptyCacheError(ValueError):
 
 
 class CacheRangeError(ValueError):
-    """k is outside [1, M]."""
+    """k is outside [1, M], or a partitioning count is below 1."""
 
 
 class CacheBuildError(ValueError):
@@ -95,6 +95,9 @@ class CacheStore:
         m = self.size
         if m == 0:
             raise EmptyCacheError("cannot partition an empty cache")
+        for name, value in (("nlist", nlist), ("nprobe", nprobe)):
+            if value is not None and value < 1:
+                raise CacheRangeError(f"{name} = {value} must be >= 1")
         if nlist is None:
             nlist = max(1, int(round(np.sqrt(m))))
         nlist = min(nlist, m)

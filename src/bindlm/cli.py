@@ -39,6 +39,7 @@ from .data import (
     write_jsonl,
 )
 from .encoders import (
+    ENCODER_MODALITIES,
     DegenerateMixError,
     EncoderConfig,
     Modality,
@@ -71,6 +72,9 @@ _DATA_ERRORS = (
     FileNotFoundError,
     json.JSONDecodeError,
 )
+
+
+_MODALITY_CHOICES = [m.value for m in ENCODER_MODALITIES]
 
 
 class UsageError(Exception):
@@ -108,7 +112,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="conditioned generation from a checkpoint")
     gen.add_argument("--ckpt", required=True)
-    gen.add_argument("--modality", required=True)
+    gen.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
     gen.add_argument("--input", required=True, help="JSON file with the raw vector")
     gen.add_argument("--prompt", required=True)
     gen.add_argument("--cache")
@@ -131,7 +135,7 @@ def _build_parser() -> _Parser:
     for q in (cq, ce):
         q.add_argument("--cache", required=True)
         q.add_argument("--data", required=True)
-        q.add_argument("--modality", required=True)
+        q.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
         q.add_argument("--input", required=True)
         q.add_argument("--k", type=int, default=DEFAULT_TOP_K)
         q.add_argument("--mode", choices=["exact", "partitioned"], default="exact")
@@ -160,18 +164,18 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_raw_input(path) -> np.ndarray:
+def _read_raw_input(path) -> tuple[object, np.ndarray]:
+    """The "modality" value of an input file (None for a bare array) and its raw vector."""
     obj = json.loads(Path(path).read_text())
+    modality = None
     if isinstance(obj, dict):
-        obj = obj["raw"]
-    return np.asarray(obj, dtype=np.float64)
-
-
-def _modality(name: str) -> Modality:
+        if "raw" not in obj:
+            raise IngestError(f"{path}: an input object needs a \"raw\" key")
+        modality, obj = obj.get("modality"), obj["raw"]
     try:
-        return Modality(name)
-    except ValueError:
-        raise UsageError(f"unknown modality {name!r}")
+        return modality, np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise IngestError(f"{path}: the raw vector is not a list of numbers")
 
 
 def _cmd_gen_data(args) -> int:
@@ -233,7 +237,7 @@ def _cmd_train(args) -> int:
 
 
 def _condition_for(args, encoders, bind):
-    emb = encode(encoders[_modality(args.modality)], _read_raw_input(args.input))
+    emb = encode(encoders[Modality(args.modality)], _read_raw_input(args.input)[1])
     if args.cache:
         store = load_cache(args.cache)
         emb = enhance(store, emb, k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4).enhanced
@@ -270,7 +274,7 @@ def _cmd_cache(args) -> int:
     store = load_cache(args.cache)
     manifest = DatasetManifest.load(args.data)
     encoders = manifest.encoders()
-    emb = encode(encoders[_modality(args.modality)], _read_raw_input(args.input))
+    emb = encode(encoders[Modality(args.modality)], _read_raw_input(args.input)[1])
     if args.mode == "partitioned":
         store.build_partitions(nlist=args.nlist, nprobe=args.nprobe, seed=args.seed)
     if args.cache_command == "query":
@@ -300,10 +304,15 @@ def _cmd_mix(args) -> int:
         if ":" not in spec:
             raise UsageError(f"--inputs entries are FILE:COEF, got {spec!r}")
         file_part, coef = spec.rsplit(":", 1)
-        obj = json.loads(Path(file_part).read_text())
-        modality = _modality(obj["modality"])
-        embs.append(encode(encoders[modality], np.asarray(obj["raw"], dtype=np.float64)))
-        coeffs.append(float(coef))
+        try:
+            coeffs.append(float(coef))
+        except ValueError:
+            raise UsageError(f"--inputs {spec!r}: coefficient {coef!r} is not a number")
+        modality, raw = _read_raw_input(file_part)
+        if modality not in _MODALITY_CHOICES:
+            raise IngestError(f"{file_part}: a mix input needs a \"modality\" naming an "
+                              f"encoder modality, got {modality!r}")
+        embs.append(encode(encoders[Modality(modality)], raw))
     mixed = mix(embs, coeffs)
     payload = json.dumps(
         {"modality": mixed.modality.value, "vector": mixed.vector.array.reshape(-1).tolist()},

@@ -66,7 +66,7 @@ def yesno_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer, encoders,
             else:
                 condition_src = emb
         prompt_ids = tok.encode(render_instruction_prompt(rec))
-        out = generate(lm, bind, condition_src, prompt_ids, GenerationParams(max_new_tokens=2))
+        out = generate(lm, bind, condition_src, prompt_ids, GenerationParams(max_new_tokens=1))
         expected = tok.encode(" " + rec.response)[0]
         ok = bool(out) and out[0] == expected
         correct += ok

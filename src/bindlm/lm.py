@@ -5,6 +5,12 @@ of every layer, scaled by a learnable per-layer gate that starts at exactly
 zero. With all gates at zero the conditioned forward pass is bitwise
 identical to the unconditioned one, so training starts from the plain LM and
 the gates open the conditioning pathway only as gradients demand it.
+
+Generation keeps a KVCache of each layer's keys and values. It forwards
+[BOS] + prompt once, then one position per new token, attending over the
+cached keys, so the cost per token no longer grows with the prefix. The
+condition is the same vector at every position, so cached keys never go
+stale.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .tensor import (
     Tensor,
     add,
     causal_attention,
+    concat_rows,
     derive_rng,
     embedding,
     matmul,
@@ -166,23 +173,47 @@ def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
     return peft.lora_forward(lm.params[name], peft.adapter_view(lm, name), x)
 
 
-def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None) -> Tensor:
-    """Logits [N, V] for a token sequence, optionally condition-injected."""
+class KVCache:
+    """Each layer's keys and values for the positions forwarded so far.
+
+    Passing one cache to successive lm_forward calls feeds a sequence in
+    chunks: each call forwards only its new tokens and attends over every
+    cached key. Every chunk must carry the same condition.
+    """
+
+    def __init__(self):
+        self.keys: list[Tensor] = []
+        self.values: list[Tensor] = []
+
+    @property
+    def length(self) -> int:
+        return self.keys[0].shape[0] if self.keys else 0
+
+
+def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
+               cache: KVCache | None = None) -> Tensor:
+    """Logits [N, V] for a token sequence, optionally condition-injected.
+
+    With a cache the tokens continue the cached positions, and the cache
+    gains their keys and values.
+    """
     ids = list(tokens)
     if not ids:
         raise ShapeError("empty token sequence")
-    if len(ids) > lm.config.max_seq:
-        raise TruncationError(f"sequence length {len(ids)} > max_seq {lm.config.max_seq}")
+    start = 0 if cache is None else cache.length
+    n = len(ids)
+    if start + n > lm.config.max_seq:
+        raise TruncationError(f"sequence length {start + n} > max_seq {lm.config.max_seq}")
     if max(ids) >= lm.config.vocab_size or min(ids) < 0:
         raise VocabularyError(
             f"token id outside [0, {lm.config.vocab_size}): {min(ids)}..{max(ids)}"
         )
     if condition is not None and condition.shape != (1, lm.config.dim):
         raise ShapeError(f"condition must be [1, {lm.config.dim}], got {condition.shape}")
-    n = len(ids)
     x = embedding(lm.params["tok_emb"], ids)
     if lm.config.positions == "learned":
-        x = add(x, embedding(lm.params["pos_emb"], range(n)))
+        x = add(x, embedding(lm.params["pos_emb"], range(start, start + n)))
+    keys, values = [], []
     for l in range(lm.config.layers):
         if condition is not None:
             x = add(x, mul(lm.params[lm.gate_name(l)], condition))
@@ -191,12 +222,20 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None) -> Tenso
         k = _linear(lm, f"layers.{l}.wk", h)
         v = _linear(lm, f"layers.{l}.wv", h)
         if lm.config.positions == "rope":
-            q = rope(q, lm._rope_cos[:n], lm._rope_sin[:n], lm.config.heads)
-            k = rope(k, lm._rope_cos[:n], lm._rope_sin[:n], lm.config.heads)
+            cos, sin = lm._rope_cos[start:start + n], lm._rope_sin[start:start + n]
+            q = rope(q, cos, sin, lm.config.heads)
+            k = rope(k, cos, sin, lm.config.heads)
+        if start:
+            k = concat_rows(cache.keys[l], k)
+            v = concat_rows(cache.values[l], v)
+        keys.append(k)
+        values.append(v)
         x = add(x, _linear(lm, f"layers.{l}.wo", causal_attention(q, k, v, lm.config.heads)))
         h2 = rmsnorm(x, lm.params[f"layers.{l}.ffn_norm"], RMS_EPS)
         gated = mul(silu(_linear(lm, f"layers.{l}.w_gate", h2)), _linear(lm, f"layers.{l}.w_up", h2))
         x = add(x, _linear(lm, f"layers.{l}.w_down", gated))
+    if cache is not None:
+        cache.keys, cache.values = keys, values
     x = rmsnorm(x, lm.params["final_norm"], RMS_EPS)
     return matmul(x, lm.params["head"])
 
@@ -251,10 +290,11 @@ def generate(
         )
     condition = _condition_from(bind, embedding_in)
     rng = derive_rng(params.seed, "generate")
-    seq = [BOS] + prompt
+    cache = KVCache()
+    feed = [BOS] + prompt
     out: list[int] = []
     for _ in range(params.max_new_tokens):
-        logits = lm_forward(lm, seq, condition).array[-1]
+        logits = lm_forward(lm, feed, condition, cache).array[-1]
         if params.temperature == 0.0:
             nxt = int(np.argmax(logits))
         else:
@@ -266,8 +306,8 @@ def generate(
             p = np.exp(z)
             p = p / p.sum()
             nxt = int(rng.choice(z.size, p=p))
-        seq.append(nxt)
         out.append(nxt)
         if nxt == EOS:
             break
+        feed = [nxt]
     return out

@@ -292,42 +292,58 @@ _MASK_FILL = -1e30  # finite stand-in for -inf; exp underflows to exactly 0.0
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention over [N, C] inputs, fused primitive.
+    """Multi-head causal self-attention over [M, C] queries and [N, C] keys/values.
 
-    Splits C into n_heads, computes softmax(QK^T / sqrt(hd) + causal mask) V
-    per head, and concatenates heads back to [N, C].
+    The M <= N queries are the last M positions of the N-position sequence,
+    so query row i sees key rows 0..N-M+i. Splits C into n_heads, computes
+    softmax(QK^T / sqrt(hd) + causal mask) V per head, and concatenates heads
+    back to [M, C]. A single query row sees every key and needs no mask.
     """
-    if not (q.shape == k.shape == v.shape) or q.array.ndim != 2:
+    if (q.array.ndim != 2 or k.shape != v.shape or q.shape[1:] != k.shape[1:]
+            or q.shape[0] > k.shape[0]):
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    n, c = q.shape
+    m, c = q.shape
+    n = k.shape[0]
     if c % n_heads != 0:
         raise ShapeError(f"dim {c} not divisible by {n_heads} heads")
     hd = c // n_heads
     sc = 1.0 / np.sqrt(hd)
-    qh = q.array.reshape(n, n_heads, hd)
+    qh = q.array.reshape(m, n_heads, hd)
     kh = k.array.reshape(n, n_heads, hd)
     vh = v.array.reshape(n, n_heads, hd)
     scores = np.einsum("ihd,jhd->hij", qh, kh, optimize=False) * sc
-    mask = np.triu(np.full((n, n), _MASK_FILL), k=1)
-    scores = scores + mask
+    if m > 1:
+        scores = scores + np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m)
     scores = scores - scores.max(axis=2, keepdims=True)
     expd = np.exp(scores)
     probs = expd / expd.sum(axis=2, keepdims=True)
     outh = np.einsum("hij,jhd->ihd", probs, vh, optimize=False)
-    out = _wrap(outh.reshape(n, c))
+    out = _wrap(outh.reshape(m, c))
     tape = _tape()
     if tape is not None:
         def backward(g):
-            gh = g.reshape(n, n_heads, hd)
+            gh = g.reshape(m, n_heads, hd)
             dv = np.einsum("hij,ihd->jhd", probs, gh, optimize=False)
             dprobs = np.einsum("ihd,jhd->hij", gh, vh, optimize=False)
             # softmax backward per row: p * (dp - sum_j dp*p)
             dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
             dq = np.einsum("hij,jhd->ihd", dscores, kh, optimize=False) * sc
             dk = np.einsum("hij,ihd->jhd", dscores, qh, optimize=False) * sc
-            return [dq.reshape(n, c), dk.reshape(n, c), dv.reshape(n, c)]
+            return [dq.reshape(m, c), dk.reshape(n, c), dv.reshape(n, c)]
 
         tape._record(out, (q, k, v), backward)
+    return out
+
+
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Stack [M, C] above [N, C] into [M + N, C]."""
+    if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"concat_rows shape mismatch: {a.shape} over {b.shape}")
+    out = _wrap(np.concatenate([a.array, b.array]))
+    tape = _tape()
+    if tape is not None:
+        m = a.shape[0]
+        tape._record(out, (a, b), lambda g: [g[:m], g[m:]])
     return out
 
 

@@ -169,3 +169,65 @@ def test_generate_alpha_zero_equals_no_cache(tmp_path, capsys):
                 "--cache", str(cache_file), "--alpha", "0", "--k", "4"]) == 0
     cached = capsys.readouterr().out
     assert plain == cached
+
+
+def _built_cache(tmp_path):
+    out = _gen(tmp_path)
+    cache_file = tmp_path / "c.bnc"
+    assert cli(["cache", "build", "--data", str(out), "--out", str(cache_file)]) == 0
+    return out, cache_file
+
+
+def _assert_clean_failure(capsys, code, want_code, *names):
+    assert code == want_code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize("command", [["generate", "--ckpt", "ck.bnk", "--prompt", "p"],
+                                     ["cache", "query", "--cache", "c.bnc", "--data", "d"],
+                                     ["cache", "enhance", "--cache", "c.bnc", "--data", "d"]])
+def test_mixed_modality_flag_is_usage_error(command, capsys):
+    code = cli(command + ["--modality", "mixed", "--input", "probe.json"])
+    _assert_clean_failure(capsys, code, 1, "--modality", "'mixed'")
+
+
+def test_mix_bad_coefficient_and_bad_input_file(tmp_path, capsys):
+    out = _gen(tmp_path)
+    a = _raw_input_file(tmp_path, out, Modality.IMAGE, "a.json")
+    code = cli(["mix", "--data", str(out), "--inputs", f"{a}:abc"])
+    _assert_clean_failure(capsys, code, 1, f"{a}:abc", "'abc'")
+
+    no_modality = tmp_path / "no_modality.json"
+    no_modality.write_text(json.dumps({"raw": json.loads(a.read_text())["raw"]}))
+    code = cli(["mix", "--data", str(out), "--inputs", f"{no_modality}:1.0"])
+    _assert_clean_failure(capsys, code, 2, str(no_modality), '"modality"')
+
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"modality": "mixed", "raw": [0.0]}))
+    code = cli(["mix", "--data", str(out), "--inputs", f"{a}:0.5", f"{mixed}:0.5"])
+    _assert_clean_failure(capsys, code, 2, str(mixed), "'mixed'")
+
+
+@pytest.mark.parametrize("command", ["query", "enhance"])
+def test_partition_counts_below_one_are_data_errors(tmp_path, capsys, command):
+    out, cache_file = _built_cache(tmp_path)
+    probe = _raw_input_file(tmp_path, out)
+    base = ["cache", command, "--cache", str(cache_file), "--data", str(out),
+            "--modality", "image", "--input", str(probe), "--k", "2", "--mode", "partitioned"]
+    for flag, value in (("--nlist", "0"), ("--nprobe", "0"), ("--nlist", "-2"), ("--nprobe", "-1")):
+        code = cli(base + [flag, value])
+        _assert_clean_failure(capsys, code, 2, f"{flag[2:]} = {value}")
+
+
+def test_query_input_without_raw_vector_is_data_error(tmp_path, capsys):
+    out, cache_file = _built_cache(tmp_path)
+    for name, payload in (("no_raw.json", {"modality": "image"}),
+                          ("text_raw.json", {"modality": "image", "raw": "abc"})):
+        probe = tmp_path / name
+        probe.write_text(json.dumps(payload))
+        code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(out),
+                    "--modality", "image", "--input", str(probe)])
+        _assert_clean_failure(capsys, code, 2, str(probe))

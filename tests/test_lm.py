@@ -5,9 +5,11 @@ import pytest
 
 from bindlm.bind import BindConfig, bind_forward, bind_init
 from bindlm.encoders import JointEmbedding, Modality, placeholder_embedding
+from bindlm.peft import apply_peft
 from bindlm.lm import (
     GenerationParams,
     InjectedLM,
+    KVCache,
     LMConfig,
     TruncationError,
     VocabularyError,
@@ -21,10 +23,12 @@ from bindlm.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    add,
     derive_rng,
     grad_check,
     tensor_sum,
 )
+from bindlm.tokenizer import BOS, EOS
 
 from _oracles import lm_oracle
 
@@ -244,3 +248,113 @@ def test_generate_errors():
         generate(lm, None, None, [], GenerationParams())
     with pytest.raises(TruncationError):
         generate(lm, None, None, [1] * 10, GenerationParams(max_new_tokens=10))
+
+
+# ---------------------------------------------------------------------------
+# K/V cache: chunked forwarding against the full forward
+# ---------------------------------------------------------------------------
+
+
+def _spread_lm(cfg, seed, lora):
+    """An LM whose head, gates and (optionally) LoRA factors all contribute."""
+    rng = derive_rng(seed, "kv-spread")
+    lm = lm_init(cfg, seed)
+    lm.params["head"] = Tensor(rng.standard_normal((cfg.dim, cfg.vocab_size)))
+    for l in range(cfg.layers):
+        lm.params[f"gates.{l}"] = Tensor([[0.4 - 0.3 * l]])
+    if lora:
+        apply_peft(lm, rank=2, seed=seed)
+        for name in list(lm.params):
+            if name.endswith((".lora_b", ".bias")):
+                lm.params[name] = Tensor(rng.standard_normal(lm.params[name].shape) * 0.1)
+    return lm
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("lora", [False, True])
+def test_cached_chunks_match_full_forward(positions, conditioned, lora):
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16, positions=positions)
+    lm = _spread_lm(cfg, 12, lora)
+    rng = derive_rng(13, "kv-chunks")
+    tokens = rng.integers(0, cfg.vocab_size, size=cfg.max_seq).tolist()
+    cond = _cond(rng, cfg.dim) if conditioned else None
+    full = lm_forward(lm, tokens, cond).array
+    for chunks in ([1] * 16, [5] + [1] * 11, [3, 4, 1, 8], [16]):
+        cache = KVCache()
+        rows, at = [], 0
+        for size in chunks:
+            rows.append(lm_forward(lm, tokens[at:at + size], cond, cache).array)
+            at += size
+            assert cache.length == at
+        assert np.abs(np.concatenate(rows) - full).max() <= 1e-10
+
+
+def test_cached_forward_gradients_match_full_forward():
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
+    lm = _spread_lm(cfg, 14, lora=False)
+    tokens = [5, 9, 2, 7, 3]
+    params = [lm.params[n] for n in ("tok_emb", "layers.0.wk", "layers.1.wv", "gates.0")]
+    cond = _cond(derive_rng(14, "kv-grad"), cfg.dim)
+
+    with Tape() as tape:
+        loss = tensor_sum(lm_forward(lm, tokens, cond))
+    want = tape.grad(loss, params)
+    with Tape() as tape:
+        cache = KVCache()
+        head = tensor_sum(lm_forward(lm, tokens[:3], cond, cache))
+        loss = add(head, tensor_sum(lm_forward(lm, tokens[3:], cond, cache)))
+    got = tape.grad(loss, params)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-10
+
+
+def test_cache_cannot_pass_max_seq():
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
+    lm = lm_init(cfg, 0)
+    cache = KVCache()
+    lm_forward(lm, [1] * 10, None, cache)
+    lm_forward(lm, [2] * 6, None, cache)
+    assert cache.length == cfg.max_seq
+    with pytest.raises(TruncationError):
+        lm_forward(lm, [3], None, cache)
+    assert cache.length == cfg.max_seq  # the refused token left the cache alone
+
+
+def _full_recompute_generate(lm, condition, prompt, params):
+    """Decode by re-running the whole sequence for every new token."""
+    rng = derive_rng(params.seed, "generate")
+    seq = [BOS] + list(prompt)
+    out = []
+    for _ in range(params.max_new_tokens):
+        logits = lm_forward(lm, seq, condition).array[-1]
+        if params.temperature == 0.0:
+            nxt = int(np.argmax(logits))
+        else:
+            z = logits / params.temperature
+            if 0 < params.top_k < z.size:
+                z = np.where(z >= np.sort(z)[-params.top_k], z, -np.inf)
+            p = np.exp(z - z.max())
+            nxt = int(rng.choice(z.size, p=p / p.sum()))
+        seq.append(nxt)
+        out.append(nxt)
+        if nxt == EOS:
+            break
+    return out
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+def test_generate_matches_full_recompute(positions):
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=24, positions=positions)
+    bind = bind_init(BindConfig(dim_joint=4, dim_lm=cfg.dim, dim_hidden=8), 15)
+    emb = JointEmbedding.of(derive_rng(15, "kv-gen").standard_normal(4), Modality.IMAGE, "x")
+    cond = bind_forward(bind, emb)
+    for seed in range(3):
+        lm = _spread_lm(cfg, 20 + seed, lora=seed == 2)
+        prompt = derive_rng(seed, "kv-prompt").integers(0, 256, size=5).tolist()
+        for params in (GenerationParams(max_new_tokens=12),
+                       GenerationParams(max_new_tokens=12, temperature=0.8, top_k=20, seed=seed),
+                       GenerationParams(max_new_tokens=12, temperature=1.5, seed=seed)):
+            got = generate(lm, bind, emb, prompt, params)
+            assert got == _full_recompute_generate(lm, cond, prompt, params)
+            assert len(got) == params.max_new_tokens or got[-1] == EOS

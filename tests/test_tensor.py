@@ -14,6 +14,7 @@ from bindlm.tensor import (
     Tensor,
     add,
     causal_attention,
+    concat_rows,
     derive_rng,
     embedding,
     grad_check,
@@ -347,6 +348,38 @@ def test_backward_attention_embedding_rope_xent(seed):
         lambda ps: softmax_cross_entropy(ps[0], targets, ignore_index=-1), [logits]
     )
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attention_with_fewer_queries_is_the_tail_of_the_square_call(seed):
+    rng = derive_rng(seed, "attn-tail")
+    n, heads, c = 7, 2, 8
+    q, k, v = (Tensor(rng.standard_normal((n, c))) for _ in range(3))
+    square = causal_attention(q, k, v, heads).array
+    for m in range(1, n + 1):
+        tail = causal_attention(Tensor(q.array[n - m:]), k, v, heads).array
+        assert np.abs(tail - square[n - m:]).max() <= 1e-12
+    with pytest.raises(ShapeError):
+        causal_attention(q, Tensor(k.array[:3]), Tensor(v.array[:3]), heads)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_backward_attention_fewer_queries_and_concat_rows(seed):
+    rng = derive_rng(seed, "attn-tail-gc")
+    m, n, heads = 2, 5, 2
+    q = Tensor(rng.standard_normal((m, 8)))
+    k = Tensor(rng.standard_normal((n, 8)))
+    v = Tensor(rng.standard_normal((n, 8)))
+    err = grad_check(lambda ps: tensor_sum(causal_attention(ps[0], ps[1], ps[2], heads)), [q, k, v])
+    assert err < 1e-6
+
+    a = Tensor(rng.standard_normal((3, 4)))
+    b = Tensor(rng.standard_normal((2, 4)))
+    w = Tensor(rng.standard_normal((5, 4)))
+    err = grad_check(lambda ps: tensor_sum(mul(concat_rows(ps[0], ps[1]), w)), [a, b])
+    assert err < 1e-6
+    with pytest.raises(ShapeError):
+        concat_rows(a, Tensor(rng.standard_normal((2, 3))))
 
 
 def test_tape_accumulates_reused_tensor():
