@@ -20,7 +20,6 @@ from .encoders import JointEmbedding
 from .tensor import ShapeError, Tensor, matmul, mul, rmsnorm, silu, add, uniform_init, derive_rng
 
 N_BLOCKS = 3
-RMS_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def bind_init(config: BindConfig, seed: int) -> BindNetwork:
 
 def _block_update(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, gain: Tensor) -> Tensor:
     """The non-residual part of one block; input-scale invariant via pre-norm."""
-    h = rmsnorm(x, gain, RMS_EPS)
+    h = rmsnorm(x, gain)
     return matmul(mul(matmul(h, w2), silu(matmul(h, w1))), w3)
 
 

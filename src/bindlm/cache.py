@@ -270,6 +270,10 @@ def load_cache(path) -> CacheStore:
         raise CacheFormatError(f"{Path(path).name}: unsupported version {version}")
     dim = struct.unpack("<I", take(4, "dim"))[0]
     count = struct.unpack("<Q", take(8, "count"))[0]
+    if dim == 0 and count:
+        raise CacheFormatError(
+            f"{Path(path).name}: dim 0 at byte offset 8 with {count} rows"
+        )
     elided = struct.unpack("<B", take(1, "flag"))[0]
     if elided not in (0, 1):
         raise CacheFormatError(f"{Path(path).name}: bad values flag {elided} at offset {off - 1}")
@@ -281,9 +285,16 @@ def load_cache(path) -> CacheStore:
         values = np.frombuffer(take(4 * dim * count, "values"), dtype="<f4")
         values = values.reshape(count, dim).astype(np.float64) if count else np.zeros((0, 0))
     ids = []
-    for _ in range(count):
+    for row in range(count):
         n = struct.unpack("<I", take(4, "id length"))[0]
-        ids.append(take(n, "id").decode("utf-8"))
+        start = off
+        try:
+            ids.append(take(n, "id").decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CacheFormatError(
+                f"{Path(path).name}: id of row {row} is not UTF-8 at byte offset "
+                f"{start + exc.start}"
+            ) from None
     if off != len(raw):
         raise CacheFormatError(
             f"{Path(path).name}: {len(raw) - off} trailing bytes at offset {off}"

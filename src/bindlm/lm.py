@@ -41,8 +41,6 @@ from .tensor import (
 )
 from .tokenizer import BOS, EOS
 
-RMS_EPS = 1e-6
-
 PROMPT_TEMPLATE = "Instruction: {instruction}\nResponse:"
 YESNO_SUFFIX = " Please answer yes or no."
 
@@ -217,7 +215,7 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
     for l in range(lm.config.layers):
         if condition is not None:
             x = add(x, mul(lm.params[lm.gate_name(l)], condition))
-        h = rmsnorm(x, lm.params[f"layers.{l}.attn_norm"], RMS_EPS)
+        h = rmsnorm(x, lm.params[f"layers.{l}.attn_norm"])
         q = _linear(lm, f"layers.{l}.wq", h)
         k = _linear(lm, f"layers.{l}.wk", h)
         v = _linear(lm, f"layers.{l}.wv", h)
@@ -231,12 +229,12 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
         keys.append(k)
         values.append(v)
         x = add(x, _linear(lm, f"layers.{l}.wo", causal_attention(q, k, v, lm.config.heads)))
-        h2 = rmsnorm(x, lm.params[f"layers.{l}.ffn_norm"], RMS_EPS)
+        h2 = rmsnorm(x, lm.params[f"layers.{l}.ffn_norm"])
         gated = mul(silu(_linear(lm, f"layers.{l}.w_gate", h2)), _linear(lm, f"layers.{l}.w_up", h2))
         x = add(x, _linear(lm, f"layers.{l}.w_down", gated))
     if cache is not None:
         cache.keys, cache.values = keys, values
-    x = rmsnorm(x, lm.params["final_norm"], RMS_EPS)
+    x = rmsnorm(x, lm.params["final_norm"])
     return matmul(x, lm.params["head"])
 
 

@@ -3,8 +3,11 @@
 Every operation here has a hand-written backward. When a Tape is active
 (``with Tape() as tape:``) each primitive records itself, and
 ``tape.grad(loss, params)`` replays the records in reverse to produce exact
-reverse-mode gradients. ``grad_check`` compares those gradients against
-central differences.
+reverse-mode gradients. The replay visits only the records on a path from a
+requested parameter, and each backward computes only the input gradients on
+such a path, so frozen weights and subgraphs that no parameter feeds cost
+nothing. ``grad_check`` compares those gradients against central
+differences.
 
 matmul computes C[m, n] = sum_k A[m, k] * B[k, n] via np.einsum with
 optimize=False: a plain nested loop with k innermost, no BLAS dispatch, so
@@ -86,6 +89,15 @@ _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
 
 
 class _Node:
+    """One primitive application.
+
+    backward(g, need) maps the output gradient to one input gradient per
+    input; an input whose ``need`` flag is False may get None. The closure
+    must not reference the Tape: the tape holds its nodes, so that would
+    form a cycle that keeps every recorded activation alive until the cyclic
+    garbage collector runs.
+    """
+
     __slots__ = ("out_id", "inputs", "backward")
 
     def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], backward):
@@ -118,17 +130,34 @@ class Tape:
     def grad(self, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
         """Gradients of a scalar loss for each param; zeros if unused.
 
-        Visits each recorded primitive exactly once, in reverse application
-        order.
+        A forward sweep marks every recorded output that depends on a
+        requested param. The reverse sweep then visits only marked
+        primitives, at most once each in reverse application order, and asks
+        each for the gradients of its marked inputs alone. Every gradient it
+        computes is accumulated in the order a full replay would use, so the
+        results are the same bit for bit.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+        reach = {id(p) for p in params}
+        needs: list[tuple[bool, ...] | None] = []
+        for node in self._nodes:
+            need = tuple([id(t) in reach for t in node.inputs])
+            if any(need):
+                reach.add(node.out_id)
+                needs.append(need)
+            else:
+                # an id freed earlier may name this output now: unmark it
+                reach.discard(node.out_id)
+                needs.append(None)
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.array)}
-        for node in reversed(self._nodes):
+        for node, need in zip(reversed(self._nodes), reversed(needs)):
+            if need is None:
+                continue
             g_out = grads.pop(node.out_id, None)
             if g_out is None:
                 continue
-            for t_in, g_in in zip(node.inputs, node.backward(g_out)):
+            for t_in, g_in in zip(node.inputs, node.backward(g_out, need)):
                 if g_in is None:
                     continue
                 key = id(t_in)
@@ -137,9 +166,6 @@ class Tape:
                 else:
                     grads[key] = g_in
         return [grads.get(id(p), np.zeros_like(p.array)) for p in params]
-
-
-GradTape = Tape
 
 
 def _tape() -> Tape | None:
@@ -168,10 +194,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _wrap(np.einsum("mk,kn->mn", a.array, b.array, optimize=False))
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             # dA = dC . B^T, dB = A^T . dC
-            da = np.einsum("mn,kn->mk", g, b.array, optimize=False)
-            db = np.einsum("mk,mn->kn", a.array, g, optimize=False)
+            da = np.einsum("mn,kn->mk", g, b.array, optimize=False) if need[0] else None
+            db = np.einsum("mk,mn->kn", a.array, g, optimize=False) if need[1] else None
             return [da, db]
 
         tape._record(out, (a, b), backward)
@@ -184,7 +210,7 @@ def transpose(a: Tensor) -> Tensor:
     out = _wrap(a.array.T)
     tape = _tape()
     if tape is not None:
-        tape._record(out, (a,), lambda g: [g.T])
+        tape._record(out, (a,), lambda g, need: [g.T])
     return out
 
 
@@ -192,8 +218,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _wrap(a.array + b.array)
     tape = _tape()
     if tape is not None:
-        def backward(g):
-            return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        def backward(g, need):
+            return [_unbroadcast(g, a.shape) if need[0] else None,
+                    _unbroadcast(g, b.shape) if need[1] else None]
 
         tape._record(out, (a, b), backward)
     return out
@@ -203,8 +230,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _wrap(a.array * b.array)
     tape = _tape()
     if tape is not None:
-        def backward(g):
-            return [_unbroadcast(g * b.array, a.shape), _unbroadcast(g * a.array, b.shape)]
+        def backward(g, need):
+            return [_unbroadcast(g * b.array, a.shape) if need[0] else None,
+                    _unbroadcast(g * a.array, b.shape) if need[1] else None]
 
         tape._record(out, (a, b), backward)
     return out
@@ -215,7 +243,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = _wrap(a.array * c)
     tape = _tape()
     if tape is not None:
-        tape._record(out, (a,), lambda g: [g * c])
+        tape._record(out, (a,), lambda g, need: [g * c])
     return out
 
 
@@ -235,7 +263,7 @@ def silu(x: Tensor) -> Tensor:
     out = _wrap(x.array * s)
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             # d/dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
             return [g * (s * (1.0 + x.array * (1.0 - s)))]
 
@@ -243,7 +271,10 @@ def silu(x: Tensor) -> Tensor:
     return out
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+RMS_EPS = 1e-6
+
+
+def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
     """Row-wise y = x / sqrt(mean(x^2) + eps) * gain; gain broadcasts as [1, C]."""
     if eps <= 0:
         raise ShapeError(f"rmsnorm eps must be > 0, got {eps}")
@@ -255,12 +286,15 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     out = _wrap(normed * gain.array)
     tape = _tape()
     if tape is not None:
-        def backward(g):
-            gg = g * gain.array
-            # dx_k = s*u_k - s^3/n * x_k * sum_j(u_j * x_j), u = g * gain, per row
-            dot = (gg * x.array).sum(axis=1, keepdims=True)
-            dx = inv * gg - (inv ** 3 / n) * x.array * dot
-            dgain = (g * normed).sum(axis=0, keepdims=True)
+        def backward(g, need):
+            dx = dgain = None
+            if need[0]:
+                gg = g * gain.array
+                # dx_k = s*u_k - s^3/n * x_k * sum_j(u_j * x_j), u = g * gain, per row
+                dot = (gg * x.array).sum(axis=1, keepdims=True)
+                dx = inv * gg - (inv ** 3 / n) * x.array * dot
+            if need[1]:
+                dgain = (g * normed).sum(axis=0, keepdims=True)
             return [dx, dgain]
 
         tape._record(out, (x, gain), backward)
@@ -279,7 +313,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     out = _wrap(table.array[idx])
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             dt = np.zeros_like(table.array)
             np.add.at(dt, idx, g)
             return [dt]
@@ -321,15 +355,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     out = _wrap(outh.reshape(m, c))
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             gh = g.reshape(m, n_heads, hd)
-            dv = np.einsum("hij,ihd->jhd", probs, gh, optimize=False)
-            dprobs = np.einsum("ihd,jhd->hij", gh, vh, optimize=False)
-            # softmax backward per row: p * (dp - sum_j dp*p)
-            dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
-            dq = np.einsum("hij,jhd->ihd", dscores, kh, optimize=False) * sc
-            dk = np.einsum("hij,ihd->jhd", dscores, qh, optimize=False) * sc
-            return [dq.reshape(m, c), dk.reshape(n, c), dv.reshape(n, c)]
+            dq = dk = dv = None
+            if need[2]:
+                dv = np.einsum("hij,ihd->jhd", probs, gh, optimize=False).reshape(n, c)
+            if need[0] or need[1]:
+                dprobs = np.einsum("ihd,jhd->hij", gh, vh, optimize=False)
+                # softmax backward per row: p * (dp - sum_j dp*p)
+                dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
+                if need[0]:
+                    dq = (np.einsum("hij,jhd->ihd", dscores, kh, optimize=False) * sc).reshape(m, c)
+                if need[1]:
+                    dk = (np.einsum("hij,ihd->jhd", dscores, qh, optimize=False) * sc).reshape(n, c)
+            return [dq, dk, dv]
 
         tape._record(out, (q, k, v), backward)
     return out
@@ -343,7 +382,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     tape = _tape()
     if tape is not None:
         m = a.shape[0]
-        tape._record(out, (a, b), lambda g: [g[:m], g[m:]])
+        tape._record(out, (a, b),
+                     lambda g, need: [g[:m] if need[0] else None, g[m:] if need[1] else None])
     return out
 
 
@@ -365,7 +405,7 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> Tensor:
     out = _wrap(yh.reshape(n, c))
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             gh = g.reshape(n, n_heads, hd)
             ge, go = gh[:, :, 0::2], gh[:, :, 1::2]
             dx = np.empty_like(gh)
@@ -381,7 +421,7 @@ def tensor_sum(x: Tensor) -> Tensor:
     out = _wrap(np.array([[x.array.sum()]]))
     tape = _tape()
     if tape is not None:
-        tape._record(out, (x,), lambda g: [np.full(x.shape, float(g.reshape(-1)[0]))])
+        tape._record(out, (x,), lambda g, need: [np.full(x.shape, float(g.reshape(-1)[0]))])
     return out
 
 
@@ -414,7 +454,7 @@ def softmax_cross_entropy(
     out = _wrap(np.array([[-logp[rows, tk].mean()]]))
     tape = _tape()
     if tape is not None:
-        def backward(g):
+        def backward(g, need):
             gscale = float(g.reshape(-1)[0]) / n_valid
             d = expz / sumz
             d[rows, tk] -= 1.0

@@ -158,26 +158,52 @@ class AdamW:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._group: dict[str, tuple[float, float]] = {}
 
-    def _decay_for(self, name: str) -> float:
+    def _lr_mult_and_decay(self, name: str) -> tuple[float, float]:
         group = peft._classify(name)
-        return 0.0 if group in ("gates", "bias_norm") else self.weight_decay
+        mult = self.gate_lr_mult if group == "gates" else 1.0
+        return mult, 0.0 if group in ("gates", "bias_norm") else self.weight_decay
 
     def step(self, names, params, grads, lr: float | None = None) -> list[Tensor]:
+        """New parameter tensors; neither ``params`` nor ``grads`` is written.
+
+        The moments are updated in place, with the float operations of
+        m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
+        """
         lr = self.lr if lr is None else lr
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
         out = []
         for name, p, g in zip(names, params, grads):
+            if name not in self._group:
+                self._group[name] = self._lr_mult_and_decay(name)
+            mult, decay = self._group[name]
             m = self._m.get(name)
+            if m is None:
+                self._m[name] = m = (1.0 - self.b1) * g
+            else:
+                m *= self.b1
+                m += (1.0 - self.b1) * g
+            g2 = (1.0 - self.b2) * g
+            g2 *= g
             v = self._v.get(name)
-            m = (1.0 - self.b1) * g if m is None else self.b1 * m + (1.0 - self.b1) * g
-            v = (1.0 - self.b2) * g * g if v is None else self.b2 * v + (1.0 - self.b2) * g * g
-            self._m[name], self._v[name] = m, v
-            eff = lr * (self.gate_lr_mult if peft._classify(name) == "gates" else 1.0)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            new = p.array - eff * update - eff * self._decay_for(name) * p.array
+            if v is None:
+                self._v[name] = v = g2
+            else:
+                v *= self.b2
+                v += g2
+            eff = lr * mult
+            # p - eff * ((m / bc1) / (sqrt(v / bc2) + eps)) - (eff * decay) * p
+            new = m / bc1
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            new /= denom
+            new *= eff
+            np.subtract(p.array, new, out=new)
+            new -= np.multiply(p.array, eff * decay, out=denom)
             out.append(Tensor(new))
         return out
 

@@ -1,7 +1,10 @@
 """Straight-line numpy re-implementations used as independent test oracles.
 
 Nothing here calls into bindlm's op layer; every formula is written out
-directly so the oracles cannot share bugs with the code under test.
+directly so the oracles cannot share bugs with the code under test. The one
+exception is unpruned_grad, which replays a tape's own recorded backward
+closures: it is the reference for how Tape.grad chooses what to replay, not
+for the closures' arithmetic, which grad_check covers.
 """
 
 import numpy as np
@@ -60,3 +63,47 @@ def lm_oracle(params: dict, tokens, condition, n_layers: int, n_heads: int) -> n
         x = x + (swish * up) @ params[f"layers.{layer}.w_down"]
     x = rms(x, params["final_norm"])
     return x @ params["head"]
+
+
+def unpruned_grad(tape, loss, params) -> list[np.ndarray]:
+    """Reverse-mode gradients from replaying every recorded node in full.
+
+    Every node whose output has a gradient runs its backward with every
+    input marked as needed, whether or not a requested param depends on it.
+    """
+    grads = {id(loss): np.ones_like(loss.array)}
+    for node in reversed(tape._nodes):
+        g_out = grads.pop(node.out_id, None)
+        if g_out is None:
+            continue
+        need = (True,) * len(node.inputs)
+        for t_in, g_in in zip(node.inputs, node.backward(g_out, need)):
+            key = id(t_in)
+            grads[key] = grads[key] + g_in if key in grads else g_in
+    return [grads.get(id(p), np.zeros_like(p.array)) for p in params]
+
+
+def adamw_oracle(params, grad_steps, lrs, lr_mults, decays,
+                 b1=0.9, b2=0.95, eps=1e-8) -> list[list[np.ndarray]]:
+    """Out-of-place bias-corrected AdamW with decoupled decay, per step.
+
+    params: starting arrays; grad_steps[t][i] and lrs[t]: the gradient of
+    param i and the learning rate at step t; lr_mults[i], decays[i]: the
+    per-param learning-rate multiplier and weight decay. Returns the params
+    after each step.
+    """
+    ps = [np.array(p, dtype=np.float64) for p in params]
+    ms = [None] * len(ps)
+    vs = [None] * len(ps)
+    history = []
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for i, g in enumerate(grads):
+            ms[i] = (1.0 - b1) * g if ms[i] is None else b1 * ms[i] + (1.0 - b1) * g
+            vs[i] = (1.0 - b2) * g * g if vs[i] is None else b2 * vs[i] + (1.0 - b2) * g * g
+            eff = lr * lr_mults[i]
+            update = (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + eps)
+            ps[i] = ps[i] - eff * update - eff * decays[i] * ps[i]
+        history.append([p.copy() for p in ps])
+    return history

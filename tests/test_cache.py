@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,4 +307,33 @@ def test_load_trailing_garbage(tmp_path):
     save_cache(store, p)
     p.write_bytes(p.read_bytes() + b"junk")
     with pytest.raises(CacheFormatError, match="trailing"):
+        load_cache(p)
+
+
+def write_non_utf8_id_cache(path) -> int:
+    """Two-row store whose second id is not UTF-8; returns that id's offset."""
+    store = cache_build(_embs(derive_rng(14, "cache-utf8"), 2, 4, prefix="r"))
+    save_cache(store, path)
+    raw = bytearray(path.read_bytes())
+    raw[-2] = 0xFF  # row 1's id is the last two bytes, b"r1"
+    path.write_bytes(bytes(raw))
+    return len(raw) - 2
+
+
+def write_zero_dim_cache(path) -> None:
+    """Header claiming three rows of width 0, followed by three empty ids."""
+    path.write_bytes(b"BNDC" + struct.pack("<IIQB", 1, 0, 3, 1) + b"\x00" * 12)
+
+
+def test_load_non_utf8_id_names_row_and_offset(tmp_path):
+    p = tmp_path / "c.bnc"
+    offset = write_non_utf8_id_cache(p)
+    with pytest.raises(CacheFormatError, match=f"row 1 .* byte offset {offset}$"):
+        load_cache(p)
+
+
+def test_load_rejects_zero_dim_with_rows(tmp_path):
+    p = tmp_path / "c.bnc"
+    write_zero_dim_cache(p)
+    with pytest.raises(CacheFormatError, match="dim 0 .* 3 rows"):
         load_cache(p)

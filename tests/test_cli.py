@@ -8,6 +8,8 @@ from bindlm.cli import cli
 from bindlm.data import DatasetManifest, raw_sample, sample_objects
 from bindlm.encoders import Modality
 
+from test_cache import write_non_utf8_id_cache, write_zero_dim_cache
+
 
 def _gen(tmp_path, **sizes) -> Path:
     out = tmp_path / "data"
@@ -231,3 +233,12 @@ def test_query_input_without_raw_vector_is_data_error(tmp_path, capsys):
         code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(out),
                     "--modality", "image", "--input", str(probe)])
         _assert_clean_failure(capsys, code, 2, str(probe))
+
+
+@pytest.mark.parametrize("write", [write_non_utf8_id_cache, write_zero_dim_cache])
+def test_corrupt_cache_file_is_data_error(tmp_path, capsys, write):
+    cache_file = tmp_path / "c.bnc"
+    write(cache_file)
+    code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(tmp_path),
+                "--modality", "image", "--input", str(tmp_path / "probe.json")])
+    _assert_clean_failure(capsys, code, 2, "c.bnc", "byte offset")

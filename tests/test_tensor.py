@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from bindlm.tensor import (
     tensor_sum,
     transpose,
 )
+
+from _oracles import unpruned_grad
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +385,12 @@ def test_backward_attention_fewer_queries_and_concat_rows(seed):
         concat_rows(a, Tensor(rng.standard_normal((2, 3))))
 
 
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_tape_accumulates_reused_tensor():
     x = Tensor([[2.0]])
     with Tape() as tape:
@@ -389,6 +398,14 @@ def test_tape_accumulates_reused_tensor():
         loss = tensor_sum(y)
     g = tape.grad(loss, [x])
     assert abs(g[0][0, 0] - 4.0) < 1e-12
+
+    rng = derive_rng(0, "reuse")
+    a = Tensor(rng.standard_normal((3, 3)))
+    w = Tensor(rng.standard_normal((3, 3)))
+    for op in (add, mul, matmul):
+        with Tape() as tape:
+            loss = tensor_sum(mul(op(a, a), w))
+        _assert_same_bits(tape.grad(loss, [a]), unpruned_grad(tape, loss, [a]))
 
 
 def test_grad_for_unused_param_is_zero():
@@ -398,6 +415,35 @@ def test_grad_for_unused_param_is_zero():
         loss = tensor_sum(mul(x, x))
     g = tape.grad(loss, [u])
     assert np.array_equal(g[0], np.zeros((1, 1)))
+    _assert_same_bits(tape.grad(loss, [u, x]), unpruned_grad(tape, loss, [u, x]))
+
+
+def _multi_input_cases(rng):
+    """Primitives with several differentiable inputs, each read out nonlinearly."""
+    a, c = (Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+    b = Tensor(rng.standard_normal((4, 5)))
+    row = Tensor(rng.standard_normal((1, 4)))
+    q = Tensor(rng.standard_normal((2, 4)))
+    k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(2))
+    return {
+        "matmul": (lambda ps: matmul(ps[0], ps[1]), [a, b]),
+        "add": (lambda ps: add(ps[0], ps[1]), [a, row]),
+        "mul": (lambda ps: mul(ps[0], ps[1]), [a, Tensor([[0.7]])]),
+        "rmsnorm": (lambda ps: rmsnorm(ps[0], ps[1]), [a, Tensor(np.abs(row.array))]),
+        "attention": (lambda ps: causal_attention(ps[0], ps[1], ps[2], 2), [q, k, v]),
+        "concat_rows": (lambda ps: concat_rows(ps[0], ps[1]), [a, c]),
+    }
+
+
+@pytest.mark.parametrize("name", ["matmul", "add", "mul", "rmsnorm", "attention", "concat_rows"])
+def test_pruned_grad_matches_unpruned_replay_for_every_input_subset(name):
+    f, inputs = _multi_input_cases(derive_rng(1, "prune", name))[name]
+    with Tape() as tape:
+        out = f(inputs)
+        loss = tensor_sum(mul(out, out))
+    for r in range(1, len(inputs) + 1):
+        for subset in itertools.combinations(inputs, r):
+            _assert_same_bits(tape.grad(loss, subset), unpruned_grad(tape, loss, subset))
 
 
 def test_derive_rng_is_stable():

@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+from bindlm import peft
 
 from bindlm.checkpoint import (
     CheckpointFormatError,
     load_checkpoint,
     save_checkpoint,
 )
-from bindlm.bind import BindConfig
+from bindlm.bind import BindConfig, bind_init
 from bindlm.data import (
     DatasetManifest,
     generate_caption_corpus,
@@ -15,7 +20,7 @@ from bindlm.data import (
     write_instruction_corpus,
 )
 from bindlm.encoders import EncoderConfig, build_encoders
-from bindlm.lm import LMConfig, lm_forward
+from bindlm.lm import LMConfig, caption_loss, lm_forward, lm_init
 from bindlm.train import (
     AdamW,
     DivergenceError,
@@ -27,8 +32,10 @@ from bindlm.train import (
     read_plan_file,
     run_stage,
 )
-from bindlm.tensor import Tensor, derive_rng
+from bindlm.tensor import Tape, Tensor, derive_rng
 from bindlm.tokenizer import default_tokenizer
+
+from _oracles import adamw_oracle, unpruned_grad
 
 TINY_LM = LMConfig(vocab_size=512, dim=16, layers=2, heads=2, max_seq=64)
 TINY_BIND = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=16)
@@ -233,3 +240,76 @@ def test_gate_multiplier_applies_only_to_gates():
     grads = [np.ones((1, 1)), np.ones((1, 1))]
     out = opt.step(names, params, grads, lr=0.1)
     assert abs(out[0].item()) == pytest.approx(10 * abs(out[1].item()))
+
+
+@pytest.mark.parametrize("stage,positions", [("pretrain", "learned"), ("align_only", "rope"),
+                                             ("instruct", "learned"), ("instruct", "rope")])
+def test_pruned_step_gradients_match_unpruned_replay(stage, positions):
+    rng = derive_rng(5, "prune-step", stage, positions)
+    lm = lm_init(LMConfig(vocab_size=300, dim=16, layers=2, heads=2, max_seq=32,
+                          positions=positions, ffn_hidden=24), seed=1)
+    bind = bind_init(TINY_BIND, seed=1)
+    if stage == "instruct":
+        peft.apply_peft(lm, rank=2, seed=1)
+    # move every zero-initialized tensor off zero so no gradient vanishes
+    for params in (lm.params, bind.params):
+        for name, t in params.items():
+            if not t.array.any():
+                params[name] = Tensor(0.3 * rng.standard_normal(t.shape))
+    names = peft.trainable_param_names(lm, bind, peft.STAGE_TRAINABLE[stage])
+    params = [peft.resolve_param(lm, bind, n) for n in names]
+    emb = Tensor(rng.standard_normal((1, TINY_BIND.dim_joint)))
+
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = caption_loss(lm, bind, emb, [5, 9, 2, 30], [11, 3, 7])
+        want = unpruned_grad(tape, loss, params)
+        calls = []
+
+        def counted(backward):
+            def run(g, need):
+                calls.append(need)
+                return backward(g, need)
+            return run
+
+        for node in tape._nodes:
+            node.backward = counted(node.backward)
+        got = tape.grad(loss, params)
+        n_nodes = len(tape)
+        ref = weakref.ref(tape)
+        del tape, node
+        # a backward closure holding its tape would leave a cycle alive here
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(got) == len(want) == len(names)
+    for name, g, w in zip(names, got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        assert np.abs(g).max() > 0, name
+    if stage != "pretrain":  # the frozen part of the graph is never replayed
+        assert len(calls) < n_nodes
+
+
+def test_adamw_step_matches_out_of_place_formula_bitwise():
+    rng = derive_rng(6, "adamw-oracle")
+    names = ["lm.layers.0.wq", "lm.gates.0", "lm.layers.0.attn_norm", "lm.layers.0.wq.lora_a"]
+    shapes = [(4, 4), (1, 1), (1, 4), (2, 4)]
+    start = [rng.standard_normal(s) for s in shapes]
+    grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
+    lrs = [1e-2, 2e-2, 5e-3, 1e-3]
+    opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
+    want = adamw_oracle(start, grad_steps, lrs, lr_mults=[1.0, 25.0, 1.0, 1.0],
+                        decays=[0.01, 0.0, 0.0, 0.01])
+    params = [Tensor(a) for a in start]
+    for grads, lr, expected in zip(grad_steps, lrs, want):
+        copies = [g.copy() for g in grads]
+        before = [p.array.copy() for p in params]
+        new = opt.step(names, params, grads, lr=lr)
+        for g, c in zip(grads, copies):
+            assert g.tobytes() == c.tobytes()
+        for p, b in zip(params, before):
+            assert p.array.tobytes() == b.tobytes()
+        for n, e in zip(new, expected):
+            assert n.array.tobytes() == e.tobytes()
+        params = new
