@@ -47,6 +47,16 @@ class BindNetwork:
         return sorted(self.params)
 
 
+def bind_param_shapes(config: BindConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter bind_init creates for config."""
+    shapes = {"w0": (config.dim_joint, config.dim_lm)}
+    for i in range(N_BLOCKS):
+        shapes[f"blocks.{i}.w1"] = shapes[f"blocks.{i}.w2"] = (config.dim_lm, config.dim_hidden)
+        shapes[f"blocks.{i}.w3"] = (config.dim_hidden, config.dim_lm)
+        shapes[f"blocks.{i}.norm_gain"] = (1, config.dim_lm)
+    return shapes
+
+
 def bind_init(config: BindConfig, seed: int) -> BindNetwork:
     """w0, w1, w2 ~ uniform(+-1/sqrt(fan_in)); w3 = 0; norm gains = 1."""
     params: dict[str, Tensor] = {}

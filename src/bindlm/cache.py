@@ -109,7 +109,7 @@ class CacheStore:
         centroids = self.keys[rng.choice(m, size=nlist, replace=False)].copy()
         assign = None
         for _ in range(iterations):
-            sims = np.einsum("md,ld->ml", self.keys, centroids, optimize=False)
+            sims = self.keys @ centroids.T
             assign = sims.argmax(axis=1)
             for l in range(nlist):
                 members = self.keys[assign == l]
@@ -160,10 +160,11 @@ def _query_vector(store: CacheStore, query: JointEmbedding) -> np.ndarray:
     return q
 
 
-def _rank(store: CacheStore, q: np.ndarray, candidates: np.ndarray, k: int):
-    sims = np.einsum("md,d->m", store.keys[candidates], q, optimize=False)
+def _rank(sims: np.ndarray, candidates: np.ndarray | None, k: int):
+    """The k best rows by similarity; sims holds one entry per candidate row,
+    or per store row when candidates is None."""
     order = np.argsort(-sims, kind="stable")[:k]  # ties: lower index wins
-    picked = candidates[order]
+    picked = order if candidates is None else candidates[order]
     return picked.tolist(), np.clip(sims[order], -1.0, 1.0)
 
 
@@ -175,13 +176,12 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
     if not (1 <= k <= store.size):
         raise CacheRangeError(f"k = {k} outside [1, {store.size}]")
     q = _query_vector(store, query)
-    if mode == "exact":
-        candidates = np.arange(store.size)
-    elif mode == "partitioned":
+    candidates = None  # None scans every row
+    if mode == "partitioned":
         if store._partitions is None:
             store.build_partitions()
         part = store._partitions
-        csims = np.einsum("ld,d->l", part.centroids, q, optimize=False)
+        csims = part.centroids @ q
         probe_order = np.argsort(-csims, kind="stable")
         picked: list[np.ndarray] = []
         total = 0
@@ -192,12 +192,12 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
             if len(lst):
                 picked.append(lst)
                 total += len(lst)
-        candidates = np.sort(np.concatenate(picked)) if picked else np.arange(0)
-        if len(candidates) < k:  # degenerate partitioning; fall back to full scan
-            candidates = np.arange(store.size)
-    else:
+        if total >= k:  # else degenerate partitioning: fall back to the full scan
+            candidates = np.sort(np.concatenate(picked))
+    elif mode != "exact":
         raise CacheRangeError(f"unknown mode {mode!r}")
-    indices, sims = _rank(store, q, candidates, k)
+    sims = store.keys @ q if candidates is None else store.keys[candidates] @ q
+    indices, sims = _rank(sims, candidates, k)
     return RetrievalResult(indices=indices, similarities=Tensor(sims.reshape(1, -1)))
 
 

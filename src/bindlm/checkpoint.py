@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bind import BindConfig, BindNetwork
+from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
-from .lm import InjectedLM, LMConfig
+from .lm import LINEAR_NAMES, InjectedLM, LMConfig, lm_param_shapes
 from .peft import LoraSpec
 from .tensor import Tensor
 from .tokenizer import Tokenizer
@@ -69,8 +69,18 @@ class Checkpoint:
         return Checkpoint(config, params, _jsonable_rng(rng_state), step, list(provenance))
 
     def to_models(self) -> tuple[InjectedLM, BindNetwork, Tokenizer]:
-        lm_config = LMConfig.from_dict(self.config["lm"])
-        bind_config = BindConfig.from_dict(self.config["bind"])
+        """Rebuild the models; the params must be exactly those the config implies."""
+        try:
+            lm_config = LMConfig.from_dict(self.config["lm"])
+            bind_config = BindConfig.from_dict(self.config["bind"])
+            adapters = {
+                name: LoraSpec(rank=d["rank"], scaling=d["scaling"])
+                for name, d in self.config.get("adapters", {}).items()
+            }
+            tok = Tokenizer.from_dict(self.config["tokenizer"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise CheckpointFormatError(f"config does not describe the models: {exc!r}") from None
+        self._check_params(lm_config, bind_config, adapters)
         lm_params = {
             n[3:]: Tensor(a) for n, a in self.params.items() if n.startswith("lm.")
         }
@@ -78,16 +88,51 @@ class Checkpoint:
             n[5:]: Tensor(a) for n, a in self.params.items() if n.startswith("bind.")
         }
         lm = InjectedLM(lm_config, lm_params)
-        lm.adapters = {
-            name: LoraSpec(rank=d["rank"], scaling=d["scaling"])
-            for name, d in self.config.get("adapters", {}).items()
-        }
+        lm.adapters = adapters
         bind = BindNetwork(bind_config, bind_params)
-        tok = Tokenizer.from_dict(self.config["tokenizer"])
         return lm, bind, tok
 
+    def _check_params(self, lm_config: LMConfig, bind_config: BindConfig,
+                      adapters: dict[str, LoraSpec]) -> None:
+        """Raise CheckpointFormatError on a missing, extra or misshapen param."""
+        want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
+        want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
+        optional = set()
+        for name, spec in adapters.items():
+            base = want.get(f"lm.{name}")
+            if base is None or name.rsplit(".", 1)[-1] not in LINEAR_NAMES:
+                raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
+            if not isinstance(spec.rank, int) or spec.rank < 1:
+                raise CheckpointFormatError(f"adapter on {name!r} has rank {spec.rank!r}")
+            d_in, d_out = base
+            want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
+            want[f"lm.{name}.lora_b"] = (d_out, spec.rank)
+            want[f"lm.{name}.bias"] = (1, d_out)
+            optional.add(f"lm.{name}.bias")
+        missing = sorted(set(want) - set(self.params) - optional)
+        if missing:
+            raise CheckpointFormatError(
+                f"missing parameter {missing[0]!r} of shape {want[missing[0]]}"
+                f" ({len(missing)} missing in all)"
+            )
+        extra = sorted(set(self.params) - set(want))
+        if extra:
+            raise CheckpointFormatError(
+                f"parameter {extra[0]!r} is not in the configured models"
+                f" ({len(extra)} unexpected in all)"
+            )
+        for name in sorted(self.params):
+            if self.params[name].shape != want[name]:
+                raise CheckpointFormatError(
+                    f"parameter {name!r} has shape {self.params[name].shape},"
+                    f" the config implies {want[name]}"
+                )
+
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig.from_dict(self.config["encoder"])
+        try:
+            return EncoderConfig.from_dict(self.config["encoder"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise CheckpointFormatError(f"config does not describe the encoders: {exc!r}") from None
 
 
 _ADAPTER_SUFFIXES = (".lora_a", ".lora_b", ".bias")
@@ -192,7 +237,25 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        n = self.u32()
+        start = self.off
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(
+                f"{self.name}: string is not UTF-8 at byte offset {start + exc.start}"
+            ) from None
+
+    def json_value(self):
+        start = self.off + 4
+        text = self.string()
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            at = start + len(text[:exc.pos].encode("utf-8"))
+            raise CheckpointFormatError(
+                f"{self.name}: malformed JSON at byte offset {at}: {exc.msg}"
+            ) from None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -205,7 +268,7 @@ def load_checkpoint(path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise CheckpointFormatError(f"{r.name}: unsupported version {version}")
-    config = json.loads(r.string())
+    config = r.json_value()
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.string()
@@ -214,7 +277,7 @@ def load_checkpoint(path) -> Checkpoint:
         count = int(np.prod(dims)) if dims else 1
         data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
         params[name] = data.copy()
-    rng_state = json.loads(r.string())
+    rng_state = r.json_value()
     step = r.u64()
     provenance = [r.string() for _ in range(r.u32())]
     if r.off != len(raw):

@@ -166,7 +166,10 @@ def _build_parser() -> _Parser:
 
 def _read_raw_input(path) -> tuple[object, np.ndarray]:
     """The "modality" value of an input file (None for a bare array) and its raw vector."""
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IngestError(f"{path}: not a JSON file: {exc}") from None
     modality = None
     if isinstance(obj, dict):
         if "raw" not in obj:

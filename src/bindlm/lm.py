@@ -132,6 +132,24 @@ class InjectedLM:
         return sorted(self.params)
 
 
+def lm_param_shapes(config: LMConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter lm_init creates for config."""
+    c, f = config.dim, config.ffn_hidden
+    shapes = {"tok_emb": (config.vocab_size, c)}
+    if config.positions == "learned":
+        shapes["pos_emb"] = (config.max_seq, c)
+    for l in range(config.layers):
+        shapes.update({f"layers.{l}.{name}": (c, c) for name in ("wq", "wk", "wv", "wo")})
+        shapes[f"layers.{l}.attn_norm"] = shapes[f"layers.{l}.ffn_norm"] = (1, c)
+        shapes[f"layers.{l}.w_gate"] = shapes[f"layers.{l}.w_up"] = (c, f)
+        shapes[f"layers.{l}.w_down"] = (f, c)
+    shapes["final_norm"] = (1, c)
+    shapes["head"] = (c, config.vocab_size)
+    gates = ["shared"] if config.shared_gate else range(config.layers)
+    shapes.update({f"gates.{g}": (1, 1) for g in gates})
+    return shapes
+
+
 def lm_init(config: LMConfig, seed: int) -> InjectedLM:
     params: dict[str, Tensor] = {}
     c = config.dim

@@ -78,7 +78,7 @@ def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor
 
 def merge(adapter: LoraAdapter, base_weight: Tensor) -> Tensor:
     """Dense [in, out] weight equal to the adapted linear (bias excluded)."""
-    delta = np.einsum("ri,or->io", adapter.a.array, adapter.b.array, optimize=False)
+    delta = adapter.a.array.T @ adapter.b.array.T
     return Tensor(base_weight.array + adapter.scaling * delta)
 
 

@@ -9,9 +9,12 @@ such a path, so frozen weights and subgraphs that no parameter feeds cost
 nothing. ``grad_check`` compares those gradients against central
 differences.
 
-matmul computes C[m, n] = sum_k A[m, k] * B[k, n] via np.einsum with
-optimize=False: a plain nested loop with k innermost, no BLAS dispatch, so
-repeated calls are bitwise identical regardless of thread count.
+Every contraction (matmul and its gradients, the six products inside
+causal_attention) is a numpy ``@`` and so runs on BLAS. Results are
+therefore bitwise reproducible for a fixed machine, BLAS build and BLAS
+thread count, and agree with any other summation order to rounding; the
+tests hold them to an einsum reference at 1e-10. Nothing here sets the
+thread count.
 """
 
 from __future__ import annotations
@@ -188,16 +191,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for 2-D tensors, fixed k-innermost summation order."""
+    """C = A @ B for 2-D tensors, on BLAS."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = _wrap(np.einsum("mk,kn->mn", a.array, b.array, optimize=False))
+    out = _wrap(a.array @ b.array)
     tape = _tape()
     if tape is not None:
         def backward(g, need):
             # dA = dC . B^T, dB = A^T . dC
-            da = np.einsum("mn,kn->mk", g, b.array, optimize=False) if need[0] else None
-            db = np.einsum("mk,mn->kn", a.array, g, optimize=False) if need[1] else None
+            da = g @ b.array.T if need[0] else None
+            db = None
+            if need[1]:
+                # a one-row A makes dB an outer product: one rounding per
+                # entry, so exact either way, and einsum is 2-3x faster than
+                # a K=1 BLAS call at the bind network's 128-256 widths
+                db = (np.einsum("k,n->kn", a.array[0], g[0]) if a.shape[0] == 1
+                      else a.array.T @ g)
             return [da, db]
 
         tape._record(out, (a, b), backward)
@@ -342,32 +351,32 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         raise ShapeError(f"dim {c} not divisible by {n_heads} heads")
     hd = c // n_heads
     sc = 1.0 / np.sqrt(hd)
-    qh = q.array.reshape(m, n_heads, hd)
-    kh = k.array.reshape(n, n_heads, hd)
-    vh = v.array.reshape(n, n_heads, hd)
-    scores = np.einsum("ihd,jhd->hij", qh, kh, optimize=False) * sc
+    # head-major (h, rows, hd) views: every contraction is one batched BLAS call
+    qh = q.array.reshape(m, n_heads, hd).transpose(1, 0, 2)
+    kh = k.array.reshape(n, n_heads, hd).transpose(1, 0, 2)
+    vh = v.array.reshape(n, n_heads, hd).transpose(1, 0, 2)
+    scores = (qh @ kh.transpose(0, 2, 1)) * sc
     if m > 1:
         scores = scores + np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m)
     scores = scores - scores.max(axis=2, keepdims=True)
     expd = np.exp(scores)
     probs = expd / expd.sum(axis=2, keepdims=True)
-    outh = np.einsum("hij,jhd->ihd", probs, vh, optimize=False)
-    out = _wrap(outh.reshape(m, c))
+    out = _wrap((probs @ vh).transpose(1, 0, 2).reshape(m, c))
     tape = _tape()
     if tape is not None:
         def backward(g, need):
-            gh = g.reshape(m, n_heads, hd)
+            gh = g.reshape(m, n_heads, hd).transpose(1, 0, 2)
             dq = dk = dv = None
             if need[2]:
-                dv = np.einsum("hij,ihd->jhd", probs, gh, optimize=False).reshape(n, c)
+                dv = (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, c)
             if need[0] or need[1]:
-                dprobs = np.einsum("ihd,jhd->hij", gh, vh, optimize=False)
+                dprobs = gh @ vh.transpose(0, 2, 1)
                 # softmax backward per row: p * (dp - sum_j dp*p)
                 dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
                 if need[0]:
-                    dq = (np.einsum("hij,jhd->ihd", dscores, kh, optimize=False) * sc).reshape(m, c)
+                    dq = ((dscores @ kh) * sc).transpose(1, 0, 2).reshape(m, c)
                 if need[1]:
-                    dk = (np.einsum("hij,ihd->jhd", dscores, qh, optimize=False) * sc).reshape(n, c)
+                    dk = ((dscores.transpose(0, 2, 1) @ qh) * sc).transpose(1, 0, 2).reshape(n, c)
             return [dq, dk, dv]
 
         tape._record(out, (q, k, v), backward)

@@ -65,6 +65,44 @@ def lm_oracle(params: dict, tokens, condition, n_layers: int, n_heads: int) -> n
     return x @ params["head"]
 
 
+def einsum_matmul(a, b, g):
+    """C = A.B and, for an output gradient g, dA = g.B^T and dB = A^T.g.
+
+    Each is an einsum with optimize=False: a plain loop with the summed
+    index innermost that never reaches BLAS.
+    """
+    return (np.einsum("mk,kn->mn", a, b, optimize=False),
+            np.einsum("mn,kn->mk", g, b, optimize=False),
+            np.einsum("mk,mn->kn", a, g, optimize=False))
+
+
+def attention_oracle(q, k, v, n_heads: int, g):
+    """Causal attention output and dq, dk, dv for an output gradient g.
+
+    One head at a time on column slices, einsum contractions only; the M
+    query rows are the last M of the N key rows.
+    """
+    m, c = q.shape
+    n = k.shape[0]
+    hd = c // n_heads
+    sc = 1.0 / np.sqrt(hd)
+    mask = np.triu(np.full((m, n), -1e30), k=1 + n - m)
+    out, dq, dk, dv = (np.zeros(x.shape) for x in (q, q, k, k))
+    for h in range(n_heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        qs, ks, vs, gs = q[:, cols], k[:, cols], v[:, cols], g[:, cols]
+        s = np.einsum("id,jd->ij", qs, ks, optimize=False) * sc + mask
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        out[:, cols] = np.einsum("ij,jd->id", p, vs, optimize=False)
+        dv[:, cols] = np.einsum("ij,id->jd", p, gs, optimize=False)
+        dp = np.einsum("id,jd->ij", gs, vs, optimize=False)
+        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        dq[:, cols] = np.einsum("ij,jd->id", ds, ks, optimize=False) * sc
+        dk[:, cols] = np.einsum("ij,id->jd", ds, qs, optimize=False) * sc
+    return out, dq, dk, dv
+
+
 def unpruned_grad(tape, loss, params) -> list[np.ndarray]:
     """Reverse-mode gradients from replaying every recorded node in full.
 

@@ -145,11 +145,17 @@ def test_exact_matches_oracle_and_partitioned_recall():
     hits = total = 0
     store.build_partitions(seed=0)
     for q in queries:
-        got = topk(store, q, 16).indices
-        want = exhaustive_topk_oracle(store.keys, q.vector.array.reshape(-1), 16)
-        assert got == want
-        approx = set(topk(store, q, 16, mode="partitioned").indices)
-        hits += len(approx & set(want))
+        qv = q.vector.array.reshape(-1)
+        exact = topk(store, q, 16)
+        want = exhaustive_topk_oracle(store.keys, qv, 16)
+        assert exact.indices == want
+        scan = store.keys @ qv  # the scan a caller would write, bit for bit
+        assert exact.similarities.array.reshape(-1).tobytes() == np.clip(
+            scan[want], -1.0, 1.0).tobytes()
+        approx = topk(store, q, 16, mode="partitioned")
+        sims = approx.similarities.array.reshape(-1)
+        assert np.abs(sims - scan[approx.indices]).max() <= 1e-12
+        hits += len(set(approx.indices) & set(want))
         total += 16
     assert hits / total >= 0.95
 

@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bindlm.checkpoint import save_checkpoint
 from bindlm.cli import cli
 from bindlm.data import DatasetManifest, raw_sample, sample_objects
 from bindlm.encoders import Modality
 
 from test_cache import write_non_utf8_id_cache, write_zero_dim_cache
+from test_train import small_checkpoint
 
 
 def _gen(tmp_path, **sizes) -> Path:
@@ -242,3 +244,48 @@ def test_corrupt_cache_file_is_data_error(tmp_path, capsys, write):
     code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(tmp_path),
                 "--modality", "image", "--input", str(tmp_path / "probe.json")])
     _assert_clean_failure(capsys, code, 2, "c.bnc", "byte offset")
+
+
+@pytest.mark.parametrize("name,text", [
+    ("malformed.json", b'{"modality": "image"\n "raw": [1.0]}'),
+    ("binary.json", b"\xff\xfe[1.0]"),
+])
+def test_malformed_input_json_is_data_error_naming_the_file(tmp_path, capsys, name, text):
+    out, cache_file = _built_cache(tmp_path)
+    probe = tmp_path / name
+    probe.write_bytes(text)
+    code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(out),
+                "--modality", "image", "--input", str(probe)])
+    _assert_clean_failure(capsys, code, 2, str(probe))
+    code = cli(["mix", "--data", str(out), "--inputs", f"{probe}:1.0"])
+    _assert_clean_failure(capsys, code, 2, str(probe))
+
+
+def _non_utf8_param_name(ck, path):
+    save_checkpoint(ck, path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"lm.head")] = 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _missing_param(ck, path):
+    del ck.params["lm.layers.0.wq"]
+    save_checkpoint(ck, path)
+
+
+def _no_encoder_config(ck, path):
+    del ck.config["encoder"]
+    save_checkpoint(ck, path)
+
+
+@pytest.mark.parametrize("write,message", [
+    (_non_utf8_param_name, "byte offset"),
+    (_missing_param, "'lm.layers.0.wq'"),
+    (_no_encoder_config, "KeyError('encoder')"),
+])
+def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, write, message):
+    ckpt = tmp_path / "ck.bnk"
+    write(small_checkpoint(), ckpt)
+    code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image",
+                "--input", str(tmp_path / "probe.json"), "--prompt", "hi"])
+    _assert_clean_failure(capsys, code, 2, message)

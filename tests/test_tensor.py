@@ -30,7 +30,7 @@ from bindlm.tensor import (
     transpose,
 )
 
-from _oracles import unpruned_grad
+from _oracles import attention_oracle, einsum_matmul, unpruned_grad
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,49 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+
+
+def _grads_under(f, inputs, g):
+    """f's output and the gradients of sum(f(inputs) * g) for every input."""
+    with Tape() as tape:
+        out = f(inputs)
+        loss = tensor_sum(mul(out, Tensor(g)))
+    return out.array, tape.grad(loss, inputs)
+
+
+@pytest.mark.parametrize("m,k,n", [
+    (1, 7, 5),        # one row: dB is an outer product
+    (6, 1, 4),        # K = 1
+    (16, 16, 16),     # square: a swapped transpose keeps every shape
+    (1, 128, 418),    # one decode row through the head
+    (30, 128, 512),   # a training sequence through the FFN width
+])
+def test_matmul_and_grads_match_einsum_reference(m, k, n):
+    rng = derive_rng(13, "matmul-ref", f"{m}x{k}x{n}")
+    a, b = Tensor(rng.standard_normal((m, k))), Tensor(rng.standard_normal((k, n)))
+    g = rng.standard_normal((m, n))
+    out, (da, db) = _grads_under(lambda ps: matmul(ps[0], ps[1]), [a, b], g)
+    for got, want in zip((out, da, db), einsum_matmul(a.array, b.array, g)):
+        assert got.shape == want.shape and np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("m,n,heads,c", [
+    (5, 5, 2, 8),
+    (12, 12, 4, 32),
+    (30, 30, 4, 128),
+    (3, 7, 2, 8),
+    (1, 9, 4, 32),    # one decode row: no mask
+    (20, 40, 4, 128),
+])
+def test_attention_and_grads_match_per_head_reference(m, n, heads, c):
+    rng = derive_rng(14, "attn-ref", f"{m}x{n}x{heads}x{c}")
+    q = Tensor(rng.standard_normal((m, c)))
+    k, v = (Tensor(rng.standard_normal((n, c))) for _ in range(2))
+    g = rng.standard_normal((m, c))
+    out, grads = _grads_under(lambda ps: causal_attention(*ps, heads), [q, k, v], g)
+    want = attention_oracle(q.array, k.array, v.array, heads, g)
+    for got, ref in zip([out, *grads], want):
+        assert got.shape == ref.shape and np.abs(got - ref).max() <= 1e-10
 
 
 def test_matmul_bit_deterministic():
@@ -304,6 +347,8 @@ def test_backward_all_primitives_match_central_differences(seed):
 
     cases = {
         "matmul": (lambda ps: tensor_sum(matmul(ps[0], ps[1])), [a, b]),
+        "matmul_row": (lambda ps: tensor_sum(mul(matmul(ps[0], ps[1]), ps[2])),
+                       [Tensor(rng.standard_normal((1, k))), b, Tensor(rng.standard_normal((1, n)))]),
         "add": (lambda ps: tensor_sum(mul(add(ps[0], ps[1]), ps[1])), [a, c]),
         "add_broadcast": (
             lambda ps: tensor_sum(add(ps[0], ps[1])),
@@ -425,17 +470,21 @@ def _multi_input_cases(rng):
     row = Tensor(rng.standard_normal((1, 4)))
     q = Tensor(rng.standard_normal((2, 4)))
     k, v = (Tensor(rng.standard_normal((5, 4))) for _ in range(2))
+    q_all = Tensor(rng.standard_normal((5, 4)))
     return {
         "matmul": (lambda ps: matmul(ps[0], ps[1]), [a, b]),
+        "matmul_row": (lambda ps: matmul(ps[0], ps[1]), [row, b]),
         "add": (lambda ps: add(ps[0], ps[1]), [a, row]),
         "mul": (lambda ps: mul(ps[0], ps[1]), [a, Tensor([[0.7]])]),
         "rmsnorm": (lambda ps: rmsnorm(ps[0], ps[1]), [a, Tensor(np.abs(row.array))]),
         "attention": (lambda ps: causal_attention(ps[0], ps[1], ps[2], 2), [q, k, v]),
+        "attention_square": (lambda ps: causal_attention(ps[0], ps[1], ps[2], 2), [q_all, k, v]),
         "concat_rows": (lambda ps: concat_rows(ps[0], ps[1]), [a, c]),
     }
 
 
-@pytest.mark.parametrize("name", ["matmul", "add", "mul", "rmsnorm", "attention", "concat_rows"])
+@pytest.mark.parametrize("name", ["matmul", "matmul_row", "add", "mul", "rmsnorm", "attention",
+                                  "attention_square", "concat_rows"])
 def test_pruned_grad_matches_unpruned_replay_for_every_input_subset(name):
     f, inputs = _multi_input_cases(derive_rng(1, "prune", name))[name]
     with Tape() as tape:

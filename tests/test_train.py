@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from bindlm import peft
 
 from bindlm.checkpoint import (
+    Checkpoint,
     CheckpointFormatError,
     load_checkpoint,
     save_checkpoint,
 )
-from bindlm.bind import BindConfig, bind_init
+from bindlm.bind import BindConfig, bind_init, bind_param_shapes
 from bindlm.data import (
     DatasetManifest,
     generate_caption_corpus,
@@ -20,7 +22,7 @@ from bindlm.data import (
     write_instruction_corpus,
 )
 from bindlm.encoders import EncoderConfig, build_encoders
-from bindlm.lm import LMConfig, caption_loss, lm_forward, lm_init
+from bindlm.lm import LMConfig, caption_loss, lm_forward, lm_init, lm_param_shapes
 from bindlm.train import (
     AdamW,
     DivergenceError,
@@ -207,6 +209,89 @@ def test_checkpoint_format_errors(tmp_path):
     trunc.write_bytes(b"BNDK\x01\x00\x00\x00\xff\xff\xff\xff")
     with pytest.raises(CheckpointFormatError, match="byte offset"):
         load_checkpoint(trunc)
+
+
+def small_checkpoint() -> Checkpoint:
+    """An initialization checkpoint at a small config with LoRA attached."""
+    lm = lm_init(LMConfig(vocab_size=420, dim=16, layers=2, heads=2, max_seq=32, ffn_hidden=24), 0)
+    peft.apply_peft(lm, rank=2, seed=0)
+    bind = bind_init(BindConfig(dim_joint=64, dim_lm=16, dim_hidden=24), 0)
+    return Checkpoint.from_models(lm, bind, default_tokenizer(), EncoderConfig(), {}, 0, [])
+
+
+def test_load_rejects_non_utf8_param_name(tmp_path):
+    p = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), p)
+    raw = bytearray(p.read_bytes())
+    off = raw.index(b"lm.head")
+    raw[off] = 0xFF
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=f"ck.bnk: .*not UTF-8 at byte offset {off}"):
+        load_checkpoint(p)
+
+
+def test_load_rejects_malformed_config_json(tmp_path):
+    p = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), p)
+    raw = bytearray(p.read_bytes())
+    raw[12] = ord("[")  # the config's "{", after magic, version and length
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="ck.bnk: malformed JSON at byte offset"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("positions,shared_gate", [("learned", False), ("rope", True)])
+def test_param_shapes_are_what_init_creates(positions, shared_gate):
+    cfg = LMConfig(vocab_size=300, dim=16, layers=3, heads=2, positions=positions,
+                   shared_gate=shared_gate, ffn_hidden=40)
+    lm = lm_init(cfg, 0)
+    assert {n: t.shape for n, t in lm.params.items()} == lm_param_shapes(cfg)
+    bcfg = BindConfig(dim_joint=8, dim_lm=16, dim_hidden=24)
+    bind = bind_init(bcfg, 0)
+    assert {n: t.shape for n, t in bind.params.items()} == bind_param_shapes(bcfg)
+
+
+def _drop(ck, name):
+    del ck.params[name]
+
+
+def _add(ck, name):
+    ck.params[name] = np.zeros((1, 1))
+
+
+def _reshape(ck, name):
+    ck.params[name] = ck.params[name].T.copy()
+
+
+def _unknown_adapter(ck, name):
+    ck.config["adapters"][name] = {"rank": 2, "scaling": 0.5}
+
+
+def _drop_config(ck, key):
+    del ck.config[key]
+
+
+@pytest.mark.parametrize("edit,name,message", [
+    (_drop, "lm.layers.0.wq", "missing parameter 'lm.layers.0.wq' of shape (16, 16)"),
+    (_drop, "bind.blocks.2.w3", "missing parameter 'bind.blocks.2.w3'"),
+    (_drop, "lm.layers.1.w_up.lora_a", "missing parameter 'lm.layers.1.w_up.lora_a'"),
+    (_add, "lm.layers.9.wq", "'lm.layers.9.wq' is not in the configured models"),
+    (_add, "bind.w9", "'bind.w9' is not in the configured models"),
+    (_reshape, "lm.head", "'lm.head' has shape (420, 16), the config implies (16, 420)"),
+    (_reshape, "lm.layers.0.wv.lora_b", "'lm.layers.0.wv.lora_b' has shape (2, 16)"),
+    (_unknown_adapter, "head", "adapter on 'head', which is not an LM linear"),
+    (_unknown_adapter, "layers.5.wq", "adapter on 'layers.5.wq', which is not an LM linear"),
+    (_drop_config, "bind", "config does not describe the models: KeyError('bind')"),
+    (_drop_config, "tokenizer", "config does not describe the models: KeyError('tokenizer')"),
+])
+def test_to_models_rejects_params_that_do_not_fit_the_config(tmp_path, edit, name, message):
+    ck = small_checkpoint()
+    edit(ck, name)
+    p = tmp_path / "ck.bnk"
+    save_checkpoint(ck, p)
+    loaded = load_checkpoint(p)
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
+        loaded.to_models()
 
 
 def test_lr_schedule_shape():
