@@ -49,7 +49,14 @@ from .encoders import (
     read_raw_samples,
 )
 from .evaluate import perplexity_eval, write_report, yesno_eval
-from .lm import GenerationParams, TruncationError, VocabularyError, generate, prompt_template
+from .lm import (
+    GenerationParams,
+    GenerationParamsError,
+    TruncationError,
+    VocabularyError,
+    generate,
+    prompt_template,
+)
 from .tensor import EmptyBatchError, NonFiniteError, ShapeError
 from .train import DivergenceError, PipelineError, default_plan, plan_from_file, run_stage
 
@@ -86,6 +93,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_help()}")
 
 
+def _count(text: str) -> int:
+    """argparse type for a corpus size: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported below, like a negative count
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="bindlm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -93,13 +111,13 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen-data", help="emit the synthetic corpora")
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--caption-pairs", type=int, default=32)
-    g.add_argument("--caption-variants", type=int, default=16)
-    g.add_argument("--instruct-pairs", type=int, default=64)
-    g.add_argument("--instruct-variants", type=int, default=12)
-    g.add_argument("--language-records", type=int, default=16)
-    g.add_argument("--hq-records", type=int, default=8)
-    g.add_argument("--cache-variants", type=int, default=16)
+    g.add_argument("--caption-pairs", type=_count, default=32)
+    g.add_argument("--caption-variants", type=_count, default=16)
+    g.add_argument("--instruct-pairs", type=_count, default=64)
+    g.add_argument("--instruct-variants", type=_count, default=12)
+    g.add_argument("--language-records", type=_count, default=16)
+    g.add_argument("--hq-records", type=_count, default=8)
+    g.add_argument("--cache-variants", type=_count, default=16)
 
     t = sub.add_parser("train", help="run one training stage")
     t.add_argument("--stage", required=True, choices=["pretrain", "instruct", "hq"])
@@ -247,17 +265,22 @@ def _condition_for(args, encoders, bind):
     return emb
 
 
+_GENERATION_FLAGS = {"max_new_tokens": "--max-new", "temperature": "--temperature",
+                     "top_k": "--top-k"}
+
+
 def _cmd_generate(args) -> int:
+    try:
+        params = GenerationParams(max_new_tokens=args.max_new, temperature=args.temperature,
+                                  top_k=args.top_k, seed=args.seed)
+    except GenerationParamsError as exc:
+        raise UsageError(f"{_GENERATION_FLAGS[exc.field]}: {exc}") from None
     ckpt = load_checkpoint(args.ckpt)
     lm, bind, tok = ckpt.to_models()
     encoders = build_encoders(ckpt.encoder_config())
     emb = _condition_for(args, encoders, bind)
     prompt_ids = tok.encode(prompt_template(args.prompt))
-    out = generate(
-        lm, bind, emb, prompt_ids,
-        GenerationParams(max_new_tokens=args.max_new, temperature=args.temperature,
-                         top_k=args.top_k, seed=args.seed),
-    )
+    out = generate(lm, bind, emb, prompt_ids, params)
     print(tok.decode(out).strip())
     return 0
 

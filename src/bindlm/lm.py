@@ -11,6 +11,15 @@ Generation keeps a KVCache of each layer's keys and values. It forwards
 cached keys, so the cost per token no longer grows with the prefix. The
 condition is the same vector at every position, so cached keys never go
 stale.
+
+Each LoRA-adapted linear runs in one of two forms, chosen by whether a Tape
+is recording. Training records the factored form
+x @ W + s (x @ A^T) @ B^T + bias, because the gradients of A and B need it.
+Without a tape (generate, the evals, the CLI) the adapter is folded into one
+dense weight, peft.merge(view, W), computed on first use and kept on the
+InjectedLM for as long as W, A and B are the same tensors; each linear is
+then one matmul plus the bias. The two forms agree to rounding, and bitwise
+while B = 0.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .tensor import (
     silu,
     softmax_cross_entropy,
     uniform_init,
+    _tape,
 )
 from .tokenizer import BOS, EOS
 
@@ -95,12 +105,29 @@ class LMConfig:
         return LMConfig(**d)
 
 
+class GenerationParamsError(ValueError):
+    """A generation setting is outside its range; field names the setting."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class GenerationParams:
     max_new_tokens: int = 24
     temperature: float = 0.0  # 0 means greedy argmax
     top_k: int = 0  # 0 means no cutoff
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.max_new_tokens >= 0:
+            raise GenerationParamsError("max_new_tokens", f"= {self.max_new_tokens} must be >= 0")
+        if not 0.0 <= self.temperature < np.inf:
+            raise GenerationParamsError(
+                "temperature", f"= {self.temperature} must be finite and >= 0")
+        if not self.top_k >= 0:
+            raise GenerationParamsError("top_k", f"= {self.top_k} must be >= 0")
 
 
 LINEAR_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
@@ -113,6 +140,8 @@ class InjectedLM:
         self.config = config
         self.params = params
         self.adapters: dict[str, peft.LoraSpec] = {}
+        # linear name -> (W, A, B, folded weight); see _linear
+        self._folded: dict[str, tuple] = {}
         if config.positions == "rope":
             hd = config.dim // config.heads
             pos = np.arange(config.max_seq)[:, None]
@@ -183,10 +212,24 @@ def lm_init(config: LMConfig, seed: int) -> InjectedLM:
 
 
 def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
-    spec = lm.adapters.get(name)
-    if spec is None:
-        return matmul(x, lm.params[name])
-    return peft.lora_forward(lm.params[name], peft.adapter_view(lm, name), x)
+    """x @ W for the named linear, through its adapter if it has one.
+
+    Under a recording Tape the adapter stays factored so A and B get
+    gradients. Otherwise x meets the folded weight W + s A^T B^T, which is
+    refolded whenever W, A or B is no longer the tensor it was folded from:
+    the memo holds those tensors, so a freed id cannot alias a new one.
+    """
+    w = lm.params[name]
+    if name not in lm.adapters:
+        return matmul(x, w)
+    view = peft.adapter_view(lm, name)
+    if _tape() is not None:
+        return peft.lora_forward(w, view, x)
+    hit = lm._folded.get(name)
+    if not (hit and hit[0] is w and hit[1] is view.a and hit[2] is view.b):
+        hit = lm._folded[name] = (w, view.a, view.b, peft.merge(view, w))
+    y = matmul(x, hit[3])
+    return y if view.bias is None else add(y, view.bias)
 
 
 class KVCache:

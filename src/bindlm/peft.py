@@ -5,6 +5,12 @@ tensors: a down-projection A [r, in], an up-projection B [out, r] that starts
 at zero, and a learnable bias. B = 0 makes the adapter an exact no-op at
 attach time, mirroring the zero-gate philosophy of the conditioning pathway.
 
+Training keeps each adapter factored (lora_forward), since A and B need their
+own gradients. Inference folds it into the dense weight once (merge), so an
+adapted linear costs one matmul plus the bias; lm._linear picks the form by
+whether a Tape is recording. The folded form agrees with the factored one to
+rounding, and bitwise while B = 0.
+
 Stage presets map parameter groups onto the training schedule. The joint
 pretrain stage also trains the base LM, since this artifact has no pretrained
 checkpoint to start from; the adapter-only preset used for the instruction
@@ -62,12 +68,16 @@ def make_adapter(
     return LoraAdapter(a=a, b=b, rank=rank, scaling=1.0 / rank, bias=bias)
 
 
-def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor:
-    """y = x @ W + s * (x @ A^T) @ B^T + bias, with W stored as [in, out]."""
+def _check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
     if adapter.a.shape[1] != base_weight.shape[0] or adapter.b.shape[0] != base_weight.shape[1]:
         raise ShapeError(
             f"adapter {adapter.a.shape}/{adapter.b.shape} does not fit weight {base_weight.shape}"
         )
+
+
+def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor:
+    """y = x @ W + s * (x @ A^T) @ B^T + bias, with W stored as [in, out]."""
+    _check_fits(adapter, base_weight)
     y = matmul(x, base_weight)
     delta = matmul(matmul(x, transpose(adapter.a)), transpose(adapter.b))
     y = add(y, scale(delta, adapter.scaling))
@@ -77,7 +87,11 @@ def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor
 
 
 def merge(adapter: LoraAdapter, base_weight: Tensor) -> Tensor:
-    """Dense [in, out] weight equal to the adapted linear (bias excluded)."""
+    """Dense [in, out] weight W + s A^T B^T: the adapted linear, bias excluded.
+
+    lm._linear folds every adapter through this for tape-free forwards.
+    """
+    _check_fits(adapter, base_weight)
     delta = adapter.a.array.T @ adapter.b.array.T
     return Tensor(base_weight.array + adapter.scaling * delta)
 

@@ -160,6 +160,25 @@ def test_exact_matches_oracle_and_partitioned_recall():
     assert hits / total >= 0.95
 
 
+@pytest.mark.parametrize("mode", ["exact", "partitioned"])
+def test_ties_straddling_k_go_to_lower_indices(mode):
+    # similarity to e0 is the first coordinate exactly, so equal first
+    # coordinates are exact ties whatever the summation order
+    firsts = [0.1, 0.5, 0.9, 0.5, -0.3, 0.5, 0.9, 0.5, 0.1, 0.5, -0.3, 0.5]
+    embs = []
+    for i, a in enumerate(firsts):
+        v = np.zeros(4)
+        v[0], v[1 + i % 3] = a, (-1.0) ** i * np.sqrt(1.0 - a * a)
+        embs.append(JointEmbedding.of(v, Modality.IMAGE, f"t{i}"))
+    store = cache_build(embs)
+    store.build_partitions(nlist=3, nprobe=3, seed=0)  # probe every list: no row is missed
+    query = JointEmbedding.of([1.0, 0.0, 0.0, 0.0], Modality.AUDIO, "q")
+    for k in range(1, len(firsts) + 1):
+        got = topk(store, query, k, mode=mode).indices
+        assert got == exhaustive_topk_oracle(store.keys, query.vector.array.reshape(-1), k)
+    assert topk(store, query, 4, mode=mode).indices == [2, 6, 1, 3]
+
+
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 64), k_frac=st.floats(0.01, 1.0))
 @settings(max_examples=40)
 def test_exact_topk_equals_oracle_property(seed, m, k_frac):

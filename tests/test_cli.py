@@ -289,3 +289,24 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, write, message):
     code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image",
                 "--input", str(tmp_path / "probe.json"), "--prompt", "hi"])
     _assert_clean_failure(capsys, code, 2, message)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--temperature", "nan"), ("--temperature", "-1"), ("--top-k", "-4"), ("--max-new", "-3"),
+])
+def test_bad_generation_setting_is_usage_error(tmp_path, capsys, flag, value):
+    ckpt = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), ckpt)
+    code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image",
+                "--input", str(tmp_path / "probe.json"), "--prompt", "hi", flag, value])
+    _assert_clean_failure(capsys, code, 1, flag, value)
+
+
+@pytest.mark.parametrize("flag", [
+    "--caption-pairs", "--caption-variants", "--instruct-pairs", "--instruct-variants",
+    "--language-records", "--hq-records", "--cache-variants",
+])
+def test_negative_corpus_count_is_usage_error(tmp_path, capsys, flag):
+    code = cli(["gen-data", "--out", str(tmp_path / "data"), flag, "-1"])
+    _assert_clean_failure(capsys, code, 1, flag, "'-1'")
+    assert not (tmp_path / "data").exists()

@@ -5,9 +5,11 @@ import pytest
 
 from bindlm.bind import BindConfig, bind_forward, bind_init
 from bindlm.encoders import JointEmbedding, Modality, placeholder_embedding
-from bindlm.peft import apply_peft
+from bindlm import peft
+from bindlm.peft import apply_peft, resolve_param, set_param
 from bindlm.lm import (
     GenerationParams,
+    GenerationParamsError,
     InjectedLM,
     KVCache,
     LMConfig,
@@ -250,6 +252,16 @@ def test_generate_errors():
         generate(lm, None, None, [1] * 10, GenerationParams(max_new_tokens=10))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("temperature", float("nan")), ("temperature", -1.0), ("temperature", float("inf")),
+    ("top_k", -4), ("max_new_tokens", -3),
+])
+def test_generation_params_reject_out_of_range(field, value):
+    with pytest.raises(GenerationParamsError) as info:
+        GenerationParams(**{field: value})
+    assert info.value.field == field and field in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # K/V cache: chunked forwarding against the full forward
 # ---------------------------------------------------------------------------
@@ -358,3 +370,103 @@ def test_generate_matches_full_recompute(positions):
             got = generate(lm, bind, emb, prompt, params)
             assert got == _full_recompute_generate(lm, cond, prompt, params)
             assert len(got) == params.max_new_tokens or got[-1] == EOS
+
+
+# ---------------------------------------------------------------------------
+# Folded adapters: tape-free forwards against the factored form under a Tape
+# ---------------------------------------------------------------------------
+
+
+def _folded_and_factored(lm, tokens, cond, split=None):
+    """Logits without a tape (folded adapters) and under one (factored)."""
+
+    def run():
+        if split is None:
+            return lm_forward(lm, tokens, cond).array
+        cache = KVCache()
+        head = lm_forward(lm, tokens[:split], cond, cache).array
+        return np.concatenate([head, lm_forward(lm, tokens[split:], cond, cache).array])
+
+    folded = run()
+    with Tape():
+        factored = run()
+    return folded, factored
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+@pytest.mark.parametrize("split", [None, 11])
+def test_folded_forward_matches_factored(positions, split, monkeypatch):
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16, positions=positions)
+    lm = _spread_lm(cfg, 30, lora=True)
+    assert lm.params["layers.1.w_down.lora_b"].array.any()
+    assert lm.params["layers.1.w_down.bias"].array.any()
+    rng = derive_rng(31, "fold")
+    tokens = rng.integers(0, cfg.vocab_size, size=12).tolist()
+    cond = _cond(rng, cfg.dim)
+    folded, factored = _folded_and_factored(lm, tokens, cond, split)
+    assert np.abs(folded - factored).max() <= 1e-10
+
+    def factored_form(*args):
+        raise AssertionError("a tape-free forward ran the factored adapter")
+
+    monkeypatch.setattr(peft, "lora_forward", factored_form)
+    assert np.abs(lm_forward(lm, tokens, cond).array - factored).max() <= 1e-10
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+def test_folded_forward_with_zero_b_is_bitwise(positions):
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16, positions=positions)
+    lm = _spread_lm(cfg, 32, lora=True)
+    for name in list(lm.params):
+        if name.endswith(".lora_b"):
+            lm.params[name] = Tensor(np.zeros(lm.params[name].shape))
+    tokens = derive_rng(33, "fold0").integers(0, cfg.vocab_size, size=9).tolist()
+    cond = _cond(derive_rng(34, "fold0"), cfg.dim)
+    for split in (None, 8):
+        folded, factored = _folded_and_factored(lm, tokens, cond, split)
+        assert folded.tobytes() == factored.tobytes()
+
+
+def _assert_tracks_factored(lm, tokens, before):
+    """The next tape-free forward differs from before and matches the factored form."""
+    folded, factored = _folded_and_factored(lm, tokens, None)
+    assert np.abs(folded - before).max() > 1e-6
+    assert np.abs(folded - factored).max() <= 1e-10
+    return folded
+
+
+def test_replaced_adapter_tensors_are_refolded():
+    from bindlm.train import AdamW
+
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
+    lm = _spread_lm(cfg, 35, lora=True)
+    tokens = [5, 9, 2, 7, 3]
+    before = lm_forward(lm, tokens).array
+
+    names = ["lm.layers.0.wq.lora_a", "lm.layers.1.w_up.lora_b", "lm.layers.1.wo"]
+    params = [resolve_param(lm, None, n) for n in names]
+    with Tape() as tape:
+        loss = tensor_sum(lm_forward(lm, tokens))
+    updates = AdamW(lr=0.1).step(names, params, tape.grad(loss, params))
+    for name, t in zip(names, updates):
+        set_param(lm, None, name, t)
+    before = _assert_tracks_factored(lm, tokens, before)
+
+    rng = derive_rng(36, "refold")
+    for name in ("layers.0.wv", "layers.0.wv.lora_a", "layers.1.w_gate.lora_b"):
+        lm.params[name] = Tensor(rng.standard_normal(lm.params[name].shape))
+        before = _assert_tracks_factored(lm, tokens, before)
+
+
+def test_adapters_attached_after_first_call_take_effect():
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
+    lm = _spread_lm(cfg, 37, lora=False)
+    tokens = [4, 8, 15, 16, 23]
+    before = lm_forward(lm, tokens).array
+    apply_peft(lm, rank=2, seed=37)
+    assert lm_forward(lm, tokens).array.tobytes() == before.tobytes()  # B = 0, bias = 0
+    rng = derive_rng(38, "late-adapter")
+    for name in list(lm.params):
+        if name.endswith((".lora_b", ".bias")):
+            lm.params[name] = Tensor(rng.standard_normal(lm.params[name].shape) * 0.1)
+    _assert_tracks_factored(lm, tokens, before)
