@@ -162,15 +162,8 @@ def _query_vector(store: CacheStore, query: JointEmbedding) -> np.ndarray:
 
 def _rank(sims: np.ndarray, candidates: np.ndarray | None, k: int):
     """The k best rows by similarity; sims holds one entry per candidate row,
-    or per store row when candidates is None.
-
-    Ties go to the lower index. Only the rows at or above the k-th largest
-    similarity are sorted, in index order and stably, so the result equals
-    the first k of a stable sort of every row.
-    """
-    kth = np.partition(sims, sims.size - k)[sims.size - k]
-    above = np.flatnonzero(sims >= kth)
-    order = above[np.argsort(-sims[above], kind="stable")[:k]]
+    or per store row when candidates is None."""
+    order = np.argsort(-sims, kind="stable")[:k]  # ties: lower index wins
     picked = order if candidates is None else candidates[order]
     return picked.tolist(), np.clip(sims[order], -1.0, 1.0)
 
