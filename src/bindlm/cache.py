@@ -10,7 +10,7 @@ By default the top-k similarities are clamped at zero and normalized to a
 convex combination, which keeps alpha interpretable and the output norm at
 most 1; raw_eq4=True uses the raw similarity row instead.
 
-File format (integers little-endian):
+File format (encoded and bounds-checked by binfmt.py):
 
     magic 'BNDC' | version u32 | dim u32 | count u64 | values-elided flag u8
     | keys float32 row-major | values float32 row-major (absent when elided)
@@ -18,18 +18,19 @@ File format (integers little-endian):
 
 Rows are quantized to float32 once at build time, so save/load round-trips
 are bitwise faithful and rebuilding from the same stream reproduces the same
-file.
+file. load_cache holds a file to what cache_build guarantees: dim 0 only with
+no rows, and every key and value row finite and unit-norm within UNIT_NORM_TOL.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from . import binfmt
 from .encoders import JointEmbedding
 from .tensor import Tensor
 
@@ -38,6 +39,10 @@ VERSION = 1
 
 DEFAULT_TOP_K = 16
 DEFAULT_ALPHA = 0.5
+# How far a stored row's norm may be from 1. cache_build applies it to the
+# float32 rows it stores and load_cache to the rows it reads, so every store
+# cache_build writes loads.
+UNIT_NORM_TOL = 1e-6
 
 
 class EmptyCacheError(ValueError):
@@ -126,8 +131,8 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
     """Collect a stream of unit-norm embeddings into a frozen store.
 
     Rows keep insertion order; ids come from each embedding's source_id.
-    A dimension or norm violation mid-stream fails the build naming the
-    offending id.
+    A dimension violation stops the stream, and a row whose float32 copy
+    is not unit-norm fails the build; either error names the offending id.
     """
     rows, ids = [], []
     dim = None
@@ -139,18 +144,25 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
             raise CacheBuildError(
                 f"embedding {e.source_id!r} has dim {v.shape[0]}, store dim is {dim}"
             )
-        norm = float(np.sqrt((v * v).sum()))
-        if abs(norm - 1.0) > 1e-6:
-            raise CacheBuildError(
-                f"embedding {e.source_id!r} is not unit-norm (|v| = {norm:.2e})"
-            )
         rows.append(v)
         ids.append(e.source_id)
     if not rows:
         keys = np.zeros((0, 0))
         return CacheStore(keys, keys, [])
     keys = np.stack(rows).astype("<f4").astype(np.float64)
+    bad = _first_non_unit_row(keys)
+    if bad is not None:
+        row, norm = bad
+        raise CacheBuildError(f"embedding {ids[row]!r} is not unit-norm (|v| = {norm:.2e})")
     return CacheStore(keys, keys, ids)
+
+
+def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
+    """Index and norm of the first row whose norm is off 1 by more than
+    UNIT_NORM_TOL (a non-finite row always is), or None."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
 
 
 def _query_vector(store: CacheStore, query: JointEmbedding) -> np.ndarray:
@@ -230,73 +242,43 @@ def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
 
 
 def save_cache(store: CacheStore, path) -> None:
-    chunks = [
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<I", store.dim),
-        struct.pack("<Q", store.size),
-        struct.pack("<B", 1 if store.values_elided else 0),
-        np.ascontiguousarray(store.keys, dtype="<f4").tobytes(),
-    ]
+    w = binfmt.Writer(MAGIC, VERSION)
+    w.u32(store.dim)
+    w.u64(store.size)
+    w.u8(1 if store.values_elided else 0)
+    w.array(store.keys, "<f4")
     if not store.values_elided:
-        chunks.append(np.ascontiguousarray(store.values, dtype="<f4").tobytes())
+        w.array(store.values, "<f4")
     for sid in store.ids:
-        raw = sid.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-    Path(path).write_bytes(b"".join(chunks))
+        w.string(sid)
+    w.save(path)
 
 
 def load_cache(path) -> CacheStore:
-    raw = Path(path).read_bytes()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise CacheFormatError(
-                f"{Path(path).name}: truncated {what} at byte offset {off} (needed {n} more)"
-            )
-        out = raw[off:off + n]
-        off += n
-        return out
-
-    if take(4, "magic") != MAGIC:
-        raise CacheFormatError(
-            f"{Path(path).name}: bad magic at byte offset 0, expected {MAGIC!r}"
-        )
-    version = struct.unpack("<I", take(4, "version"))[0]
-    if version != VERSION:
-        raise CacheFormatError(f"{Path(path).name}: unsupported version {version}")
-    dim = struct.unpack("<I", take(4, "dim"))[0]
-    count = struct.unpack("<Q", take(8, "count"))[0]
+    r = binfmt.Reader(Path(path).read_bytes(), Path(path).name, CacheFormatError)
+    r.header(MAGIC, VERSION)
+    dim, count = r.u32("dim"), r.u64("count")
     if dim == 0 and count:
-        raise CacheFormatError(
-            f"{Path(path).name}: dim 0 at byte offset 8 with {count} rows"
-        )
-    elided = struct.unpack("<B", take(1, "flag"))[0]
+        r.fail(f"dim 0 at byte offset 8 with {count} rows")
+    elided = r.u8("flag")
     if elided not in (0, 1):
-        raise CacheFormatError(f"{Path(path).name}: bad values flag {elided} at offset {off - 1}")
-    keys = np.frombuffer(take(4 * dim * count, "keys"), dtype="<f4")
-    keys = keys.reshape(count, dim).astype(np.float64) if count else np.zeros((0, 0))
-    if elided:
-        values = keys
-    else:
-        values = np.frombuffer(take(4 * dim * count, "values"), dtype="<f4")
-        values = values.reshape(count, dim).astype(np.float64) if count else np.zeros((0, 0))
-    ids = []
-    for row in range(count):
-        n = struct.unpack("<I", take(4, "id length"))[0]
-        start = off
-        try:
-            ids.append(take(n, "id").decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CacheFormatError(
-                f"{Path(path).name}: id of row {row} is not UTF-8 at byte offset "
-                f"{start + exc.start}"
-            ) from None
-    if off != len(raw):
-        raise CacheFormatError(
-            f"{Path(path).name}: {len(raw) - off} trailing bytes at offset {off}"
-        )
+        r.fail(f"bad values flag {elided} at offset {r.off - 1}")
+    keys = _load_rows(r, count, dim, "keys")
+    values = keys if elided else _load_rows(r, count, dim, "values")
+    ids = [r.string(f"id of row {row}") for row in range(count)]
+    r.finish()
     return CacheStore(keys, values, ids)
+
+
+def _load_rows(r: binfmt.Reader, count: int, dim: int, what: str) -> np.ndarray:
+    """The next count x dim block as float64; every row must be unit-norm."""
+    start = r.off
+    rows = r.array("<f4", (count, dim), what).astype(np.float64)
+    if not count:
+        return np.zeros((0, 0))
+    bad = _first_non_unit_row(rows)
+    if bad is not None:
+        row, norm = bad
+        r.fail(f"row {row} of {what} is not unit-norm (|v| = {norm:.2e}) "
+               f"at byte offset {start + 4 * dim * row}")
+    return rows

@@ -1,6 +1,6 @@
 """Binary checkpoint format and model reconstruction.
 
-Layout (all integers little-endian):
+Layout (encoded and bounds-checked by binfmt.py):
 
     magic 'BNDK' (4 bytes)
     version         u32
@@ -15,18 +15,20 @@ Layout (all integers little-endian):
 Parameters are stored under qualified names ('lm.tok_emb', 'bind.w0', ...)
 in sorted order, and the config JSON uses sorted keys, so identical models
 serialize to identical bytes. A load followed by a save reproduces the file,
-and forward passes through a reloaded model are bitwise equal.
+and forward passes through a reloaded model are bitwise equal. load_checkpoint
+rejects a non-finite parameter value; to_models rejects a config or a
+parameter set that does not describe the models.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import binfmt
 from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
 from .lm import LINEAR_NAMES, InjectedLM, LMConfig, lm_param_shapes
@@ -40,6 +42,10 @@ VERSION = 1
 
 class CheckpointFormatError(ValueError):
     """The file is not a valid checkpoint; message carries the byte offset."""
+
+
+# What building a config object from a malformed config JSON can raise.
+_CONFIG_ERRORS = (KeyError, TypeError, AttributeError, ValueError, ArithmeticError)
 
 
 @dataclass
@@ -78,9 +84,11 @@ class Checkpoint:
                 for name, d in self.config.get("adapters", {}).items()
             }
             tok = Tokenizer.from_dict(self.config["tokenizer"])
-        except (KeyError, TypeError, AttributeError) as exc:
+            want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
+            want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
+        except _CONFIG_ERRORS as exc:
             raise CheckpointFormatError(f"config does not describe the models: {exc!r}") from None
-        self._check_params(lm_config, bind_config, adapters)
+        self._check_params(want, adapters)
         lm_params = {
             n[3:]: Tensor(a) for n, a in self.params.items() if n.startswith("lm.")
         }
@@ -92,11 +100,10 @@ class Checkpoint:
         bind = BindNetwork(bind_config, bind_params)
         return lm, bind, tok
 
-    def _check_params(self, lm_config: LMConfig, bind_config: BindConfig,
+    def _check_params(self, want: dict[str, tuple[int, ...]],
                       adapters: dict[str, LoraSpec]) -> None:
-        """Raise CheckpointFormatError on a missing, extra or misshapen param."""
-        want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
-        want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
+        """Raise CheckpointFormatError on a missing, extra or misshapen param;
+        want maps each dense parameter the config implies to its shape."""
         optional = set()
         for name, spec in adapters.items():
             base = want.get(f"lm.{name}")
@@ -104,6 +111,8 @@ class Checkpoint:
                 raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
             if not isinstance(spec.rank, int) or spec.rank < 1:
                 raise CheckpointFormatError(f"adapter on {name!r} has rank {spec.rank!r}")
+            if not isinstance(spec.scaling, (int, float)) or not np.isfinite(spec.scaling):
+                raise CheckpointFormatError(f"adapter on {name!r} has scaling {spec.scaling!r}")
             d_in, d_out = base
             want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
             want[f"lm.{name}.lora_b"] = (d_out, spec.rank)
@@ -131,7 +140,7 @@ class Checkpoint:
     def encoder_config(self) -> EncoderConfig:
         try:
             return EncoderConfig.from_dict(self.config["encoder"])
-        except (KeyError, TypeError, AttributeError) as exc:
+        except _CONFIG_ERRORS as exc:
             raise CheckpointFormatError(f"config does not describe the encoders: {exc!r}") from None
 
 
@@ -191,97 +200,35 @@ def _jsonable_rng(state: dict) -> dict:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
-
-    def put_str(s: str):
-        raw = s.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-
-    put_str(json.dumps(ckpt.config, sort_keys=True))
+    w = binfmt.Writer(MAGIC, VERSION)
+    w.string(json.dumps(ckpt.config, sort_keys=True))
     names = sorted(ckpt.params)
-    chunks.append(struct.pack("<I", len(names)))
+    w.u32(len(names))
     for name in names:
         arr = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
-        put_str(name)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    put_str(json.dumps(ckpt.rng_state, sort_keys=True))
-    chunks.append(struct.pack("<Q", ckpt.step))
-    chunks.append(struct.pack("<I", len(ckpt.provenance)))
+        w.string(name)
+        w.u32(arr.ndim)
+        w.array(arr.shape, "<u4")
+        w.array(arr, "<f8")
+    w.string(json.dumps(ckpt.rng_state, sort_keys=True))
+    w.u64(ckpt.step)
+    w.u32(len(ckpt.provenance))
     for p in ckpt.provenance:
-        put_str(p)
-    Path(path).write_bytes(b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, raw: bytes, name: str):
-        self.raw = raw
-        self.off = 0
-        self.name = name
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
-            raise CheckpointFormatError(
-                f"{self.name}: truncated at byte offset {self.off} (needed {n} more)"
-            )
-        out = self.raw[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        start = self.off
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(
-                f"{self.name}: string is not UTF-8 at byte offset {start + exc.start}"
-            ) from None
-
-    def json_value(self):
-        start = self.off + 4
-        text = self.string()
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            at = start + len(text[:exc.pos].encode("utf-8"))
-            raise CheckpointFormatError(
-                f"{self.name}: malformed JSON at byte offset {at}: {exc.msg}"
-            ) from None
+        w.string(p)
+    w.save(path)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    r = _Reader(raw, Path(path).name)
-    if r.take(4) != MAGIC:
-        raise CheckpointFormatError(
-            f"{r.name}: bad magic at byte offset 0, expected {MAGIC!r}"
-        )
-    version = r.u32()
-    if version != VERSION:
-        raise CheckpointFormatError(f"{r.name}: unsupported version {version}")
+    r = binfmt.Reader(Path(path).read_bytes(), Path(path).name, CheckpointFormatError)
+    r.header(MAGIC, VERSION)
     config = r.json_value()
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.string()
-        ndim = r.u32()
-        dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
-        params[name] = data.copy()
+        dims = tuple(r.array("<u4", (r.u32(),)).tolist())
+        params[name] = r.array("<f8", dims, f"parameter {name!r}").copy()
     rng_state = r.json_value()
     step = r.u64()
     provenance = [r.string() for _ in range(r.u32())]
-    if r.off != len(raw):
-        raise CheckpointFormatError(
-            f"{r.name}: {len(raw) - r.off} trailing bytes at offset {r.off}"
-        )
+    r.finish()
     return Checkpoint(config, params, rng_state, step, provenance)

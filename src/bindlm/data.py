@@ -372,12 +372,17 @@ class DatasetManifest:
         p = Path(directory) / MANIFEST_NAME
         if not p.exists():
             raise IngestError(f"no {MANIFEST_NAME} in {directory}")
-        payload = json.loads(p.read_text())
-        return DatasetManifest(
-            encoder=EncoderConfig.from_dict(payload["encoder"]),
-            seed=payload["seed"],
-            files=payload["files"],
-        )
+        try:
+            payload = json.loads(p.read_text())
+            return DatasetManifest(
+                encoder=EncoderConfig.from_dict(payload["encoder"]),
+                seed=payload["seed"],
+                files=payload["files"],
+            )
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise IngestError(f"{p}: not a JSON file: {exc}") from None
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise IngestError(f"{p}: not a dataset manifest: {exc!r}") from None
 
     def encoders(self) -> dict[Modality, SyntheticEncoder]:
         return build_encoders(self.encoder)

@@ -357,11 +357,13 @@ def generate(
         if params.temperature == 0.0:
             nxt = int(np.argmax(logits))
         else:
-            z = logits / params.temperature
+            # shift before scaling: a tiny temperature then sends every logit
+            # below the maximum to -inf, never the maximum itself to inf
+            with np.errstate(over="ignore"):
+                z = (logits - logits.max()) / params.temperature
             if params.top_k > 0 and params.top_k < z.size:
                 cut = np.sort(z)[-params.top_k]
                 z = np.where(z >= cut, z, -np.inf)
-            z = z - z.max()
             p = np.exp(z)
             p = p / p.sum()
             nxt = int(rng.choice(z.size, p=p))

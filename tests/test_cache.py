@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bindlm.cache import (
+    UNIT_NORM_TOL,
     CacheBuildError,
     CacheFormatError,
     CacheRangeError,
+    CacheStore,
     EmptyCacheError,
     cache_build,
     enhance,
@@ -17,7 +19,7 @@ from bindlm.cache import (
     topk,
 )
 from bindlm.encoders import JointEmbedding, Modality
-from bindlm.tensor import derive_rng
+from bindlm.tensor import Tensor, derive_rng
 
 
 def exhaustive_topk_oracle(keys: np.ndarray, q: np.ndarray, k: int) -> list[int]:
@@ -362,3 +364,64 @@ def test_load_rejects_zero_dim_with_rows(tmp_path):
     write_zero_dim_cache(p)
     with pytest.raises(CacheFormatError, match="dim 0 .* 3 rows"):
         load_cache(p)
+
+
+def _saved_store(path, values_elided=True):
+    """A saved 4-row, 4-dim store; returns the byte offset of its keys block."""
+    store = cache_build(_embs(derive_rng(16, "cache-contract"), 4, 4))
+    if not values_elided:
+        store = CacheStore(store.keys, store.keys.copy(), store.ids)
+    save_cache(store, path)
+    return 4 + 4 + 4 + 8 + 1
+
+
+def _patch_row(path, offset, row):
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 16] = np.asarray(row, dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_key_naming_row_and_offset(tmp_path, bad):
+    p = tmp_path / "c.bnc"
+    keys_at = _saved_store(p)
+    row = load_cache(p).keys[0].copy()
+    row[2] = bad
+    _patch_row(p, keys_at, row)
+    with pytest.raises(CacheFormatError, match=rf"c.bnc: .*keys .*\(0, 2\).* byte offset {keys_at + 8}$"):
+        load_cache(p)
+
+
+@pytest.mark.parametrize("values_elided,block,row", [(True, "keys", 1), (False, "values", 3)])
+def test_load_rejects_non_unit_row_naming_row_and_offset(tmp_path, values_elided, block, row):
+    p = tmp_path / "c.bnc"
+    keys_at = _saved_store(p, values_elided)
+    row_at = keys_at + (0 if values_elided else 64) + 16 * row
+    _patch_row(p, row_at, load_cache(p).keys[row] * np.sqrt(10.0))  # |v| = 3.16
+    with pytest.raises(CacheFormatError,
+                       match=rf"row {row} of {block} is not unit-norm .*3.16e\+00.* byte offset {row_at}$"):
+        load_cache(p)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_row_at_the_build_bound_saves_and_loads(tmp_path, side):
+    """The closest row to the 1e-6 bound that cache_build accepts also loads."""
+    u = derive_rng(17, "cache-bound").standard_normal((1, 64))
+    u /= np.sqrt((u * u).sum())
+    for step in range(100):
+        v = u * (1.0 + side * (UNIT_NORM_TOL - step * 1e-9))
+        try:
+            store = cache_build([JointEmbedding(Tensor(v), Modality.IMAGE, "edge")])
+            break
+        except CacheBuildError:
+            continue
+    else:
+        pytest.fail("no row near the bound builds")
+    norm = np.sqrt(store.keys[0] @ store.keys[0])
+    assert 0.95 * UNIT_NORM_TOL < abs(norm - 1.0) <= UNIT_NORM_TOL
+    p = tmp_path / "edge.bnc"
+    save_cache(store, p)
+    assert load_cache(p).keys.tobytes() == store.keys.tobytes()
+    far = u * (1.0 + side * 2 * UNIT_NORM_TOL)
+    with pytest.raises(CacheBuildError, match="edge"):
+        cache_build([JointEmbedding(Tensor(far), Modality.IMAGE, "edge")])

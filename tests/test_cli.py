@@ -278,10 +278,16 @@ def _no_encoder_config(ck, path):
     save_checkpoint(ck, path)
 
 
+def _misspelt_positions(ck, path):
+    ck.config["lm"]["positions"] = "learnad"
+    save_checkpoint(ck, path)
+
+
 @pytest.mark.parametrize("write,message", [
     (_non_utf8_param_name, "byte offset"),
     (_missing_param, "'lm.layers.0.wq'"),
     (_no_encoder_config, "KeyError('encoder')"),
+    (_misspelt_positions, "'learnad'"),
 ])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, write, message):
     ckpt = tmp_path / "ck.bnk"
@@ -310,3 +316,15 @@ def test_negative_corpus_count_is_usage_error(tmp_path, capsys, flag):
     code = cli(["gen-data", "--out", str(tmp_path / "data"), flag, "-1"])
     _assert_clean_failure(capsys, code, 1, flag, "'-1'")
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"files": {}, "seed": 0}',
+    '{"encoder": {"dim_jiont": 8}, "files": {}, "seed": 0}',
+    '{"encoder": {}, "files": {}, "seed": 0',
+])
+def test_malformed_manifest_is_data_error_naming_the_file(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    code = cli(["cache", "build", "--data", str(tmp_path), "--out", str(tmp_path / "c.bnc")])
+    _assert_clean_failure(capsys, code, 2, str(manifest))

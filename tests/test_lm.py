@@ -470,3 +470,12 @@ def test_adapters_attached_after_first_call_take_effect():
         if name.endswith((".lora_b", ".bias")):
             lm.params[name] = Tensor(rng.standard_normal(lm.params[name].shape) * 0.1)
     _assert_tracks_factored(lm, tokens, before)
+
+
+def test_generate_at_a_tiny_temperature_is_greedy():
+    lm = lm_init(TINY, 9)
+    lm.params["head"] = Tensor(derive_rng(7, "gh").standard_normal((TINY.dim, TINY.vocab_size)))
+    greedy = generate(lm, None, None, [1, 2], GenerationParams(max_new_tokens=6))
+    for top_k in (0, 3):
+        tiny = GenerationParams(max_new_tokens=6, temperature=1e-310, top_k=top_k, seed=1)
+        assert generate(lm, None, None, [1, 2], tiny) == greedy

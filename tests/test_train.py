@@ -267,8 +267,19 @@ def _unknown_adapter(ck, name):
     ck.config["adapters"][name] = {"rank": 2, "scaling": 0.5}
 
 
+def _unscaled_adapter(ck, name):
+    ck.config["adapters"][name]["scaling"] = "x"
+
+
 def _drop_config(ck, key):
     del ck.config[key]
+
+
+_BAD_LM_VALUES = {"positions": "learnad", "heads": 0, "layers": 1.5}
+
+
+def _bad_lm_value(ck, key):
+    ck.config["lm"][key] = _BAD_LM_VALUES[key]
 
 
 @pytest.mark.parametrize("edit,name,message", [
@@ -281,8 +292,12 @@ def _drop_config(ck, key):
     (_reshape, "lm.layers.0.wv.lora_b", "'lm.layers.0.wv.lora_b' has shape (2, 16)"),
     (_unknown_adapter, "head", "adapter on 'head', which is not an LM linear"),
     (_unknown_adapter, "layers.5.wq", "adapter on 'layers.5.wq', which is not an LM linear"),
+    (_unscaled_adapter, "layers.0.wq", "adapter on 'layers.0.wq' has scaling 'x'"),
     (_drop_config, "bind", "config does not describe the models: KeyError('bind')"),
     (_drop_config, "tokenizer", "config does not describe the models: KeyError('tokenizer')"),
+    (_bad_lm_value, "positions", "config does not describe the models: ShapeError("),
+    (_bad_lm_value, "heads", "config does not describe the models: ZeroDivisionError("),
+    (_bad_lm_value, "layers", "config does not describe the models: TypeError("),
 ])
 def test_to_models_rejects_params_that_do_not_fit_the_config(tmp_path, edit, name, message):
     ck = small_checkpoint()
@@ -398,3 +413,19 @@ def test_adamw_step_matches_out_of_place_formula_bitwise():
         for n, e in zip(new, expected):
             assert n.array.tobytes() == e.tobytes()
         params = new
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_load_rejects_non_finite_parameter_naming_section_and_offset(tmp_path, bad):
+    p = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), p)
+    raw = bytearray(p.read_bytes())
+    data_at = raw.index(b"lm.head") + len(b"lm.head") + 4 + 8  # past ndim and two dims
+    off = data_at + 8 * 3  # element (0, 3)
+    raw[off:off + 8] = np.float64(bad).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"ck.bnk: non-finite value in parameter 'lm.head' at index \(0, 3\), "
+                             rf"byte offset {off}$"):
+        load_checkpoint(p)
+
