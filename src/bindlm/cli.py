@@ -199,6 +199,18 @@ def _read_raw_input(path) -> tuple[object, np.ndarray]:
         raise IngestError(f"{path}: the raw vector is not a list of numbers")
 
 
+def _checked_raw(path, raw: np.ndarray, dim_raw: int) -> np.ndarray:
+    """The raw vector read from path, flat, if it holds dim_raw finite numbers."""
+    if raw.size != dim_raw:
+        raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
+                          f"the encoders take {dim_raw}")
+    raw = raw.reshape(-1)
+    if not np.isfinite(raw).all():
+        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
+        raise IngestError(f"{path}: the raw vector holds {raw[bad]} at index {bad}")
+    return raw
+
+
 def _cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,8 +269,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _condition_for(args, encoders, bind):
-    emb = encode(encoders[Modality(args.modality)], _read_raw_input(args.input)[1])
+def _load_models(path):
+    """The models and encoders of a checkpoint; a config error names the file."""
+    ckpt = load_checkpoint(path)
+    try:
+        lm, bind, tok = ckpt.to_models()
+        encoders = build_encoders(ckpt.encoder_config())
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+    return lm, bind, tok, encoders
+
+
+def _encode_input(path, modality: str, encoders):
+    encoder = encoders[Modality(modality)]
+    raw = _checked_raw(path, _read_raw_input(path)[1], encoder.config.dim_raw)
+    with np.errstate(over="ignore"):  # a norm that overflows is rescaled, not an error
+        return encode(encoder, raw)
+
+
+def _condition_for(args, encoders):
+    emb = _encode_input(args.input, args.modality, encoders)
     if args.cache:
         store = load_cache(args.cache)
         emb = enhance(store, emb, k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4).enhanced
@@ -275,10 +305,8 @@ def _cmd_generate(args) -> int:
                                   top_k=args.top_k, seed=args.seed)
     except GenerationParamsError as exc:
         raise UsageError(f"{_GENERATION_FLAGS[exc.field]}: {exc}") from None
-    ckpt = load_checkpoint(args.ckpt)
-    lm, bind, tok = ckpt.to_models()
-    encoders = build_encoders(ckpt.encoder_config())
-    emb = _condition_for(args, encoders, bind)
+    lm, bind, tok, encoders = _load_models(args.ckpt)
+    emb = _condition_for(args, encoders)
     prompt_ids = tok.encode(prompt_template(args.prompt))
     out = generate(lm, bind, emb, prompt_ids, params)
     print(tok.decode(out).strip())
@@ -299,8 +327,7 @@ def _cmd_cache(args) -> int:
 
     store = load_cache(args.cache)
     manifest = DatasetManifest.load(args.data)
-    encoders = manifest.encoders()
-    emb = encode(encoders[Modality(args.modality)], _read_raw_input(args.input)[1])
+    emb = _encode_input(args.input, args.modality, manifest.encoders())
     if args.mode == "partitioned":
         store.build_partitions(nlist=args.nlist, nprobe=args.nprobe, seed=args.seed)
     if args.cache_command == "query":
@@ -338,8 +365,10 @@ def _cmd_mix(args) -> int:
         if modality not in _MODALITY_CHOICES:
             raise IngestError(f"{file_part}: a mix input needs a \"modality\" naming an "
                               f"encoder modality, got {modality!r}")
+        raw = _checked_raw(file_part, raw, manifest.encoder.dim_raw)
         embs.append(encode(encoders[Modality(modality)], raw))
-    mixed = mix(embs, coeffs)
+    with np.errstate(over="ignore"):  # as in _encode_input
+        mixed = mix(embs, coeffs)
     payload = json.dumps(
         {"modality": mixed.modality.value, "vector": mixed.vector.array.reshape(-1).tolist()},
         sort_keys=True,
@@ -352,9 +381,7 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    lm, bind, tok = ckpt.to_models()
-    encoders = build_encoders(ckpt.encoder_config())
+    lm, bind, tok, encoders = _load_models(args.ckpt)
     manifest = DatasetManifest.load(args.data)
     if args.suite == "perplexity":
         name = args.file or manifest.files.get("pretrain", "captions.jsonl")

@@ -381,7 +381,7 @@ class DatasetManifest:
             )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IngestError(f"{p}: not a JSON file: {exc}") from None
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise IngestError(f"{p}: not a dataset manifest: {exc!r}") from None
 
     def encoders(self) -> dict[Modality, SyntheticEncoder]:

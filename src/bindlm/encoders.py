@@ -11,16 +11,21 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, derive_rng
+from .tensor import ShapeError, Tensor, check_finite, derive_rng
 
 
 class DegenerateMixError(ValueError):
     """Mixing coefficients cancelled the embeddings to the zero vector."""
+
+
+class EncoderConfigError(ValueError):
+    """An encoder config field has the wrong type or range."""
 
 
 class Modality(enum.Enum):
@@ -47,7 +52,26 @@ DIM_JOINT = 64
 DIM_RAW = 96
 OFFSET_SCALE = 0.12
 
-_UNIT_TOL = 1e-9
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
+
+
+def _unit(arr: np.ndarray, source_id: str) -> np.ndarray | None:
+    """arr / |arr|, or None when arr is the zero vector.
+
+    The squared norm overflows once |arr| passes about 1.3e154 and leaves
+    the normal range below about 1.5e-154. Only then is arr first divided
+    by max|arr|, so every other input keeps its exact bits. A NaN or Inf in
+    arr raises NonFiniteError naming the source.
+    """
+    sq = float((arr * arr).sum())
+    if not _NORMAL_MIN <= sq < math.inf:
+        top = float(np.abs(arr).max())
+        if top == 0.0:
+            return None
+        check_finite(arr, f"the vector for source {source_id!r}")
+        arr = arr / top
+        sq = float((arr * arr).sum())
+    return arr / math.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -60,12 +84,12 @@ class JointEmbedding:
 
     @staticmethod
     def of(values, modality: Modality, source_id: str) -> "JointEmbedding":
-        """Normalize at the boundary; rejects the zero vector."""
+        """Normalize at the boundary; rejects the zero vector and NaN or Inf."""
         arr = np.asarray(values, dtype=np.float64).reshape(1, -1)
-        norm = float(np.sqrt((arr * arr).sum()))
-        if norm == 0.0:
+        unit = _unit(arr, source_id)
+        if unit is None:
             raise ShapeError(f"cannot normalize zero vector for source {source_id!r}")
-        return JointEmbedding(Tensor(arr / norm), modality, source_id)
+        return JointEmbedding(Tensor(unit), modality, source_id)
 
     @property
     def dim(self) -> int:
@@ -95,6 +119,20 @@ class EncoderConfig:
     offset_scale: float = OFFSET_SCALE
     noise_scale: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dim_raw", "dim_joint", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise EncoderConfigError(f"{name} must be an int, got {value!r}")
+        if not 1 <= self.dim_joint <= self.dim_raw:
+            raise EncoderConfigError(
+                f"need 1 <= dim_joint <= dim_raw, got {self.dim_joint} and {self.dim_raw}")
+        for name in ("offset_scale", "noise_scale"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise EncoderConfigError(f"{name} must be a finite number, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -181,18 +219,18 @@ def mix(embeddings: list[JointEmbedding], coefficients: list[float]) -> JointEmb
         )
     coeffs = np.asarray(coefficients, dtype=np.float64)
     if not np.isfinite(coeffs).all():
-        raise ShapeError("mixing coefficients must be finite")
+        raise ShapeError(f"mixing coefficients must be finite, got {coeffs.tolist()}")
     dim = embeddings[0].dim
     total = np.zeros((1, dim))
     for e, c in zip(embeddings, coeffs):
         if e.dim != dim:
             raise ShapeError(f"embedding dims differ: {e.dim} vs {dim}")
         total = total + c * e.vector.array
-    norm = float(np.sqrt((total * total).sum()))
-    if norm == 0.0:
+    source = f"mix({'+'.join(e.source_id for e in embeddings)})"
+    unit = _unit(total, source)
+    if unit is None:
         raise DegenerateMixError("mixed embeddings cancelled to the zero vector")
-    source = "+".join(e.source_id for e in embeddings)
-    return JointEmbedding(Tensor(total / norm), Modality.MIXED, f"mix({source})")
+    return JointEmbedding(Tensor(unit), Modality.MIXED, source)
 
 
 def read_raw_samples(path) -> list[dict]:

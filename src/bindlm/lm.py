@@ -37,6 +37,7 @@ from .tensor import (
     Tensor,
     add,
     causal_attention,
+    check_finite,
     concat_rows,
     derive_rng,
     embedding,
@@ -219,17 +220,19 @@ def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
     refolded whenever W, A or B is no longer the tensor it was folded from:
     the memo holds those tensors, so a freed id cannot alias a new one.
     """
-    w = lm.params[name]
+    params = lm.params
+    w = params[name]
     if name not in lm.adapters:
         return matmul(x, w)
-    view = peft.adapter_view(lm, name)
     if _tape() is not None:
-        return peft.lora_forward(w, view, x)
+        return peft.lora_forward(w, peft.adapter_view(lm, name), x)
+    a, b = params[name + ".lora_a"], params[name + ".lora_b"]
     hit = lm._folded.get(name)
-    if not (hit and hit[0] is w and hit[1] is view.a and hit[2] is view.b):
-        hit = lm._folded[name] = (w, view.a, view.b, peft.merge(view, w))
+    if not (hit and hit[0] is w and hit[1] is a and hit[2] is b):
+        hit = lm._folded[name] = (w, a, b, peft.merge(peft.adapter_view(lm, name), w))
     y = matmul(x, hit[3])
-    return y if view.bias is None else add(y, view.bias)
+    bias = params.get(name + ".bias")
+    return y if bias is None else add(y, bias)
 
 
 class KVCache:
@@ -254,7 +257,8 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
     """Logits [N, V] for a token sequence, optionally condition-injected.
 
     With a cache the tokens continue the cached positions, and the cache
-    gains their keys and values.
+    gains their keys and values. A NaN or Inf anywhere in the forward
+    reaches the logits, which raise NonFiniteError.
     """
     ids = list(tokens)
     if not ids:
@@ -295,8 +299,9 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
         x = add(x, _linear(lm, f"layers.{l}.w_down", gated))
     if cache is not None:
         cache.keys, cache.values = keys, values
-    x = rmsnorm(x, lm.params["final_norm"])
-    return matmul(x, lm.params["head"])
+    logits = matmul(rmsnorm(x, lm.params["final_norm"]), lm.params["head"])
+    check_finite(logits.array, "logits")
+    return logits
 
 
 def _condition_from(bind: BindNetwork | None, embedding_in) -> Tensor | None:

@@ -15,6 +15,18 @@ therefore bitwise reproducible for a fixed machine, BLAS build and BLAS
 thread count, and agree with any other summation order to rounding; the
 tests hold them to an einsum reference at 1e-10. Nothing here sets the
 thread count.
+
+Finiteness is checked where values enter and leave a computation, not on
+every primitive output. A Tensor built by a caller (parameters, loaded
+weights, embeddings) is checked when it is made; primitives wrap their
+results unchecked, so a NaN or Inf born inside a forward travels on to
+the boundary that catches it: lm_forward's logits, the loss of
+softmax_cross_entropy, AdamW's new parameters and grad_check's values.
+softmax_cross_entropy also checks its logits, because it drops ignored
+rows, and with them any non-finite value in those rows. The elementwise
+kernels (the sigmoid inside silu, the mean square inside rmsnorm) are
+written for speed but give the same bits as their textbook forms, which
+the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -42,19 +54,29 @@ class GradCheckError(ArithmeticError):
     """Finite differencing hit a non-finite intermediate."""
 
 
+def check_finite(arr: np.ndarray, what: str = "tensor") -> None:
+    """Raise NonFiniteError naming the first NaN or Inf in arr, if any."""
+    if not np.isfinite(arr).all():
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise NonFiniteError(f"non-finite value at index {bad} in {what} of shape {arr.shape}")
+
+
 class Tensor:
-    """Immutable row-major float64 array with a finite-values invariant."""
+    """Immutable row-major float64 array.
+
+    A caller-built Tensor is checked for NaN and Inf on construction.
+    ``_checked=True`` skips that check; primitives pass it for their
+    outputs, and the boundaries listed in the module docstring check
+    instead.
+    """
 
     __slots__ = ("array",)
 
     def __init__(self, values, _checked: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         arr = np.ascontiguousarray(arr)
-        if not _checked and not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))
-            raise NonFiniteError(
-                f"non-finite value at index {tuple(bad[0])} in tensor of shape {arr.shape}"
-            )
+        if not _checked:
+            check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -82,8 +104,8 @@ class Tensor:
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
-    """Wrap an op result, keeping the finite-values check on every output."""
-    return Tensor(arr)
+    """Wrap an op result without a finiteness check (see the module docstring)."""
+    return Tensor(arr, _checked=True)
 
 
 _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
@@ -257,13 +279,11 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
+    # elsewhere, so both branches round exactly as a sign-split form would.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -290,7 +310,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
     if x.array.ndim != 2 or gain.array.ndim != 2 or gain.shape != (1, x.shape[1]):
         raise ShapeError(f"rmsnorm shapes: x {x.shape}, gain {gain.shape}")
     n = x.shape[1]
-    inv = 1.0 / np.sqrt((x.array * x.array).mean(axis=1, keepdims=True) + eps)
+    # sum / n is what .mean computes, without its Python-level wrapper
+    inv = 1.0 / np.sqrt((x.array * x.array).sum(axis=1, keepdims=True) / n + eps)
     normed = x.array * inv
     out = _wrap(normed * gain.array)
     tape = _tape()
@@ -439,10 +460,13 @@ def softmax_cross_entropy(
 ) -> Tensor:
     """Mean NLL over positions whose target != ignore_index.
 
-    Ignored positions contribute nothing to the loss or the gradient.
+    Ignored positions contribute nothing to the loss or the gradient, so
+    the logits are checked for NaN and Inf in every row first, and the loss
+    is checked on its way out.
     """
     if logits.array.ndim != 2:
         raise ShapeError(f"logits must be [N, V], got {logits.shape}")
+    check_finite(logits.array, "logits")
     t = np.asarray(targets, dtype=np.int64)
     if t.shape != (logits.shape[0],):
         raise ShapeError(f"targets shape {t.shape} vs logits rows {logits.shape[0]}")
@@ -460,7 +484,7 @@ def softmax_cross_entropy(
     sumz = expz.sum(axis=1, keepdims=True)
     logp = z - np.log(sumz)
     rows = np.nonzero(keep)[0]
-    out = _wrap(np.array([[-logp[rows, tk].mean()]]))
+    out = Tensor(np.array([[-logp[rows, tk].mean()]]))
     tape = _tape()
     if tape is not None:
         def backward(g, need):
@@ -488,12 +512,23 @@ def grad_check(
 
     f maps the parameter list to a scalar Tensor. The relative error per
     coordinate is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    A NaN or Inf value of f, at the given params or at a bumped one, raises
+    GradCheckError.
     """
     if not (0.0 < h <= 1e-2):
         raise ShapeError(f"h must be in (0, 1e-2], got {h}")
     params = list(params)
+
+    def value(ps, where: str) -> Tensor:
+        try:
+            out = f(ps)
+            check_finite(out.array, "the value of f")
+        except NonFiniteError as exc:
+            raise GradCheckError(f"non-finite intermediate {where}: {exc}") from exc
+        return out
+
     with Tape() as tape:
-        loss = f(params)
+        loss = value(params, "at the given params")
     analytic = tape.grad(loss, params)
 
     worst = 0.0
@@ -506,12 +541,7 @@ def grad_check(
                 bumped.reshape(-1)[j] += sign * h
                 trial = list(params)
                 trial[i] = Tensor(bumped, _checked=True)
-                try:
-                    vals[sign] = f(trial).item()
-                except NonFiniteError as exc:
-                    raise GradCheckError(
-                        f"non-finite intermediate at param {i}, coordinate {j}: {exc}"
-                    ) from exc
+                vals[sign] = value(trial, f"at param {i}, coordinate {j}").item()
             numeric = (vals[+1.0] - vals[-1.0]) / (2.0 * h)
             ana = float(analytic[i].reshape(-1)[j])
             err = abs(ana - numeric) / max(1.0, abs(ana), abs(numeric))

@@ -36,7 +36,7 @@ from .data import (
 )
 from .encoders import Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
-from .tensor import NonFiniteError, Tape, Tensor, add, derive_rng, scale
+from .tensor import NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
 from .tokenizer import EOS, Tokenizer, default_tokenizer
 
 
@@ -168,6 +168,9 @@ class AdamW:
     def step(self, names, params, grads, lr: float | None = None) -> list[Tensor]:
         """New parameter tensors; neither ``params`` nor ``grads`` is written.
 
+        A NaN or Inf in a new parameter, which a non-finite gradient always
+        gives through m / sqrt(v), raises NonFiniteError naming it.
+
         The moments are updated in place, with the float operations of
         m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
         """
@@ -204,7 +207,8 @@ class AdamW:
             new *= eff
             np.subtract(p.array, new, out=new)
             new -= np.multiply(p.array, eff * decay, out=denom)
-            out.append(Tensor(new))
+            check_finite(new, name)
+            out.append(Tensor(new, _checked=True))
         return out
 
 
@@ -298,6 +302,8 @@ def run_stage(
 
     history, if given, receives one dict per optimizer step with the loss and
     the gate values; counters, if given, collects instrumentation totals.
+    A NaN or Inf in a step's logits, loss or new parameters raises
+    DivergenceError naming the step.
     """
     _check_ordering(plan, checkpoint_in)
     manifest = DatasetManifest.load(plan.data)
@@ -344,12 +350,15 @@ def run_stage(
         for b in range(steps_per_epoch):
             batch = [examples[i] for i in order[b * plan.batch_size:(b + 1) * plan.batch_size]]
             try:
-                with Tape() as tape:
+                # a NaN that an overflow leaves in the forward is caught at the
+                # logits or the loss, so numpy need not warn of it as well
+                with Tape() as tape, np.errstate(invalid="ignore"):
                     total = None
                     for ex in batch:
                         li = caption_loss(lm, bind, ex.embedding, ex.prompt_ids, ex.target_ids)
                         total = li if total is None else add(total, li)
                     loss = scale(total, 1.0 / len(batch))
+                check_finite(loss.array, "loss")
                 params = [peft.resolve_param(lm, bind, n) for n in names]
                 grads = tape.grad(loss, params)
                 updated = opt.step(names, params, grads,

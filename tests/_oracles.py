@@ -145,3 +145,23 @@ def adamw_oracle(params, grad_steps, lrs, lr_mults, decays,
             ps[i] = ps[i] - eff * update - eff * decays[i] * ps[i]
         history.append([p.copy() for p in ps])
     return history
+
+
+def sigmoid_oracle(x: np.ndarray) -> np.ndarray:
+    """Sign-split logistic: 1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x))
+    elsewhere, each branch on its own boolean gather. The kernel in
+    bindlm.tensor must give these bits exactly."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def rmsnorm_oracle(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Row-wise x / sqrt(mean(x^2) + eps) * gain, with the mean taken by
+    ndarray.mean and the operations in bindlm.tensor.rmsnorm's order, so the
+    kernel must give these bits exactly."""
+    inv = 1.0 / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps)
+    return (x * inv) * gain

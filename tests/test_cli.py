@@ -328,3 +328,96 @@ def test_malformed_manifest_is_data_error_naming_the_file(tmp_path, capsys, text
     manifest.write_text(text)
     code = cli(["cache", "build", "--data", str(tmp_path), "--out", str(tmp_path / "c.bnc")])
     _assert_clean_failure(capsys, code, 2, str(manifest))
+
+
+@pytest.fixture(scope="module")
+def store_dir(tmp_path_factory):
+    """gen-data output with a built cache and a few input files, shared read-only."""
+    tmp_path = tmp_path_factory.mktemp("matrix")
+    out, cache_file = _built_cache(tmp_path)
+    good = json.loads(_raw_input_file(tmp_path, out).read_text())
+    files = {"good": good,
+             "short": dict(good, raw=good["raw"][:5]),
+             "nan_raw": dict(good, raw=[float("nan")] + good["raw"][1:]),
+             "no_modality": {"raw": good["raw"]},
+             "huge": dict(good, raw=[1e200] * len(good["raw"]))}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    return tmp_path, out, cache_file
+
+
+_QUERY_CASES = [
+    (["--k", "0"], "k = 0"),
+    (["--k", "-3"], "k = -3"),
+    (["--k", "9999"], "k = 9999"),
+    (["--mode", "partitioned", "--nlist", "0"], "nlist = 0"),
+    (["--mode", "partitioned", "--nprobe", "0"], "nprobe = 0"),
+    (["--input", "short.json"], "short.json"),
+    (["--input", "nan_raw.json"], "nan_raw.json"),
+]
+
+
+@pytest.mark.parametrize("argv,named", [
+    *((["cache", "query"] + a, n) for a, n in _QUERY_CASES),
+    *((["cache", "enhance"] + a, n) for a, n in _QUERY_CASES),
+    (["cache", "enhance", "--alpha", "nan"], "alpha = nan"),
+    (["cache", "enhance", "--alpha", "-1"], "alpha = -1"),
+    (["cache", "enhance", "--alpha", "5"], "alpha = 5"),
+    (["mix", "--inputs", "no_modality.json:1.0"], "no_modality.json"),
+    (["mix", "--inputs", "nan_raw.json:1.0"], "nan_raw.json"),
+    (["mix", "--inputs", "short.json:1.0"], "short.json"),
+    (["mix", "--inputs", "good.json:nan"], "nan"),
+])
+def test_bad_cache_and_mix_input_is_data_error_naming_it(store_dir, capsys, argv, named):
+    tmp_path, out, cache_file = store_dir
+    argv = [str(tmp_path / a) if ".json" in a else a for a in argv]
+    if argv[0] == "cache":
+        defaults = {"--cache": str(cache_file), "--data": str(out), "--modality": "image",
+                    "--input": str(tmp_path / "good.json")}
+        for flag, value in defaults.items():
+            if flag not in argv:
+                argv += [flag, value]
+    else:
+        argv += ["--data", str(out)]
+    _assert_clean_failure(capsys, cli(argv), 2, named)
+
+
+def test_huge_raw_vector_and_coefficient_give_unit_norm_results(store_dir, capsys):
+    tmp_path, out, cache_file = store_dir
+    code = cli(["cache", "query", "--cache", str(cache_file), "--data", str(out),
+                "--modality", "image", "--input", str(tmp_path / "huge.json"), "--k", "4"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Warning" not in captured.err
+    sims = json.loads(captured.out.splitlines()[-1])["similarities"]
+    assert max(abs(s) for s in sims) > 0.01
+
+    vectors = []
+    for coef in ("1.0", "1e200"):
+        code = cli(["mix", "--data", str(out), "--inputs", f"{tmp_path / 'good.json'}:{coef}"])
+        captured = capsys.readouterr()
+        assert code == 0 and "Warning" not in captured.err
+        vectors.append(np.asarray(json.loads(captured.out.splitlines()[-1])["vector"]))
+    assert abs(float(vectors[1] @ vectors[1]) - 1.0) < 1e-12
+    assert np.abs(vectors[1] - vectors[0]).max() < 1e-15
+
+
+def _string_dim_joint(ck, path):
+    ck.config["encoder"]["dim_joint"] = "64"
+    save_checkpoint(ck, path)
+
+
+def test_mistyped_encoder_config_is_data_error_naming_the_file(tmp_path, capsys):
+    ckpt = tmp_path / "ck.bnk"
+    _string_dim_joint(small_checkpoint(), ckpt)
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([0.0] * 96))
+    code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image",
+                "--input", str(probe), "--prompt", "hi"])
+    _assert_clean_failure(capsys, code, 2, str(ckpt), "dim_joint", "'64'")
+
+    out = _gen(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["encoder"]["dim_joint"] = "64"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    code = cli(["cache", "build", "--data", str(out), "--out", str(tmp_path / "c.bnc")])
+    _assert_clean_failure(capsys, code, 2, str(out / "manifest.json"), "dim_joint", "'64'")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bindlm.encoders import (
     DegenerateMixError,
     EncoderConfig,
+    EncoderConfigError,
     JointEmbedding,
     Modality,
     SyntheticEncoder,
@@ -14,7 +15,7 @@ from bindlm.encoders import (
     mix,
     placeholder_embedding,
 )
-from bindlm.tensor import ShapeError, derive_rng
+from bindlm.tensor import NonFiniteError, ShapeError, derive_rng
 
 
 CFG = EncoderConfig(seed=7)
@@ -146,6 +147,54 @@ def test_placeholder_is_all_zero():
 def test_joint_embedding_rejects_zero_unless_placeholder():
     with pytest.raises(ShapeError):
         JointEmbedding.of(np.zeros(4), Modality.IMAGE, "z")
+
+
+def test_normalization_keeps_the_bits_of_ordinary_vectors():
+    rng = derive_rng(4, "unit-bits")
+    for _ in range(200):
+        v = rng.standard_normal((1, 64)) * 10.0 ** rng.uniform(-100, 100)
+        want = v / float(np.sqrt((v * v).sum()))
+        assert JointEmbedding.of(v, Modality.TEXT, "t").vector.array.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("magnitude", [1e155, 1e200, 1e308, 1e-155, 1e-200, 1e-320])
+def test_normalization_outside_the_squared_norm_range(magnitude):
+    v = derive_rng(5, "unit-range").standard_normal(64)
+    v = v / np.abs(v).max()
+    e = JointEmbedding.of(v * magnitude, Modality.TEXT, "t")
+    assert abs(e.norm() - 1.0) < 1e-12
+    if magnitude > 1e-300:  # below that, v * magnitude has lost digits
+        assert np.abs(e.vector.array - JointEmbedding.of(v, Modality.TEXT, "t").vector.array).max() < 1e-15
+    mixed = mix([e, JointEmbedding.of(v[::-1], Modality.TEXT, "u")], [magnitude, magnitude])
+    assert abs(mixed.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalization_rejects_nan_and_inf(bad):
+    v = np.ones(8)
+    v[3] = bad
+    with pytest.raises(NonFiniteError, match=r"index \(0, 3\) in the vector for source 'x'"):
+        JointEmbedding.of(v, Modality.TEXT, "x")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_mix_whose_weighted_sum_overflows_is_rejected():
+    e = JointEmbedding.of(np.eye(8)[0], Modality.TEXT, "a")
+    with pytest.raises(NonFiniteError, match=r"for source 'mix\(a\+a\)'"):
+        mix([e, e], [1.7e308, 1.7e308])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim_raw", "96"), ("dim_joint", "64"), ("dim_joint", 64.0), ("dim_joint", True),
+    ("seed", 1.5), ("seed", None), ("dim_joint", 0), ("dim_joint", 97),
+    ("offset_scale", float("nan")), ("offset_scale", "0.12"), ("noise_scale", float("inf")),
+    ("noise_scale", False),
+])
+def test_encoder_config_rejects_bad_fields(field, value):
+    with pytest.raises(EncoderConfigError, match=field):
+        EncoderConfig(**{field: value})
 
 
 def test_read_raw_samples(tmp_path):

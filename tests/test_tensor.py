@@ -30,7 +30,13 @@ from bindlm.tensor import (
     transpose,
 )
 
-from _oracles import attention_oracle, einsum_matmul, unpruned_grad
+from _oracles import (
+    attention_oracle,
+    einsum_matmul,
+    rmsnorm_oracle,
+    sigmoid_oracle,
+    unpruned_grad,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +194,35 @@ def test_silu_matches_scalar_oracle():
     assert abs(got - (-0.2689414213699951)) < 1e-12  # frozen from the oracle
 
 
+_EDGE_VALUES = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308,
+                5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -36.7, 1e-20, -1e-20]
+
+
+def _random_inputs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 260)))
+        yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 3)
+
+
+def test_silu_kernel_matches_sign_split_oracle_bitwise():
+    for x in itertools.chain(_random_inputs(), [np.array([_EDGE_VALUES])]):
+        want = x * sigmoid_oracle(x)
+        assert silu(Tensor(x)).array.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # rmsnorm
 # ---------------------------------------------------------------------------
+
+
+def test_rmsnorm_kernel_matches_mean_oracle_bitwise():
+    # edge values whose squares, and their row sum, stay in the float range
+    edge = np.array([[v for v in _EDGE_VALUES if abs(v) < 1e150]])
+    for x in itertools.chain(_random_inputs(), [edge]):
+        gain = np.linspace(0.5, 1.5, x.shape[1])[None, :]
+        got = rmsnorm(Tensor(x), Tensor(gain)).array
+        assert got.tobytes() == rmsnorm_oracle(x, gain).tobytes()
 
 
 def test_rmsnorm_constant_row():
@@ -327,6 +359,17 @@ def test_grad_check_reports_nonfinite_coordinate():
 
     with pytest.raises(GradCheckError, match="coordinate"):
         grad_check(f, [Tensor([[1e-6]])], h=1e-5)
+
+
+def test_grad_check_reports_overflow_inside_primitives():
+    # only the bumped value leaves the float range, inside scale; no tensor a
+    # caller builds is non-finite
+    def f(params):
+        return tensor_sum(scale(params[0], 1e308))
+
+    with pytest.raises(GradCheckError, match="coordinate 0"):
+        with np.errstate(over="ignore"):
+            grad_check(f, [Tensor([[1.7976931348623157]])], h=1e-5)
 
 
 def _rand_shapes(rng, k_extra=0):

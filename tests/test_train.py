@@ -44,16 +44,20 @@ TINY_BIND = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=16)
 TINY_ENC = EncoderConfig(dim_raw=24, dim_joint=16, seed=0)
 
 
-@pytest.fixture()
-def dataset(tmp_path):
+def write_tiny_dataset(path):
     encoders = build_encoders(TINY_ENC)
     captions, _ = generate_caption_corpus(4, 0, encoders, variants=2)
-    write_caption_corpus(tmp_path / "captions.jsonl", captions)
+    write_caption_corpus(path / "captions.jsonl", captions)
     instruct, _ = generate_instruction_corpus(4, 2, 0, encoders, variants=1)
-    write_instruction_corpus(tmp_path / "instruct.jsonl", instruct)
-    write_instruction_corpus(tmp_path / "hq.jsonl", instruct[:2])
-    DatasetManifest(encoder=TINY_ENC, seed=0, files={}).save(tmp_path)
-    return tmp_path
+    write_instruction_corpus(path / "instruct.jsonl", instruct)
+    write_instruction_corpus(path / "hq.jsonl", instruct[:2])
+    DatasetManifest(encoder=TINY_ENC, seed=0, files={}).save(path)
+    return path
+
+
+@pytest.fixture()
+def dataset(tmp_path):
+    return write_tiny_dataset(tmp_path)
 
 
 def _tiny_plan(stage, data, **kw):
