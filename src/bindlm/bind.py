@@ -12,11 +12,11 @@ block is the identity map at initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoders import JointEmbedding
+from .encoders import DIM_JOINT, JointEmbedding
 from .tensor import ShapeError, Tensor, matmul, mul, rmsnorm, silu, add, uniform_init, derive_rng
 
 N_BLOCKS = 3
@@ -24,12 +24,12 @@ N_BLOCKS = 3
 
 @dataclass(frozen=True)
 class BindConfig:
-    dim_joint: int = 64
+    dim_joint: int = DIM_JOINT
     dim_lm: int = 128
     dim_hidden: int = 256
 
     def to_dict(self) -> dict:
-        return {"dim_joint": self.dim_joint, "dim_lm": self.dim_lm, "dim_hidden": self.dim_hidden}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BindConfig":
@@ -42,9 +42,6 @@ class BindNetwork:
     def __init__(self, config: BindConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
 
 
 def bind_param_shapes(config: BindConfig) -> dict[str, tuple[int, ...]]:

@@ -43,6 +43,8 @@ DEFAULT_ALPHA = 0.5
 # float32 rows it stores and load_cache to the rows it reads, so every store
 # cache_build writes loads.
 UNIT_NORM_TOL = 1e-6
+# Spherical k-means rounds that build_partitions runs.
+KMEANS_ITERATIONS = 6
 
 
 class EmptyCacheError(ValueError):
@@ -95,7 +97,7 @@ class CacheStore:
         return self.keys is self.values
 
     def build_partitions(self, nlist: int | None = None, nprobe: int | None = None,
-                         seed: int = 0, iterations: int = 6) -> None:
+                         seed: int = 0) -> None:
         """Seeded spherical k-means inverted lists for approximate search."""
         m = self.size
         if m == 0:
@@ -113,7 +115,7 @@ class CacheStore:
         rng = np.random.Generator(np.random.Philox(seed))
         centroids = self.keys[rng.choice(m, size=nlist, replace=False)].copy()
         assign = None
-        for _ in range(iterations):
+        for _ in range(KMEANS_ITERATIONS):
             sims = self.keys @ centroids.T
             assign = sims.argmax(axis=1)
             for l in range(nlist):

@@ -32,7 +32,7 @@ from . import binfmt
 from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
 from .lm import LINEAR_NAMES, InjectedLM, LMConfig, lm_param_shapes
-from .peft import LoraSpec
+from .peft import STAGE_TRAINABLE, LoraSpec, _classify
 from .tensor import Tensor
 from .tokenizer import Tokenizer
 
@@ -138,36 +138,29 @@ class Checkpoint:
                 )
 
     def encoder_config(self) -> EncoderConfig:
+        """The encoders' config; their output width must be the bind network's input width."""
         try:
-            return EncoderConfig.from_dict(self.config["encoder"])
+            config = EncoderConfig.from_dict(self.config["encoder"])
+            bind_width = self.config["bind"]["dim_joint"]
         except _CONFIG_ERRORS as exc:
             raise CheckpointFormatError(f"config does not describe the encoders: {exc!r}") from None
-
-
-_ADAPTER_SUFFIXES = (".lora_a", ".lora_b", ".bias")
-
-
-def _is_stage2_delta(name: str) -> bool:
-    scope, local = name.split(".", 1)
-    if scope != "lm":
-        return False
-    return (
-        local.endswith(_ADAPTER_SUFFIXES)
-        or local.endswith("_norm")
-        or local == "final_norm"
-        or local.startswith("gates.")
-    )
+        if config.dim_joint != bind_width:
+            raise CheckpointFormatError(f"encoder.dim_joint = {config.dim_joint} differs"
+                                        f" from bind.dim_joint = {bind_width!r}")
+        return config
 
 
 def split_adapters(ckpt: Checkpoint) -> tuple[Checkpoint, Checkpoint]:
     """Split a tuned checkpoint into base weights and the stage-2 delta.
 
-    The delta checkpoint carries only the adapter matrices, biases, norm
-    gains, and gates (plus the adapter metadata), so it can ship without the
-    dense base weights and be re-applied with apply_adapters.
+    The delta checkpoint carries only the parameters the instruct stage
+    trains (adapter matrices, biases, norm gains and gates, as
+    peft.STAGE_TRAINABLE names them) plus the adapter metadata, so it can
+    ship without the dense base weights and be re-applied with apply_adapters.
     """
-    delta_params = {n: a for n, a in ckpt.params.items() if _is_stage2_delta(n)}
-    base_params = {n: a for n, a in ckpt.params.items() if not _is_stage2_delta(n)}
+    delta_groups = STAGE_TRAINABLE["instruct"]
+    delta_params = {n: a for n, a in ckpt.params.items() if _classify(n) in delta_groups}
+    base_params = {n: a for n, a in ckpt.params.items() if n not in delta_params}
     delta = Checkpoint(dict(ckpt.config), delta_params, ckpt.rng_state, ckpt.step,
                        list(ckpt.provenance))
     base_config = dict(ckpt.config)

@@ -10,17 +10,17 @@ the encoder's own projection, which is what makes cross-modal pairing hold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .encoders import (
-    ENCODER_MODALITIES,
     EncoderConfig,
     Modality,
     SyntheticEncoder,
     build_encoders,
+    parse_sample,
 )
 from .tensor import derive_rng
 
@@ -102,15 +102,14 @@ def sample_objects(n: int, seed: int, dim: int) -> list[LatentObject]:
     return objects
 
 
-def raw_sample(
-    encoder: SyntheticEncoder,
-    obj: LatentObject,
-    rng: np.random.Generator,
-    jitter: float = 0.05,
-) -> np.ndarray:
+RAW_JITTER = 0.05
+
+
+def raw_sample(encoder: SyntheticEncoder, obj: LatentObject,
+               rng: np.random.Generator) -> np.ndarray:
     """Raw input for this object under this modality, with per-sample jitter."""
     dim = encoder.config.dim_joint
-    noisy = obj.latent + jitter * rng.standard_normal(dim) / np.sqrt(dim)
+    noisy = obj.latent + RAW_JITTER * rng.standard_normal(dim) / np.sqrt(dim)
     return encoder.raw_for_latent(noisy)
 
 
@@ -269,15 +268,7 @@ def _parse_caption(obj: dict) -> CaptionRecord:
     caption = obj["caption"]
     if not isinstance(caption, str) or not caption:
         raise ValueError("caption must be a nonempty string")
-    modality = Modality(obj["modality"])
-    if modality not in ENCODER_MODALITIES:
-        raise ValueError(f"not an encoder modality: {obj['modality']}")
-    return CaptionRecord(
-        source_id=str(obj["source_id"]),
-        modality=modality,
-        raw=np.asarray(obj["raw"], dtype=np.float64),
-        caption=caption,
-    )
+    return CaptionRecord(caption=caption, **parse_sample(obj))
 
 
 def _parse_instruction(obj: dict) -> InstructionRecord:
@@ -293,16 +284,7 @@ def _parse_instruction(obj: dict) -> InstructionRecord:
     for key in ("modality", "source_id", "raw"):
         if key not in obj:
             raise ValueError(f"visual instruction record missing {key!r}")
-    modality = Modality(obj["modality"])
-    if modality not in ENCODER_MODALITIES:
-        raise ValueError(f"not an encoder modality: {obj['modality']}")
-    return InstructionRecord(
-        instruction=instruction,
-        response=response,
-        source_id=str(obj["source_id"]),
-        modality=modality,
-        raw=np.asarray(obj["raw"], dtype=np.float64),
-    )
+    return InstructionRecord(instruction=instruction, response=response, **parse_sample(obj))
 
 
 def ingest(path, kind: str) -> list:
@@ -359,13 +341,8 @@ class DatasetManifest:
     files: dict[str, str] = field(default_factory=dict)
 
     def save(self, directory) -> None:
-        payload = {
-            "encoder": self.encoder.to_dict(),
-            "seed": self.seed,
-            "files": self.files,
-        }
         out = Path(directory) / MANIFEST_NAME
-        out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        out.write_text(json.dumps(asdict(self), sort_keys=True, indent=1) + "\n")
 
     @staticmethod
     def load(directory) -> "DatasetManifest":

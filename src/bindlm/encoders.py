@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,13 +135,7 @@ class EncoderConfig:
                 raise EncoderConfigError(f"{name} must be a finite number, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "dim_raw": self.dim_raw,
-            "dim_joint": self.dim_joint,
-            "offset_scale": self.offset_scale,
-            "noise_scale": self.noise_scale,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "EncoderConfig":
@@ -171,7 +165,6 @@ class SyntheticEncoder:
         off = rng.standard_normal(config.dim_joint)
         off = off / np.sqrt((off * off).sum()) * config.offset_scale
         self.modality_offset = Tensor(off.reshape(1, -1))
-        self.noise_scale = config.noise_scale
 
     def raw_for_latent(self, latent: np.ndarray) -> np.ndarray:
         """Synthesize the raw input whose encoding recovers this latent."""
@@ -205,8 +198,9 @@ def encode(encoder: SyntheticEncoder, raw, source_id: str = "") -> JointEmbeddin
             f"raw length {arr.shape[0]} != encoder dim_raw {encoder.config.dim_raw}"
         )
     vec = arr[None, :] @ encoder.base_projection.array + encoder.modality_offset.array
-    if encoder.noise_scale > 0.0 and arr.any():
-        vec = vec + encoder.noise_scale * _hash_noise(arr, encoder.config.dim_joint)
+    noise_scale = encoder.config.noise_scale
+    if noise_scale > 0.0 and arr.any():
+        vec = vec + noise_scale * _hash_noise(arr, encoder.config.dim_joint)
     return JointEmbedding.of(vec, encoder.modality, source_id)
 
 
@@ -233,6 +227,22 @@ def mix(embeddings: list[JointEmbedding], coefficients: list[float]) -> JointEmb
     return JointEmbedding(Tensor(unit), Modality.MIXED, source)
 
 
+def parse_sample(obj: dict) -> dict:
+    """The source_id, encoder modality and raw vector of one JSON sample object.
+
+    Raises KeyError for a missing field, and ValueError or TypeError for a
+    modality no encoder takes or a raw value that is not numeric.
+    """
+    modality = Modality(obj["modality"])
+    if modality not in ENCODER_MODALITIES:
+        raise ValueError(f"not an encoder modality: {obj['modality']}")
+    return {
+        "source_id": str(obj["source_id"]),
+        "modality": modality,
+        "raw": np.asarray(obj["raw"], dtype=np.float64),
+    }
+
+
 def read_raw_samples(path) -> list[dict]:
     """Read raw synthetic samples from JSONL: {source_id, modality, raw}."""
     records = []
@@ -243,15 +253,7 @@ def read_raw_samples(path) -> list[dict]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                rec = {
-                    "source_id": str(obj["source_id"]),
-                    "modality": Modality(obj["modality"]),
-                    "raw": np.asarray(obj["raw"], dtype=np.float64),
-                }
-                if rec["modality"] not in ENCODER_MODALITIES:
-                    raise ValueError(f"not an encoder modality: {obj['modality']}")
-                records.append(rec)
+                records.append(parse_sample(json.loads(line)))
             except (KeyError, ValueError, TypeError) as exc:
                 errors.append(f"line {lineno}: {exc}")
                 if len(errors) >= 20:

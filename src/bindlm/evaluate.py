@@ -16,11 +16,10 @@ from pathlib import Path
 from .bind import BindNetwork
 from .cache import DEFAULT_ALPHA, DEFAULT_TOP_K, CacheStore, enhance
 from .data import CaptionRecord, InstructionRecord
-from .encoders import encode, placeholder_embedding
 from .lm import GenerationParams, InjectedLM, caption_loss, generate
 from .tensor import EmptyBatchError
 from .tokenizer import Tokenizer
-from .train import prepare_caption, prepare_instruction, render_instruction_prompt
+from .train import prepare_caption, prepare_instruction
 
 
 def perplexity_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer,
@@ -57,18 +56,12 @@ def yesno_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer, encoders,
     items = []
     correct = 0
     for rec in records:
-        if rec.is_language_only:
-            condition_src = placeholder_embedding(bind.config.dim_joint)
-        else:
-            emb = encode(encoders[rec.modality], rec.raw, rec.source_id or "")
-            if cache is not None:
-                condition_src = enhance(cache, emb, k=k, alpha=alpha, raw_eq4=raw_eq4).enhanced
-            else:
-                condition_src = emb
-        prompt_ids = tok.encode(render_instruction_prompt(rec))
-        out = generate(lm, bind, condition_src, prompt_ids, GenerationParams(max_new_tokens=1))
-        expected = tok.encode(" " + rec.response)[0]
-        ok = bool(out) and out[0] == expected
+        ex = prepare_instruction(rec, tok, encoders)
+        condition_src = ex.embedding
+        if cache is not None and not ex.language_only:
+            condition_src = enhance(cache, ex.embedding, k=k, alpha=alpha, raw_eq4=raw_eq4).enhanced
+        out = generate(lm, bind, condition_src, ex.prompt_ids, GenerationParams(max_new_tokens=1))
+        ok = bool(out) and out[0] == ex.target_ids[0]
         correct += ok
         items.append(
             {

@@ -24,7 +24,7 @@ while B = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .tensor import (
     uniform_init,
     _tape,
 )
-from .tokenizer import BOS, EOS
+from .tokenizer import BOS, EOS, VOCAB_SIZE, VocabularyError
 
 PROMPT_TEMPLATE = "Instruction: {instruction}\nResponse:"
 YESNO_SUFFIX = " Please answer yes or no."
@@ -64,17 +64,13 @@ def yesno_prompt(question: str) -> str:
     return prompt_template(question + YESNO_SUFFIX)
 
 
-class VocabularyError(ValueError):
-    """A token id fell outside the model vocabulary."""
-
-
 class TruncationError(ValueError):
     """A sequence would exceed the model's maximum length."""
 
 
 @dataclass(frozen=True)
 class LMConfig:
-    vocab_size: int = 512
+    vocab_size: int = VOCAB_SIZE
     dim: int = 128
     layers: int = 4
     heads: int = 4
@@ -90,16 +86,7 @@ class LMConfig:
             raise ShapeError(f"positions must be learned|rope, got {self.positions!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "max_seq": self.max_seq,
-            "positions": self.positions,
-            "shared_gate": self.shared_gate,
-            "ffn_hidden": self.ffn_hidden,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "LMConfig":
@@ -157,9 +144,6 @@ class InjectedLM:
         if self.config.shared_gate:
             return [self.params["gates.shared"].item()]
         return [self.params[f"gates.{l}"].item() for l in range(self.config.layers)]
-
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
 
 
 def lm_param_shapes(config: LMConfig) -> dict[str, tuple[int, ...]]:

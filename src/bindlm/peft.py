@@ -184,18 +184,25 @@ def set_param(lm, bind, qualified: str, value: Tensor) -> None:
     (lm.params if scope == "lm" else bind.params)[name] = value
 
 
-def apply_stage_freeze(lm, bind, trainable_groups) -> int:
-    """Validate a trainable-group selection and return the exact scalar count.
-
-    Encoders are always frozen; selecting them is a configuration error, as
-    is an empty or unknown selection.
-    """
+def check_groups(trainable_groups) -> None:
+    """Raise ConfigurationError unless every group is known and trainable;
+    encoders are always frozen."""
     selected = set(trainable_groups)
     unknown = selected - set(GROUP_NAMES)
     if unknown:
         raise ConfigurationError(f"unknown parameter groups: {sorted(unknown)}")
     if "encoders" in selected:
         raise ConfigurationError("encoders are always frozen")
+
+
+def apply_stage_freeze(lm, bind, trainable_groups) -> int:
+    """Validate a trainable-group selection and return the exact scalar count.
+
+    Encoders are always frozen; selecting them is a configuration error, as
+    is an empty or unknown selection.
+    """
+    check_groups(trainable_groups)
+    selected = set(trainable_groups)
     groups = param_groups(lm, bind)
     names = [n for g in sorted(selected) for n in groups[g]]
     if not names:

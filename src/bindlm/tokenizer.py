@@ -23,6 +23,10 @@ _PIECE_RE = re.compile(r" ?\w+| ?[^\w\s]+|\s")
 _ASSET = Path(__file__).parent / "assets" / "vocab.json"
 
 
+class VocabularyError(ValueError):
+    """A token id fell outside the model vocabulary or the tokenizer's ids."""
+
+
 class Tokenizer:
     def __init__(self, merges: list[tuple[int, int]]):
         if len(merges) > VOCAB_SIZE - _FIRST_MERGE_ID:
@@ -61,7 +65,8 @@ class Tokenizer:
             if i in (BOS, EOS, PAD):
                 continue
             if i not in self._bytes:
-                raise ValueError(f"unknown token id {i}")
+                n = _FIRST_MERGE_ID + len(self.merges)
+                raise VocabularyError(f"cannot decode token id {i}: the tokenizer defines {n} ids")
             chunks.append(self._bytes[i])
         return b"".join(chunks).decode("utf-8", errors="replace")
 

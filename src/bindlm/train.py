@@ -19,7 +19,7 @@ faster than the bulk parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .bind import BindConfig, bind_init
 from .checkpoint import Checkpoint
 from .data import (
     CAPTION_INSTRUCTION,
+    MANIFEST_NAME,
     CaptionRecord,
     DatasetManifest,
     InstructionRecord,
@@ -76,12 +77,25 @@ class TrainPlan:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise PipelineError(f"unknown stage {self.stage!r}")
-        if self.lr <= 0:
-            raise PipelineError(f"lr must be > 0, got {self.lr}")
+        for key in ("epochs", "batch_size", "warmup_epochs", "seed", "lora_rank"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PipelineError(f"{key} must be an integer, got {value!r}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
+                or not 0 < self.lr < math.inf):
+            raise PipelineError(f"lr must be a finite number > 0, got {self.lr!r}")
         if self.epochs < 1:
             raise PipelineError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise PipelineError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.warmup_epochs < 0:
+            raise PipelineError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if not self.trainable:
+            raise PipelineError("trainable names no parameter group")
+        try:
+            peft.check_groups(self.trainable)
+        except peft.ConfigurationError as exc:
+            raise PipelineError(f"trainable: {exc}") from None
 
 
 def default_plan(stage: str, data: str, seed: int = 0, **overrides) -> TrainPlan:
@@ -114,7 +128,11 @@ def _parse_scalar(raw: str):
 def read_plan_file(path) -> dict:
     """Flat key = value plan format; '#' starts a comment."""
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path}: not a UTF-8 text file: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,16 +143,27 @@ def read_plan_file(path) -> dict:
     return values
 
 
+# What a plan file may set; the stage and the data come from the command line.
+PLAN_KEYS = frozenset(f.name for f in fields(TrainPlan)) - {"stage", "data"}
+
+
 def plan_from_file(path, stage: str, data: str, seed: int) -> TrainPlan:
+    """The stage's default plan with the file's values; a bad key or value
+    raises PipelineError naming the file and the key."""
     values = read_plan_file(path)
-    stage = values.pop("stage", stage)
-    data = values.pop("data", data)
+    unknown = sorted(set(values) - PLAN_KEYS)
+    if unknown:
+        raise PipelineError(f"{path}: unknown plan key {unknown[0]!r};"
+                            f" a plan sets {', '.join(sorted(PLAN_KEYS))}")
     seed = values.pop("seed", seed)
     if "trainable" in values:
         values["trainable"] = frozenset(
             g.strip() for g in str(values["trainable"]).split(",") if g.strip()
         )
-    return default_plan(stage, data, seed=seed, **values)
+    try:
+        return default_plan(stage, data, seed=seed, **values)
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +172,17 @@ def plan_from_file(path, stage: str, data: str, seed: int) -> TrainPlan:
 
 
 GATE_LR_MULT = 25.0
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+LR_FLOOR_FRAC = 0.1
 
 
 class AdamW:
     """Bias-corrected adaptive steps with decoupled, group-aware weight decay."""
 
-    def __init__(self, lr: float = 1e-3, betas=(0.9, 0.95), eps: float = 1e-8,
-                 weight_decay: float = 0.01, gate_lr_mult: float = GATE_LR_MULT):
+    def __init__(self, lr: float = 1e-3, weight_decay: float = 0.01,
+                 gate_lr_mult: float = GATE_LR_MULT):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.gate_lr_mult = gate_lr_mult
         self.t = 0
@@ -175,9 +205,10 @@ class AdamW:
         m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
         """
         lr = self.lr if lr is None else lr
+        b1, b2 = ADAM_BETAS
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         out = []
         for name, p, g in zip(names, params, grads):
             if name not in self._group:
@@ -185,24 +216,24 @@ class AdamW:
             mult, decay = self._group[name]
             m = self._m.get(name)
             if m is None:
-                self._m[name] = m = (1.0 - self.b1) * g
+                self._m[name] = m = (1.0 - b1) * g
             else:
-                m *= self.b1
-                m += (1.0 - self.b1) * g
-            g2 = (1.0 - self.b2) * g
+                m *= b1
+                m += (1.0 - b1) * g
+            g2 = (1.0 - b2) * g
             g2 *= g
             v = self._v.get(name)
             if v is None:
                 self._v[name] = v = g2
             else:
-                v *= self.b2
+                v *= b2
                 v += g2
             eff = lr * mult
             # p - eff * ((m / bc1) / (sqrt(v / bc2) + eps)) - (eff * decay) * p
             new = m / bc1
             denom = v / bc2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             new /= denom
             new *= eff
             np.subtract(p.array, new, out=new)
@@ -212,14 +243,13 @@ class AdamW:
         return out
 
 
-def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float,
-          floor_frac: float = 0.1) -> float:
-    """Linear warmup then cosine decay to floor_frac * peak."""
+def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
+    """Linear warmup then cosine decay to LR_FLOOR_FRAC * peak."""
     if warmup_steps > 0 and step < warmup_steps:
         return peak * (step + 1) / warmup_steps
     span = max(1, total_steps - warmup_steps)
     progress = min(1.0, (step - warmup_steps) / span)
-    floor = peak * floor_frac
+    floor = peak * LR_FLOOR_FRAC
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
@@ -317,11 +347,18 @@ def run_stage(
         tok = default_tokenizer()
     else:
         lm, bind, tok = checkpoint_in.to_models()
+    if bind.config.dim_joint != manifest.encoder.dim_joint:
+        raise PipelineError(
+            f"{Path(plan.data) / MANIFEST_NAME}: encoder dim_joint = {manifest.encoder.dim_joint}"
+            f" differs from the bind network's dim_joint = {bind.config.dim_joint}")
 
     if plan.stage in ("instruct", "hq_instruct"):
         peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
 
-    n_trainable = peft.apply_stage_freeze(lm, bind, plan.trainable)
+    try:
+        n_trainable = peft.apply_stage_freeze(lm, bind, plan.trainable)
+    except peft.ConfigurationError as exc:
+        raise PipelineError(f"stage {plan.stage}: {exc}") from None
     names = peft.trainable_param_names(lm, bind, plan.trainable)
 
     filename, kind = _STAGE_FILES[plan.stage]
@@ -349,20 +386,23 @@ def run_stage(
         order = rng.permutation(len(examples))
         for b in range(steps_per_epoch):
             batch = [examples[i] for i in order[b * plan.batch_size:(b + 1) * plan.batch_size]]
+            # an overflow or NaN anywhere in the step reaches the logits, the
+            # loss or a new parameter, whose checks raise, so numpy need not
+            # warn of it as well
             try:
-                # a NaN that an overflow leaves in the forward is caught at the
-                # logits or the loss, so numpy need not warn of it as well
-                with Tape() as tape, np.errstate(invalid="ignore"):
-                    total = None
-                    for ex in batch:
-                        li = caption_loss(lm, bind, ex.embedding, ex.prompt_ids, ex.target_ids)
-                        total = li if total is None else add(total, li)
-                    loss = scale(total, 1.0 / len(batch))
-                check_finite(loss.array, "loss")
-                params = [peft.resolve_param(lm, bind, n) for n in names]
-                grads = tape.grad(loss, params)
-                updated = opt.step(names, params, grads,
-                                   lr=lr_at(local_step, total_steps, warmup_steps, plan.lr))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with Tape() as tape:
+                        total = None
+                        for ex in batch:
+                            li = caption_loss(lm, bind, ex.embedding, ex.prompt_ids,
+                                              ex.target_ids)
+                            total = li if total is None else add(total, li)
+                        loss = scale(total, 1.0 / len(batch))
+                    check_finite(loss.array, "loss")
+                    params = [peft.resolve_param(lm, bind, n) for n in names]
+                    grads = tape.grad(loss, params)
+                    updated = opt.step(names, params, grads,
+                                       lr=lr_at(local_step, total_steps, warmup_steps, plan.lr))
             except NonFiniteError as exc:
                 raise DivergenceError(step, str(exc)) from exc
             for n, t in zip(names, updated):

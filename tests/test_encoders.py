@@ -213,3 +213,17 @@ def test_read_raw_samples(tmp_path):
     bad.write_text('{"source_id": "s0", "modality": "smell", "raw": [0.0]}\n')
     with pytest.raises(ShapeError, match="line 1"):
         read_raw_samples(bad)
+
+
+def test_noise_scale_adds_deterministic_noise_to_nonzero_raws():
+    quiet = SyntheticEncoder(Modality.AUDIO, EncoderConfig(seed=7))
+    noisy = SyntheticEncoder(Modality.AUDIO, EncoderConfig(seed=7, noise_scale=0.1))
+    raw = quiet.raw_for_latent(derive_rng(5, "noise-latent").standard_normal(64))
+    a = encode(noisy, raw, "r").vector.array
+    b = encode(noisy, raw.copy(), "r").vector.array
+    assert a.tobytes() == b.tobytes()
+    assert abs(float(np.sqrt((a * a).sum())) - 1.0) < 1e-12
+    clean = encode(quiet, raw, "r").vector.array
+    assert np.abs(a - clean).max() > 1e-3
+    zero = np.zeros(CFG.dim_raw)
+    assert encode(noisy, zero).vector.array.tobytes() == encode(quiet, zero).vector.array.tobytes()
