@@ -1,19 +1,61 @@
-"""The encoding shared by the BNDK checkpoint and BNDC cache files.
+"""Every input file is opened here: BNDK and BNDC files, JSONL corpora, text.
 
-A file is a 4-byte magic and a u32 version, then fields in the order its
-format module (checkpoint.py, cache.py) gives. Integers are unsigned
-little-endian, a string is a u32 byte length and UTF-8 bytes, and an array
-is little-endian row-major data shaped by earlier fields. A read error names
-the file and the byte offset, as the error type the format module passes.
+A file that cannot be opened or decoded raises the caller's error type naming
+it. A BNDK checkpoint or BNDC cache is a 4-byte magic and a u32 version, then
+fields in the order its format module (checkpoint.py, cache.py) gives.
+Integers are unsigned little-endian, a string is a u32 byte length and UTF-8
+bytes, and an array is little-endian row-major data shaped by earlier fields.
+A read error names the file and the byte offset.
 """
 
+import io
 import json
 import math
 import struct
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of path with every line end (\\r\\n, \\r) made \\n."""
+    return _read(path, error, text=True)
+
+
+def _read(path, error: type[Exception], text: bool):
+    """The text or bytes of path; a read or decode failure raises error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})") from None
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) -> list:
+    """parse(obj) for the JSON object on each non-blank line of path; lines end
+    at \\n, \\r\\n or \\r (not U+2028 or U+0085), as in text-mode iteration.
+    error names the file and each line (up to 20) whose JSON or parse raises
+    KeyError, ValueError, TypeError or OverflowError (an int past float range)."""
+    records, errors = [], []
+    for lineno, line in enumerate(io.StringIO(read_text(path, error)), start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(parse(json.loads(line)))
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            errors.append(f"line {lineno}: {exc}")
+            if len(errors) >= 20:
+                break
+    if errors:
+        raise error(f"{path}: " + "; ".join(errors))
+    return records
+
+
+def read_binary(path, error: type[Exception]) -> "Reader":
+    """A Reader over the bytes of path; its errors name the path."""
+    return Reader(_read(path, error, text=False), str(path), error)
 
 
 class Reader:

@@ -25,7 +25,6 @@ no rows, and every key and value row finite and unit-norm within UNIT_NORM_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -257,7 +256,7 @@ def save_cache(store: CacheStore, path) -> None:
 
 
 def load_cache(path) -> CacheStore:
-    r = binfmt.Reader(Path(path).read_bytes(), Path(path).name, CacheFormatError)
+    r = binfmt.read_binary(path, CacheFormatError)
     r.header(MAGIC, VERSION)
     dim, count = r.u32("dim"), r.u64("count")
     if dim == 0 and count:

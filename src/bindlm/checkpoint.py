@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import binfmt
 from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
-from .lm import LINEAR_NAMES, InjectedLM, LMConfig, lm_param_shapes
-from .peft import STAGE_TRAINABLE, LoraSpec, _classify
+from .lm import InjectedLM, LMConfig, lm_param_shapes
+from .peft import DEFAULT_TARGETS, STAGE_TRAINABLE, LoraSpec, _classify
 from .tensor import Tensor
 from .tokenizer import Tokenizer
 
@@ -107,7 +106,7 @@ class Checkpoint:
         optional = set()
         for name, spec in adapters.items():
             base = want.get(f"lm.{name}")
-            if base is None or name.rsplit(".", 1)[-1] not in LINEAR_NAMES:
+            if base is None or name.rsplit(".", 1)[-1] not in DEFAULT_TARGETS:
                 raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
             if not isinstance(spec.rank, int) or spec.rank < 1:
                 raise CheckpointFormatError(f"adapter on {name!r} has rank {spec.rank!r}")
@@ -212,7 +211,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    r = binfmt.Reader(Path(path).read_bytes(), Path(path).name, CheckpointFormatError)
+    r = binfmt.read_binary(path, CheckpointFormatError)
     r.header(MAGIC, VERSION)
     config = r.json_value()
     params: dict[str, np.ndarray] = {}

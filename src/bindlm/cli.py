@@ -6,12 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 training divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import binfmt
 from .cache import (
     DEFAULT_ALPHA,
     DEFAULT_TOP_K,
@@ -27,6 +29,7 @@ from .cache import (
 )
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .data import (
+    CORPUS_FILES,
     DatasetManifest,
     IngestError,
     generate_cache_corpus,
@@ -42,6 +45,7 @@ from .encoders import (
     ENCODER_MODALITIES,
     DegenerateMixError,
     EncoderConfig,
+    JointEmbedding,
     Modality,
     build_encoders,
     encode,
@@ -76,8 +80,6 @@ _DATA_ERRORS = (
     EmptyBatchError,
     NonFiniteError,
     PipelineError,
-    FileNotFoundError,
-    json.JSONDecodeError,
 )
 
 
@@ -104,12 +106,27 @@ def _count(text: str) -> int:
     return value
 
 
+def _output_path(text: str, directory: bool = False) -> str:
+    """argparse type for a path to write: a file whose directory exists, or
+    (directory=True) a directory to make, whose nearest existing ancestor is one."""
+    path = Path(text)
+    if not directory and path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    home = (next((p for p in (path, *path.parents) if p.exists()), path) if directory
+            else path.parent)
+    if not home.is_dir():
+        what = "is not a directory" if home.exists() else "does not exist"
+        raise argparse.ArgumentTypeError(f"{text}: {home} {what}")
+    return text
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="bindlm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="emit the synthetic corpora")
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", metavar="DIR", required=True,
+                   type=functools.partial(_output_path, directory=True))
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--caption-pairs", type=_count, default=32)
     g.add_argument("--caption-variants", type=_count, default=16)
@@ -121,19 +138,20 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("train", help="run one training stage")
     t.add_argument("--stage", required=True, choices=["pretrain", "instruct", "hq"])
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--init", help="input checkpoint (required after pretrain)")
-    t.add_argument("--plan", help="flat key = value plan file")
+    t.add_argument("--data", metavar="DIR", required=True)
+    t.add_argument("--out", metavar="FILE", required=True, type=_output_path)
+    t.add_argument("--init", metavar="FILE", help="input checkpoint (required after pretrain)")
+    t.add_argument("--plan", metavar="FILE", help="flat key = value plan file")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--history", help="write per-step loss/gate log as JSON")
+    t.add_argument("--history", metavar="FILE", type=_output_path,
+                   help="write per-step loss/gate log as JSON")
 
     gen = sub.add_parser("generate", help="conditioned generation from a checkpoint")
-    gen.add_argument("--ckpt", required=True)
+    gen.add_argument("--ckpt", metavar="FILE", required=True)
     gen.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
-    gen.add_argument("--input", required=True, help="JSON file with the raw vector")
+    gen.add_argument("--input", metavar="FILE", required=True, help="JSON file with the raw vector")
     gen.add_argument("--prompt", required=True)
-    gen.add_argument("--cache")
+    gen.add_argument("--cache", metavar="FILE")
     gen.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     gen.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     gen.add_argument("--raw-eq4", action="store_true")
@@ -145,16 +163,15 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("cache", help="build or query the embedding cache")
     csub = c.add_subparsers(dest="cache_command", required=True)
     cb = csub.add_parser("build")
-    cb.add_argument("--data", required=True)
-    cb.add_argument("--corpus", default="cache.jsonl")
-    cb.add_argument("--out", required=True)
+    cb.add_argument("--data", metavar="DIR", required=True)
+    cb.add_argument("--out", metavar="FILE", required=True, type=_output_path)
     cq = csub.add_parser("query")
     ce = csub.add_parser("enhance")
     for q in (cq, ce):
-        q.add_argument("--cache", required=True)
-        q.add_argument("--data", required=True)
+        q.add_argument("--cache", metavar="FILE", required=True)
+        q.add_argument("--data", metavar="DIR", required=True)
         q.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
-        q.add_argument("--input", required=True)
+        q.add_argument("--input", metavar="FILE", required=True)
         q.add_argument("--k", type=int, default=DEFAULT_TOP_K)
         q.add_argument("--mode", choices=["exact", "partitioned"], default="exact")
         q.add_argument("--nlist", type=int)
@@ -164,51 +181,55 @@ def _build_parser() -> _Parser:
     ce.add_argument("--raw-eq4", action="store_true")
 
     m = sub.add_parser("mix", help="coefficient-weighted embedding mixing")
-    m.add_argument("--data", required=True)
+    m.add_argument("--data", metavar="DIR", required=True)
     m.add_argument("--inputs", nargs="+", required=True, metavar="FILE:COEF")
-    m.add_argument("--out")
+    m.add_argument("--out", metavar="FILE", type=_output_path)
 
     e = sub.add_parser("eval", help="run an evaluation suite")
     e.add_argument("--suite", required=True, choices=["perplexity", "yesno"])
-    e.add_argument("--ckpt", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--file", help="corpus file name inside --data")
-    e.add_argument("--cache")
+    e.add_argument("--ckpt", metavar="FILE", required=True)
+    e.add_argument("--data", metavar="DIR", required=True)
+    e.add_argument("--file", metavar="FILE", help="corpus file name inside --data")
+    e.add_argument("--cache", metavar="FILE")
     e.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     e.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     e.add_argument("--raw-eq4", action="store_true")
-    e.add_argument("--out", help="write the JSON report here")
+    e.add_argument("--out", metavar="FILE", type=_output_path, help="write the JSON report here")
     e.add_argument("--seed", type=int, default=0)
     return p
 
 
-def _read_raw_input(path) -> tuple[object, np.ndarray]:
-    """The "modality" value of an input file (None for a bare array) and its raw vector."""
+def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
+    """The encoding of a raw input file: a bare array, or an object whose "raw"
+    is the array. Without modality, the object's "modality" picks the encoder."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(binfmt.read_text(path, IngestError))
+    except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: not a JSON file: {exc}") from None
-    modality = None
+    named = None
     if isinstance(obj, dict):
         if "raw" not in obj:
             raise IngestError(f"{path}: an input object needs a \"raw\" key")
-        modality, obj = obj.get("modality"), obj["raw"]
+        named, obj = obj.get("modality"), obj["raw"]
+    if modality is None:
+        if named not in _MODALITY_CHOICES:
+            raise IngestError(f"{path}: a mix input needs a \"modality\" naming an "
+                              f"encoder modality, got {named!r}")
+        modality = named
+    encoder = encoders[Modality(modality)]
     try:
-        return modality, np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise IngestError(f"{path}: the raw vector is not a list of numbers")
-
-
-def _checked_raw(path, raw: np.ndarray, dim_raw: int) -> np.ndarray:
-    """The raw vector read from path, flat, if it holds dim_raw finite numbers."""
-    if raw.size != dim_raw:
+        raw = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
+        raise IngestError(f"{path}: the raw vector is not a list of numbers") from None
+    if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
-                          f"the encoders take {dim_raw}")
+                          f"the encoders take {encoder.config.dim_raw}")
     raw = raw.reshape(-1)
     if not np.isfinite(raw).all():
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise IngestError(f"{path}: the raw vector holds {raw[bad]} at index {bad}")
-    return raw
+    with np.errstate(over="ignore"):  # a norm that overflows is rescaled, not an error
+        return encode(encoder, raw)
 
 
 def _cmd_gen_data(args) -> int:
@@ -219,34 +240,23 @@ def _cmd_gen_data(args) -> int:
     captions, _ = generate_caption_corpus(
         args.caption_pairs, args.seed, encoders, variants=args.caption_variants
     )
-    write_caption_corpus(out / "captions.jsonl", captions)
+    write_caption_corpus(out / CORPUS_FILES["pretrain"], captions)
     instruct, objects = generate_instruction_corpus(
         args.instruct_pairs, args.language_records, args.seed, encoders,
         variants=args.instruct_variants,
     )
-    write_instruction_corpus(out / "instruct.jsonl", instruct)
-    write_instruction_corpus(out / "hq.jsonl", generate_hq_corpus(args.hq_records, args.seed, encoders))
+    write_instruction_corpus(out / CORPUS_FILES["instruct"], instruct)
+    write_instruction_corpus(out / CORPUS_FILES["hq_instruct"],
+                             generate_hq_corpus(args.hq_records, args.seed, encoders))
     eval_img, _ = generate_instruction_corpus(args.instruct_pairs, 0, args.seed, encoders)
-    write_instruction_corpus(out / "eval_yesno.jsonl", eval_img)
+    write_instruction_corpus(out / CORPUS_FILES["eval_yesno"], eval_img)
     eval_audio, _ = generate_instruction_corpus(
         args.instruct_pairs, 0, args.seed, encoders, modality=Modality.AUDIO
     )
-    write_instruction_corpus(out / "eval_yesno_audio.jsonl", eval_audio)
-    write_jsonl(out / "cache.jsonl",
+    write_instruction_corpus(out / CORPUS_FILES["eval_yesno_audio"], eval_audio)
+    write_jsonl(out / CORPUS_FILES["cache"],
                 generate_cache_corpus(objects, args.cache_variants, args.seed, encoders))
-    manifest = DatasetManifest(
-        encoder=enc_cfg,
-        seed=args.seed,
-        files={
-            "pretrain": "captions.jsonl",
-            "instruct": "instruct.jsonl",
-            "hq_instruct": "hq.jsonl",
-            "eval_yesno": "eval_yesno.jsonl",
-            "eval_yesno_audio": "eval_yesno_audio.jsonl",
-            "cache": "cache.jsonl",
-        },
-    )
-    manifest.save(out)
+    DatasetManifest(encoder=enc_cfg, seed=args.seed, files=dict(CORPUS_FILES)).save(out)
     print(f"wrote corpora to {out}")
     return 0
 
@@ -280,15 +290,8 @@ def _load_models(path):
     return lm, bind, tok, encoders
 
 
-def _encode_input(path, modality: str, encoders):
-    encoder = encoders[Modality(modality)]
-    raw = _checked_raw(path, _read_raw_input(path)[1], encoder.config.dim_raw)
-    with np.errstate(over="ignore"):  # a norm that overflows is rescaled, not an error
-        return encode(encoder, raw)
-
-
 def _condition_for(args, encoders):
-    emb = _encode_input(args.input, args.modality, encoders)
+    emb = _read_input(args.input, encoders, args.modality)
     if args.cache:
         store = load_cache(args.cache)
         emb = enhance(store, emb, k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4).enhanced
@@ -317,17 +320,16 @@ def _cmd_cache(args) -> int:
     if args.cache_command == "build":
         manifest = DatasetManifest.load(args.data)
         encoders = manifest.encoders()
-        samples = read_raw_samples(Path(args.data) / args.corpus)
-        store = cache_build(
-            encode(encoders[s["modality"]], s["raw"], s["source_id"]) for s in samples
-        )
+        samples = read_raw_samples(Path(args.data) / manifest.corpus_file("cache"))
+        store = cache_build(encode(encoders[s["modality"]], s["raw"], s["source_id"])
+                            for s in samples)
         save_cache(store, args.out)
         print(f"cached {store.size} embeddings to {args.out}")
         return 0
 
     store = load_cache(args.cache)
     manifest = DatasetManifest.load(args.data)
-    emb = _encode_input(args.input, args.modality, manifest.encoders())
+    emb = _read_input(args.input, manifest.encoders(), args.modality)
     if args.mode == "partitioned":
         store.build_partitions(nlist=args.nlist, nprobe=args.nprobe, seed=args.seed)
     if args.cache_command == "query":
@@ -350,8 +352,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    manifest = DatasetManifest.load(args.data)
-    encoders = manifest.encoders()
+    encoders = DatasetManifest.load(args.data).encoders()
     embs, coeffs = [], []
     for spec in args.inputs:
         if ":" not in spec:
@@ -361,13 +362,8 @@ def _cmd_mix(args) -> int:
             coeffs.append(float(coef))
         except ValueError:
             raise UsageError(f"--inputs {spec!r}: coefficient {coef!r} is not a number")
-        modality, raw = _read_raw_input(file_part)
-        if modality not in _MODALITY_CHOICES:
-            raise IngestError(f"{file_part}: a mix input needs a \"modality\" naming an "
-                              f"encoder modality, got {modality!r}")
-        raw = _checked_raw(file_part, raw, manifest.encoder.dim_raw)
-        embs.append(encode(encoders[Modality(modality)], raw))
-    with np.errstate(over="ignore"):  # as in _encode_input
+        embs.append(_read_input(file_part, encoders))
+    with np.errstate(over="ignore"):  # as in _read_input
         mixed = mix(embs, coeffs)
     payload = json.dumps(
         {"modality": mixed.modality.value, "vector": mixed.vector.array.reshape(-1).tolist()},
@@ -384,12 +380,12 @@ def _cmd_eval(args) -> int:
     lm, bind, tok, encoders = _load_models(args.ckpt)
     manifest = DatasetManifest.load(args.data)
     if args.suite == "perplexity":
-        name = args.file or manifest.files.get("pretrain", "captions.jsonl")
-        records = ingest(Path(args.data) / name, "caption")
+        records = ingest(Path(args.data) / (args.file or manifest.corpus_file("pretrain")),
+                         "caption")
         report = perplexity_eval(lm, bind, tok, encoders, records)
     else:
-        name = args.file or manifest.files.get("eval_yesno", "eval_yesno.jsonl")
-        records = ingest(Path(args.data) / name, "instruction")
+        records = ingest(Path(args.data) / (args.file or manifest.corpus_file("eval_yesno")),
+                         "instruction")
         store = load_cache(args.cache) if args.cache else None
         report = yesno_eval(lm, bind, tok, encoders, records, cache=store,
                             k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4)

@@ -10,11 +10,13 @@ the encoder's own projection, which is what makes cross-modal pairing hold.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import binfmt
 from .encoders import (
     EncoderConfig,
     Modality,
@@ -299,30 +301,19 @@ def ingest(path, kind: str) -> list:
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such corpus file: {path}")
-    records = []
-    errors = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if len(errors) >= 20:
-                break
-            try:
-                obj = json.loads(line)
-                rec = _parse_caption(obj) if kind == "caption" else _parse_instruction(obj)
-                if kind == "caption":
-                    if rec.source_id in seen_ids:
-                        raise ValueError(f"duplicate source_id {rec.source_id!r}")
-                    seen_ids.add(rec.source_id)
-                records.append(rec)
-            except (KeyError, ValueError, TypeError) as exc:
-                errors.append(f"line {lineno}: {exc}")
-    if errors:
-        raise IngestError(f"{path.name}: " + "; ".join(errors))
-    if not records:
-        import sys
 
+    def parse(obj: dict):
+        if kind == "instruction":
+            return _parse_instruction(obj)
+        rec = _parse_caption(obj)
+        if rec.source_id in seen_ids:
+            raise ValueError(f"duplicate source_id {rec.source_id!r}")
+        seen_ids.add(rec.source_id)
+        return rec
+
+    records = binfmt.read_jsonl(path, parse, IngestError)
+    if not records:
         print(f"warning: {path} contained no records", file=sys.stderr)
     return records
 
@@ -332,6 +323,16 @@ def ingest(path, kind: str) -> list:
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.json"
+
+# The file each corpus key names, as gen-data writes it; a manifest may rename any.
+CORPUS_FILES = {
+    "pretrain": "captions.jsonl",
+    "instruct": "instruct.jsonl",
+    "hq_instruct": "hq.jsonl",
+    "eval_yesno": "eval_yesno.jsonl",
+    "eval_yesno_audio": "eval_yesno_audio.jsonl",
+    "cache": "cache.jsonl",
+}
 
 
 @dataclass
@@ -349,17 +350,24 @@ class DatasetManifest:
         p = Path(directory) / MANIFEST_NAME
         if not p.exists():
             raise IngestError(f"no {MANIFEST_NAME} in {directory}")
+        text = binfmt.read_text(p, IngestError)
         try:
-            payload = json.loads(p.read_text())
+            payload = json.loads(text)
+            if not all(isinstance(name, str) for name in payload["files"].values()):
+                raise TypeError("files must map corpus keys to file names")
             return DatasetManifest(
                 encoder=EncoderConfig.from_dict(payload["encoder"]),
                 seed=payload["seed"],
                 files=payload["files"],
             )
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise IngestError(f"{p}: not a JSON file: {exc}") from None
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise IngestError(f"{p}: not a dataset manifest: {exc!r}") from None
+
+    def corpus_file(self, key: str) -> str:
+        """The file name of corpus key: the manifest's, else CORPUS_FILES'."""
+        return self.files.get(key, CORPUS_FILES[key])
 
     def encoders(self) -> dict[Modality, SyntheticEncoder]:
         return build_encoders(self.encoder)

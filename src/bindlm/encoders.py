@@ -10,13 +10,12 @@ true by construction, so everything downstream can be tested against it.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import binfmt
 from .tensor import ShapeError, Tensor, check_finite, derive_rng
 
 
@@ -245,19 +244,4 @@ def parse_sample(obj: dict) -> dict:
 
 def read_raw_samples(path) -> list[dict]:
     """Read raw synthetic samples from JSONL: {source_id, modality, raw}."""
-    records = []
-    errors = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(parse_sample(json.loads(line)))
-            except (KeyError, ValueError, TypeError) as exc:
-                errors.append(f"line {lineno}: {exc}")
-                if len(errors) >= 20:
-                    break
-    if errors:
-        raise ShapeError(f"{Path(path).name}: " + "; ".join(errors))
-    return records
+    return binfmt.read_jsonl(path, parse_sample, ShapeError)

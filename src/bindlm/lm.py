@@ -118,9 +118,6 @@ class GenerationParams:
             raise GenerationParamsError("top_k", f"= {self.top_k} must be >= 0")
 
 
-LINEAR_NAMES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
-
-
 class InjectedLM:
     """Parameter store plus adapter metadata; forward logic is lm_forward."""
 
@@ -165,34 +162,24 @@ def lm_param_shapes(config: LMConfig) -> dict[str, tuple[int, ...]]:
 
 
 def lm_init(config: LMConfig, seed: int) -> InjectedLM:
+    """Norm gains at one, gates at zero, and every weight uniform, drawn in
+    lm_param_shapes order from its stream: embeddings, layer{l} or head."""
     params: dict[str, Tensor] = {}
-    c = config.dim
-    rng = derive_rng(seed, "lm", "embeddings")
-    params["tok_emb"] = uniform_init(rng, (config.vocab_size, c), 1.0 / np.sqrt(c))
-    if config.positions == "learned":
-        params["pos_emb"] = uniform_init(rng, (config.max_seq, c), 0.01)
-    for l in range(config.layers):
-        rng = derive_rng(seed, "lm", f"layer{l}")
-        bound = 1.0 / np.sqrt(c)
-        for name in ("wq", "wk", "wv", "wo"):
-            params[f"layers.{l}.{name}"] = uniform_init(rng, (c, c), bound)
-        params[f"layers.{l}.attn_norm"] = Tensor(np.ones((1, c)))
-        params[f"layers.{l}.ffn_norm"] = Tensor(np.ones((1, c)))
-        params[f"layers.{l}.w_gate"] = uniform_init(rng, (c, config.ffn_hidden), bound)
-        params[f"layers.{l}.w_up"] = uniform_init(rng, (c, config.ffn_hidden), bound)
-        params[f"layers.{l}.w_down"] = uniform_init(
-            rng, (config.ffn_hidden, c), 1.0 / np.sqrt(config.ffn_hidden)
-        )
-    params["final_norm"] = Tensor(np.ones((1, c)))
-    # near-uniform head: small enough that untrained loss is ~log(V), nonzero
-    # so every vocabulary column has a usable direction for later stages
-    rng = derive_rng(seed, "lm", "head")
-    params["head"] = uniform_init(rng, (c, config.vocab_size), 0.02)
-    if config.shared_gate:
-        params["gates.shared"] = Tensor(np.zeros((1, 1)))
-    else:
-        for l in range(config.layers):
-            params[f"gates.{l}"] = Tensor(np.zeros((1, 1)))
+    rngs: dict[str, np.random.Generator] = {}
+    for name, shape in lm_param_shapes(config).items():
+        if name.endswith("norm") or name.startswith("gates."):
+            params[name] = Tensor(np.full(shape, 1.0 if name.endswith("norm") else 0.0))
+            continue
+        if name.startswith("layers."):
+            stream, bound = f"layer{name.split('.')[1]}", 1.0 / np.sqrt(shape[0])
+        elif name == "head":
+            # near-uniform, so untrained loss is ~log(V), yet every column has a direction
+            stream, bound = "head", 0.02
+        else:
+            stream, bound = "embeddings", 1.0 / np.sqrt(config.dim) if name == "tok_emb" else 0.01
+        if stream not in rngs:
+            rngs[stream] = derive_rng(seed, "lm", stream)
+        params[name] = uniform_init(rngs[stream], shape, bound)
     return InjectedLM(config, params)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import peft
+from . import binfmt, peft
 from .bind import BindConfig, bind_init
 from .checkpoint import Checkpoint
 from .data import (
@@ -128,11 +128,7 @@ def _parse_scalar(raw: str):
 def read_plan_file(path) -> dict:
     """Flat key = value plan format; '#' starts a comment."""
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PipelineError(f"{path}: not a UTF-8 text file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(binfmt.read_text(path, PipelineError).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -296,12 +292,6 @@ def prepare_instruction(rec: InstructionRecord, tok: Tokenizer, encoders) -> Pre
 # Stage runner
 # ---------------------------------------------------------------------------
 
-_STAGE_FILES = {
-    "pretrain": ("captions.jsonl", "caption"),
-    "instruct": ("instruct.jsonl", "instruction"),
-    "hq_instruct": ("hq.jsonl", "instruction"),
-}
-
 _REQUIRED_PREDECESSOR = {"instruct": "pretrain", "hq_instruct": "instruct"}
 
 
@@ -361,8 +351,8 @@ def run_stage(
         raise PipelineError(f"stage {plan.stage}: {exc}") from None
     names = peft.trainable_param_names(lm, bind, plan.trainable)
 
-    filename, kind = _STAGE_FILES[plan.stage]
-    records = ingest(Path(plan.data) / manifest.files.get(plan.stage, filename), kind)
+    kind = "caption" if plan.stage == "pretrain" else "instruction"
+    records = ingest(Path(plan.data) / manifest.corpus_file(plan.stage), kind)
     if not records:
         raise PipelineError(f"stage {plan.stage}: corpus is empty")
     if kind == "caption":

@@ -134,3 +134,11 @@ def test_diverging_run_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: divergence at step "), proc.stderr
+
+
+def test_integer_past_float_range_in_an_input_is_data_error(tmp_path, capsys):
+    out = _gen(tmp_path)
+    probe = tmp_path / "huge.json"
+    probe.write_text('{"modality": "image", "raw": [1' + "0" * 400 + "]}")
+    code = cli(["mix", "--data", str(out), "--inputs", f"{probe}:1.0"])
+    _assert_clean_failure(capsys, code, 2, str(probe), "not a list of numbers")
