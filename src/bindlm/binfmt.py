@@ -33,6 +33,25 @@ def _read(path, error: type[Exception], text: bool):
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+def parse_json(text: str, error: type[Exception], where: object = "",
+               offset: int | None = None):
+    """The value of JSON text. Malformed JSON, or JSON nested deeper than the
+    parser can follow, raises error with the reason after "where: " (the bare
+    reason without where); offset, the byte offset of text in its file, puts
+    the fault's byte offset in the reason."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if offset is None:
+            reason = f"malformed JSON: {exc}"
+        else:
+            at = offset + len(text[:exc.pos].encode("utf-8"))
+            reason = f"malformed JSON at byte offset {at}: {exc.msg}"
+    except RecursionError:
+        reason = "JSON nested too deeply to read"
+    raise error(f"{where}: {reason}" if where else reason) from None
+
+
 def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) -> list:
     """parse(obj) for the JSON object on each non-blank line of path; lines end
     at \\n, \\r\\n or \\r (not U+2028 or U+0085), as in text-mode iteration.
@@ -43,7 +62,7 @@ def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) 
         if not line.strip():
             continue
         try:
-            records.append(parse(json.loads(line)))
+            records.append(parse(parse_json(line, ValueError)))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             errors.append(f"line {lineno}: {exc}")
             if len(errors) >= 20:
@@ -100,12 +119,7 @@ class Reader:
 
     def json_value(self):
         start = self.off + 4
-        text = self.string()
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            at = start + len(text[:exc.pos].encode("utf-8"))
-            self.fail(f"malformed JSON at byte offset {at}: {exc.msg}")
+        return parse_json(self.string(), self.error, self.name, offset=start)
 
     def array(self, dtype, shape: tuple[int, ...], what: str = "") -> np.ndarray:
         """A read-only view of the next array; a float array must be finite."""

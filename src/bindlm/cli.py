@@ -202,10 +202,7 @@ def _build_parser() -> _Parser:
 def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
     """The encoding of a raw input file: a bare array, or an object whose "raw"
     is the array. Without modality, the object's "modality" picks the encoder."""
-    try:
-        obj = json.loads(binfmt.read_text(path, IngestError))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}: not a JSON file: {exc}") from None
+    obj = binfmt.parse_json(binfmt.read_text(path, IngestError), IngestError, path)
     named = None
     if isinstance(obj, dict):
         if "raw" not in obj:

@@ -350,9 +350,8 @@ class DatasetManifest:
         p = Path(directory) / MANIFEST_NAME
         if not p.exists():
             raise IngestError(f"no {MANIFEST_NAME} in {directory}")
-        text = binfmt.read_text(p, IngestError)
+        payload = binfmt.parse_json(binfmt.read_text(p, IngestError), IngestError, p)
         try:
-            payload = json.loads(text)
             if not all(isinstance(name, str) for name in payload["files"].values()):
                 raise TypeError("files must map corpus keys to file names")
             return DatasetManifest(
@@ -360,8 +359,6 @@ class DatasetManifest:
                 seed=payload["seed"],
                 files=payload["files"],
             )
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{p}: not a JSON file: {exc}") from None
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise IngestError(f"{p}: not a dataset manifest: {exc!r}") from None
 

@@ -230,16 +230,17 @@ def parse_sample(obj: dict) -> dict:
     """The source_id, encoder modality and raw vector of one JSON sample object.
 
     Raises KeyError for a missing field, and ValueError or TypeError for a
-    modality no encoder takes or a raw value that is not numeric.
+    modality no encoder takes or a raw value that is not a finite number.
     """
     modality = Modality(obj["modality"])
     if modality not in ENCODER_MODALITIES:
         raise ValueError(f"not an encoder modality: {obj['modality']}")
-    return {
-        "source_id": str(obj["source_id"]),
-        "modality": modality,
-        "raw": np.asarray(obj["raw"], dtype=np.float64),
-    }
+    source_id = str(obj["source_id"])
+    raw = np.asarray(obj["raw"], dtype=np.float64)
+    if not np.isfinite(raw).all():
+        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
+        raise ValueError(f"the raw vector holds {raw.reshape(-1)[bad]} at index {bad}")
+    return {"source_id": source_id, "modality": modality, "raw": raw}
 
 
 def read_raw_samples(path) -> list[dict]:

@@ -190,7 +190,7 @@ class Tape:
                     grads[key] = grads[key] + g_in
                 else:
                     grads[key] = g_in
-        return [grads.get(id(p), np.zeros_like(p.array)) for p in params]
+        return [grads[id(p)] if id(p) in grads else np.zeros_like(p.array) for p in params]
 
 
 def _tape() -> Tape | None:

@@ -63,6 +63,8 @@ class _Oops(ValueError):
     (b"\x03\x00\x00\x00ab", lambda r: r.string("name"), "f.bin: truncated name at byte offset 4 (needed 3 more)"),
     (b"\x02\x00\x00\x00a\xff", lambda r: r.string(), "f.bin: string is not UTF-8 at byte offset 5"),
     (b"\x02\x00\x00\x00{]", lambda r: r.json_value(), "f.bin: malformed JSON at byte offset 5"),
+    pytest.param(b"\xa0\x86\x01\x00" + b"[" * 100_000, lambda r: r.json_value(),
+                 "f.bin: JSON nested too deeply", id="deeply-nested-json"),
     (np.array([1.0, np.inf], "<f4").tobytes(), lambda r: r.array("<f4", (1, 2), "keys"),
      "f.bin: non-finite value in keys at index (0, 1), byte offset 4"),
     (b"\x00\x00", lambda r: (r.u8(), r.finish()), "f.bin: 1 trailing bytes at offset 1"),

@@ -142,3 +142,59 @@ def test_integer_past_float_range_in_an_input_is_data_error(tmp_path, capsys):
     probe.write_text('{"modality": "image", "raw": [1' + "0" * 400 + "]}")
     code = cli(["mix", "--data", str(out), "--inputs", f"{probe}:1.0"])
     _assert_clean_failure(capsys, code, 2, str(probe), "not a list of numbers")
+
+
+_DEEP = "[" * 100_000
+
+
+def _deep_corpus(tmp_path, out):
+    path = out / "captions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = '{"source_id": "s", "modality": "image", "caption": "c", "raw": ' + _DEEP + "\n"
+    path.write_text("".join(lines))
+    return path, ["train", "--stage", "pretrain", "--data", str(out),
+                  "--out", str(tmp_path / "ck.bnk")]
+
+
+def _deep_manifest(tmp_path, out):
+    path = out / "manifest.json"
+    path.write_text('{"encoder": ' + _DEEP)
+    return path, ["train", "--stage", "pretrain", "--data", str(out),
+                  "--out", str(tmp_path / "ck.bnk")]
+
+
+def _deep_checkpoint(tmp_path, out):
+    path = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), path)
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:12], "little")  # the config's length, after magic and version
+    deep = ('{"lm": ' + _DEEP).encode()
+    path.write_bytes(raw[:8] + len(deep).to_bytes(4, "little") + deep + raw[12 + n:])
+    probe = _raw_input_file(tmp_path, out)
+    return path, ["generate", "--ckpt", str(path), "--modality", "image",
+                  "--input", str(probe), "--prompt", "hi"]
+
+
+def _deep_input(tmp_path, out):
+    path = tmp_path / "deep.json"
+    path.write_text('{"modality": "image", "raw": ' + _DEEP)
+    return path, ["mix", "--data", str(out), "--inputs", f"{path}:1.0"]
+
+
+@pytest.mark.parametrize("site", [_deep_corpus, _deep_manifest, _deep_checkpoint, _deep_input])
+def test_deeply_nested_json_is_data_error_naming_the_file(tmp_path, capsys, site):
+    out = _gen(tmp_path)
+    path, args = site(tmp_path, out)
+    _assert_clean_failure(capsys, cli(args), 2, str(path), "JSON nested too deeply")
+
+
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999"])
+def test_non_finite_raw_value_in_a_corpus_names_the_file_and_line(tmp_path, capsys, value):
+    out = _gen(tmp_path)
+    path = out / "captions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"raw": [', f'"raw": [{value}, ', 1)
+    path.write_text("".join(lines))
+    code = cli(["train", "--stage", "pretrain", "--data", str(out),
+                "--out", str(tmp_path / "ck.bnk")])
+    _assert_clean_failure(capsys, code, 2, str(path), "line 2: the raw vector holds", "at index 0")

@@ -107,3 +107,16 @@ def test_an_integer_past_float_range_is_the_typed_error(tmp_path):
         ingest(path, "caption")
     with pytest.raises(ShapeError, match="line 1: int too large"):
         read_raw_samples(path)
+
+
+@pytest.mark.parametrize("value,shown", [("NaN", "nan"), ("Infinity", "inf"), ("-1e999", "-inf")])
+def test_a_non_finite_raw_value_is_the_typed_error(tmp_path, value, shown):
+    path = tmp_path / "odd.jsonl"
+    path.write_text('{"source_id": "s0", "modality": "image", "caption": "a cube", "raw": [0.5]}\n'
+                    '{"source_id": "s1", "modality": "image", "caption": "a cube",'
+                    f' "raw": [0.5, {value}]}}\n')
+    message = rf"odd.jsonl: line 2: the raw vector holds {shown} at index 1$"
+    with pytest.raises(IngestError, match=message):
+        ingest(path, "caption")
+    with pytest.raises(ShapeError, match=message):
+        read_raw_samples(path)

@@ -27,6 +27,7 @@ from bindlm.train import (
     AdamW,
     DivergenceError,
     PipelineError,
+    SMALL_TENSOR,
     default_plan,
     lr_at,
     plan_from_file,
@@ -34,7 +35,7 @@ from bindlm.train import (
     read_plan_file,
     run_stage,
 )
-from bindlm.tensor import Tape, Tensor, derive_rng
+from bindlm.tensor import NonFiniteError, Tape, Tensor, derive_rng
 from bindlm.tokenizer import default_tokenizer
 
 from _oracles import adamw_oracle, unpruned_grad
@@ -395,28 +396,91 @@ def test_pruned_step_gradients_match_unpruned_replay(stage, positions):
         assert len(calls) < n_nodes
 
 
+# (name, shape, lr multiplier, decay): one tensor of each class, then tensors
+# on both sides of SMALL_TENSOR with several small ones in each of the three
+# (multiplier, decay) classes, so some are updated through a shared pass
+_ORACLE_PARAM_SETS = [
+    [("lm.layers.0.wq", (4, 4), 1.0, 0.01), ("lm.gates.0", (1, 1), 25.0, 0.0),
+     ("lm.layers.0.attn_norm", (1, 4), 1.0, 0.0), ("lm.layers.0.wq.lora_a", (2, 4), 1.0, 0.01)],
+    [("lm.layers.0.wq", (2, SMALL_TENSOR // 2 + 1), 1.0, 0.01),
+     ("lm.gates.0", (1, 1), 25.0, 0.0),
+     ("lm.layers.0.attn_norm", (1, 8), 1.0, 0.0),
+     ("lm.layers.0.wq.lora_a", (2, 8), 1.0, 0.01),
+     ("lm.layers.0.wq.lora_b", (8, SMALL_TENSOR // 8), 1.0, 0.01),
+     ("lm.gates.1", (1, 1), 25.0, 0.0),
+     ("lm.layers.0.wq.bias", (1, 8), 1.0, 0.0),
+     ("lm.layers.1.ffn_norm", (1, SMALL_TENSOR + 1), 1.0, 0.0),
+     ("lm.layers.1.wo", (3, 5), 1.0, 0.01),
+     ("lm.gates.2", (1, 1), 25.0, 0.0),
+     ("lm.final_norm", (1, 8), 1.0, 0.0)],
+]
+
+
 def test_adamw_step_matches_out_of_place_formula_bitwise():
-    rng = derive_rng(6, "adamw-oracle")
-    names = ["lm.layers.0.wq", "lm.gates.0", "lm.layers.0.attn_norm", "lm.layers.0.wq.lora_a"]
-    shapes = [(4, 4), (1, 1), (1, 4), (2, 4)]
-    start = [rng.standard_normal(s) for s in shapes]
-    grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
-    lrs = [1e-2, 2e-2, 5e-3, 1e-3]
-    opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
-    want = adamw_oracle(start, grad_steps, lrs, lr_mults=[1.0, 25.0, 1.0, 1.0],
-                        decays=[0.01, 0.0, 0.0, 0.01])
-    params = [Tensor(a) for a in start]
-    for grads, lr, expected in zip(grad_steps, lrs, want):
-        copies = [g.copy() for g in grads]
-        before = [p.array.copy() for p in params]
-        new = opt.step(names, params, grads, lr=lr)
-        for g, c in zip(grads, copies):
-            assert g.tobytes() == c.tobytes()
-        for p, b in zip(params, before):
-            assert p.array.tobytes() == b.tobytes()
-        for n, e in zip(new, expected):
-            assert n.array.tobytes() == e.tobytes()
-        params = new
+    for case in _ORACLE_PARAM_SETS:
+        names, shapes, lr_mults, decays = (list(c) for c in zip(*case))
+        rng = derive_rng(6, "adamw-oracle")
+        start = [rng.standard_normal(s) for s in shapes]
+        grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
+        lrs = [1e-2, 2e-2, 5e-3, 1e-3]
+        opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
+        want = adamw_oracle(start, grad_steps, lrs, lr_mults=lr_mults, decays=decays)
+        params = [Tensor(a) for a in start]
+        for grads, lr, expected in zip(grad_steps, lrs, want):
+            copies = [g.copy() for g in grads]
+            before = [p.array.copy() for p in params]
+            new = opt.step(names, params, grads, lr=lr)
+            for g, c in zip(grads, copies):
+                assert g.tobytes() == c.tobytes()
+            for p, b in zip(params, before):
+                assert p.array.tobytes() == b.tobytes()
+            for n, e in zip(new, expected):
+                assert n.array.tobytes() == e.tobytes()
+            params = new
+
+
+def _oracle_set_step(opt, grads=None):
+    names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
+    params = [Tensor(np.ones(s)) for s in shapes]
+    grads = grads or [np.full(s, 0.5) for s in shapes]
+    return names, opt.step(list(names), params, grads, lr=1e-2)
+
+
+def test_adamw_rejects_a_changed_name_list():
+    opt = AdamW()
+    names, new = _oracle_set_step(opt)
+    with pytest.raises(ValueError, match="names differ from the first step"):
+        opt.step(list(names[1:]), new[1:], [np.zeros(t.shape) for t in new[1:]])
+    swapped = [names[1], names[0], *names[2:]]
+    with pytest.raises(ValueError, match="names differ from the first step"):
+        opt.step(swapped, new, [np.zeros(t.shape) for t in new])
+
+
+def test_adamw_names_the_first_non_finite_parameter_in_name_order():
+    names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
+    grads = [np.full(s, 0.5) for s in shapes]
+    # lm.gates.1's bucket (the gates) is stepped before attn_norm's (bias/norm)
+    grads[names.index("lm.gates.1")][0, 0] = np.nan
+    grads[names.index("lm.layers.0.attn_norm")][0, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NonFiniteError,
+            match=re.escape("non-finite value at index (0, 3) in lm.layers.0.attn_norm "
+                            "of shape (1, 8)")):
+        _oracle_set_step(AdamW(), grads)
+
+
+def test_adamw_dense_weights_keep_their_own_arrays():
+    names, new = _oracle_set_step(AdamW())
+    by_name = dict(zip(names, new))
+    for name, t in by_name.items():
+        assert not t.array.flags.writeable, name
+        if t.size > SMALL_TENSOR:
+            others = [o for n, o in by_name.items() if n != name]
+            assert not any(np.shares_memory(t.array, o.array) for o in others), name
+    # small tensors of one (multiplier, decay) class are views of one pass's result
+    gate = by_name["lm.gates.0"].array
+    assert gate.base is not None and gate.base is by_name["lm.gates.2"].array.base
+    assert gate.base is not by_name["lm.final_norm"].array.base
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
