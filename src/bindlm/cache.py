@@ -51,7 +51,8 @@ class EmptyCacheError(ValueError):
 
 
 class CacheRangeError(ValueError):
-    """k is outside [1, M], or a partitioning count is below 1."""
+    """k is outside [1, M], a partitioning count is below 1, or the
+    partitioning seed is negative."""
 
 
 class CacheBuildError(ValueError):
@@ -101,9 +102,9 @@ class CacheStore:
         m = self.size
         if m == 0:
             raise EmptyCacheError("cannot partition an empty cache")
-        for name, value in (("nlist", nlist), ("nprobe", nprobe)):
-            if value is not None and value < 1:
-                raise CacheRangeError(f"{name} = {value} must be >= 1")
+        for name, value, low in (("nlist", nlist, 1), ("nprobe", nprobe, 1), ("seed", seed, 0)):
+            if value is not None and value < low:
+                raise CacheRangeError(f"{name} = {value} must be >= {low}")
         if nlist is None:
             nlist = max(1, int(round(np.sqrt(m))))
         nlist = min(nlist, m)

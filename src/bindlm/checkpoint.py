@@ -103,7 +103,6 @@ class Checkpoint:
                       adapters: dict[str, LoraSpec]) -> None:
         """Raise CheckpointFormatError on a missing, extra or misshapen param;
         want maps each dense parameter the config implies to its shape."""
-        optional = set()
         for name, spec in adapters.items():
             base = want.get(f"lm.{name}")
             if base is None or name.rsplit(".", 1)[-1] not in DEFAULT_TARGETS:
@@ -116,8 +115,7 @@ class Checkpoint:
             want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
             want[f"lm.{name}.lora_b"] = (d_out, spec.rank)
             want[f"lm.{name}.bias"] = (1, d_out)
-            optional.add(f"lm.{name}.bias")
-        missing = sorted(set(want) - set(self.params) - optional)
+        missing = sorted(set(want) - set(self.params))
         if missing:
             raise CheckpointFormatError(
                 f"missing parameter {missing[0]!r} of shape {want[missing[0]]}"
@@ -184,8 +182,6 @@ def _jsonable_rng(state: dict) -> dict:
             return {"__ndarray__": v.tolist(), "dtype": str(v.dtype)}
         if isinstance(v, dict):
             return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
         return v
 
     return conv(state)

@@ -193,9 +193,8 @@ def encode(encoder: SyntheticEncoder, raw, source_id: str = "") -> JointEmbeddin
     """Project a raw input to a unit-norm joint embedding, deterministically."""
     arr = np.asarray(raw, dtype=np.float64).reshape(-1)
     if arr.shape[0] != encoder.config.dim_raw:
-        raise ShapeError(
-            f"raw length {arr.shape[0]} != encoder dim_raw {encoder.config.dim_raw}"
-        )
+        raise ShapeError(f"raw length {arr.shape[0]} != encoder dim_raw"
+                         f" {encoder.config.dim_raw} for source {source_id!r}")
     vec = arr[None, :] @ encoder.base_projection.array + encoder.modality_offset.array
     noise_scale = encoder.config.noise_scale
     if noise_scale > 0.0 and arr.any():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bind import BindNetwork
 from .cache import DEFAULT_ALPHA, DEFAULT_TOP_K, CacheStore, enhance
-from .data import CaptionRecord, InstructionRecord
+from .data import InstructionRecord
 from .lm import GenerationParams, InjectedLM, caption_loss, generate
 from .tensor import EmptyBatchError
 from .tokenizer import Tokenizer
@@ -24,16 +24,13 @@ from .train import prepare_caption, prepare_instruction
 
 def perplexity_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer,
                     encoders, records: list) -> dict:
-    """exp(mean NLL) pooled over every target position in the corpus."""
+    """exp(mean NLL) pooled over every target position of the caption records."""
     if not records:
         raise EmptyBatchError("no records to evaluate")
     total_nll = 0.0
     total_tokens = 0
     for rec in records:
-        if isinstance(rec, CaptionRecord):
-            ex = prepare_caption(rec, tok, encoders)
-        else:
-            ex = prepare_instruction(rec, tok, encoders)
+        ex = prepare_caption(rec, tok, encoders)
         loss = caption_loss(lm, bind, ex.embedding, ex.prompt_ids, ex.target_ids)
         total_nll += loss.item() * len(ex.target_ids)
         total_tokens += len(ex.target_ids)

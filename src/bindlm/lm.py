@@ -201,9 +201,7 @@ def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
     hit = lm._folded.get(name)
     if not (hit and hit[0] is w and hit[1] is a and hit[2] is b):
         hit = lm._folded[name] = (w, a, b, peft.merge(peft.adapter_view(lm, name), w))
-    y = matmul(x, hit[3])
-    bias = params.get(name + ".bias")
-    return y if bias is None else add(y, bias)
+    return add(matmul(x, hit[3]), params[name + ".bias"])
 
 
 class KVCache:

@@ -108,7 +108,7 @@ def adapter_view(lm, linear_name: str) -> LoraAdapter:
         b=lm.params[f"{linear_name}.lora_b"],
         rank=spec.rank,
         scaling=spec.scaling,
-        bias=lm.params.get(f"{linear_name}.bias"),
+        bias=lm.params[f"{linear_name}.bias"],
     )
 
 
@@ -195,21 +195,22 @@ def check_groups(trainable_groups) -> None:
         raise ConfigurationError("encoders are always frozen")
 
 
-def apply_stage_freeze(lm, bind, trainable_groups) -> int:
-    """Validate a trainable-group selection and return the exact scalar count.
+def trainable_param_names(lm, bind, trainable_groups) -> list[str]:
+    """Qualified names of the selected groups' parameters, group by group.
 
     Encoders are always frozen; selecting them is a configuration error, as
-    is an empty or unknown selection.
+    is an unknown selection or one that names no parameter.
     """
     check_groups(trainable_groups)
-    selected = set(trainable_groups)
+    selected = sorted(set(trainable_groups))
     groups = param_groups(lm, bind)
-    names = [n for g in sorted(selected) for n in groups[g]]
+    names = [n for g in selected for n in groups[g]]
     if not names:
-        raise ConfigurationError(f"no trainable parameters in groups {sorted(selected)}")
+        raise ConfigurationError(f"no trainable parameters in groups {selected}")
+    return names
+
+
+def apply_stage_freeze(lm, bind, trainable_groups) -> int:
+    """The exact scalar count of trainable_param_names' selection."""
+    names = trainable_param_names(lm, bind, trainable_groups)
     return sum(resolve_param(lm, bind, n).size for n in names)
-
-
-def trainable_param_names(lm, bind, trainable_groups) -> list[str]:
-    groups = param_groups(lm, bind)
-    return [n for g in sorted(set(trainable_groups)) for n in groups[g]]

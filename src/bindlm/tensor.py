@@ -93,9 +93,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.array.reshape(-1)[0])
 
-    def tolist(self):
-        return self.array.tolist()
-
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 

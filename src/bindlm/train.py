@@ -44,7 +44,8 @@ from .data import (
 )
 from .encoders import Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
-from .tensor import NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
+from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, check_finite, derive_rng,
+                     scale)
 from .tokenizer import EOS, Tokenizer, default_tokenizer
 
 
@@ -91,12 +92,10 @@ class TrainPlan:
         if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
                 or not 0 < self.lr < math.inf):
             raise PipelineError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if self.epochs < 1:
-            raise PipelineError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise PipelineError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.warmup_epochs < 0:
-            raise PipelineError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        for key, bound in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0),
+                           ("lora_rank", 1)):
+            if getattr(self, key) < bound:
+                raise PipelineError(f"{key} must be >= {bound}, got {getattr(self, key)}")
         if not self.trainable:
             raise PipelineError("trainable names no parameter group")
         try:
@@ -247,11 +246,11 @@ class AdamW:
         non-finite gradient always gives through m / sqrt(v), raises
         NonFiniteError naming the first such parameter in names order.
 
-        One pass per bucket (see _plan): a lone tensor on its own arrays,
-        several on the concatenation of their parameters and of their
-        gradients, each new parameter then a view of the pass's result. The
-        moments are updated in place, with the float operations of
-        m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
+        One pass per bucket (see _plan): a lone tensor on flat views of its
+        own arrays, several on the concatenation of their parameters and of
+        their gradients, each new parameter then a view of the pass's
+        result. The moments are updated in place, with the float operations
+        of m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
         """
         names = tuple(names)
         if self._names is None:
@@ -267,7 +266,7 @@ class AdamW:
         finite = True
         for b in self._buckets:
             if len(b.index) == 1:
-                p, g = params[b.index[0]].array, grads[b.index[0]]
+                p, g = params[b.index[0]].array.reshape(-1), grads[b.index[0]].reshape(-1)
             else:
                 p = np.concatenate([params[i].array for i in b.index], axis=None)
                 g = np.concatenate([grads[i] for i in b.index], axis=None)
@@ -294,11 +293,8 @@ class AdamW:
             np.subtract(p, new, out=new)
             new -= np.multiply(p, eff * b.decay, out=denom)
             finite = finite and bool(np.isfinite(new).all())
-            if len(b.index) == 1:
-                out[b.index[0]] = Tensor(new, _checked=True)
-            else:
-                for i, shape, part in zip(b.index, b.shapes, b.slices):
-                    out[i] = Tensor(new[part].reshape(shape), _checked=True)
+            for i, shape, part in zip(b.index, b.shapes, b.slices):
+                out[i] = Tensor(new[part].reshape(shape), _checked=True)
         if not finite:
             for name, t in zip(names, out):
                 check_finite(t.array, name)
@@ -412,22 +408,23 @@ def run_stage(
         peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
 
     try:
-        n_trainable = peft.apply_stage_freeze(lm, bind, plan.trainable)
+        names = peft.trainable_param_names(lm, bind, plan.trainable)
     except peft.ConfigurationError as exc:
         raise PipelineError(f"stage {plan.stage}: {exc}") from None
-    names = peft.trainable_param_names(lm, bind, plan.trainable)
 
     kind = "caption" if plan.stage == "pretrain" else "instruction"
-    records = ingest(Path(plan.data) / manifest.corpus_file(plan.stage), kind)
+    corpus = Path(plan.data) / manifest.corpus_file(plan.stage)
+    records = ingest(corpus, kind)
     if not records:
         raise PipelineError(f"stage {plan.stage}: corpus is empty")
-    if kind == "caption":
-        examples = [prepare_caption(r, tok, encoders) for r in records]
-    else:
-        examples = [prepare_instruction(r, tok, encoders) for r in records]
+    prepare = prepare_caption if kind == "caption" else prepare_instruction
+    try:
+        examples = [prepare(r, tok, encoders) for r in records]
+    except ShapeError as exc:
+        raise PipelineError(f"{corpus}: {exc}") from None
 
     if counters is not None:
-        counters["trainable_params"] = n_trainable
+        counters["trainable_params"] = sum(peft.resolve_param(lm, bind, n).size for n in names)
         counters["placeholder_records"] = sum(e.language_only for e in examples)
 
     rng = derive_rng(plan.seed, "train", plan.stage)

@@ -139,6 +139,12 @@ def test_topk_argument_errors():
         topk(store, embs[0], 2, mode="fuzzy")
 
 
+def test_build_partitions_rejects_a_negative_seed():
+    store = cache_build(_embs(derive_rng(6, "cache-parts"), 4, 8))
+    with pytest.raises(CacheRangeError, match="seed = -1 must be >= 0"):
+        store.build_partitions(seed=-1)
+
+
 def test_exact_matches_oracle_and_partitioned_recall():
     rng = derive_rng(7, "cache-oracle")
     embs = _embs(rng, 256, 32)

@@ -367,6 +367,8 @@ _QUERY_CASES = [
     (["mix", "--inputs", "nan_raw.json:1.0"], "nan_raw.json"),
     (["mix", "--inputs", "short.json:1.0"], "short.json"),
     (["mix", "--inputs", "good.json:nan"], "nan"),
+    *((["cache", c, "--mode", "partitioned", "--seed", "-1"], "seed = -1")
+      for c in ("query", "enhance")),
 ])
 def test_bad_cache_and_mix_input_is_data_error_naming_it(store_dir, capsys, argv, named):
     tmp_path, out, cache_file = store_dir

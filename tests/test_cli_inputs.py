@@ -28,6 +28,7 @@ from test_train import small_checkpoint
     ("warmup_epochs = -1", "warmup_epochs"),
     ("seed = 0.5", "seed"),
     ("lora_rank = false", "lora_rank"),
+    ("lora_rank = 0", "lora_rank"),
     ("lr = nan", "lr"),
     ("lr = inf", "lr"),
     ('lr = "0.1"', "lr"),
@@ -198,3 +199,17 @@ def test_non_finite_raw_value_in_a_corpus_names_the_file_and_line(tmp_path, caps
     code = cli(["train", "--stage", "pretrain", "--data", str(out),
                 "--out", str(tmp_path / "ck.bnk")])
     _assert_clean_failure(capsys, code, 2, str(path), "line 2: the raw vector holds", "at index 0")
+
+
+def test_short_raw_vector_in_a_corpus_names_the_file_and_source(tmp_path, capsys):
+    out = _gen(tmp_path)
+    path = out / "captions.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["raw"] = record["raw"][:5]
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code = cli(["train", "--stage", "pretrain", "--data", str(out),
+                "--out", str(tmp_path / "ck.bnk")])
+    _assert_clean_failure(capsys, code, 2, str(path), repr(record["source_id"]), "raw length 5")
+    assert not (tmp_path / "ck.bnk").exists()

@@ -291,6 +291,7 @@ def _bad_lm_value(ck, key):
     (_drop, "lm.layers.0.wq", "missing parameter 'lm.layers.0.wq' of shape (16, 16)"),
     (_drop, "bind.blocks.2.w3", "missing parameter 'bind.blocks.2.w3'"),
     (_drop, "lm.layers.1.w_up.lora_a", "missing parameter 'lm.layers.1.w_up.lora_a'"),
+    (_drop, "lm.layers.0.wq.bias", "missing parameter 'lm.layers.0.wq.bias'"),
     (_add, "lm.layers.9.wq", "'lm.layers.9.wq' is not in the configured models"),
     (_add, "bind.w9", "'bind.w9' is not in the configured models"),
     (_reshape, "lm.head", "'lm.head' has shape (420, 16), the config implies (16, 420)"),
