@@ -12,7 +12,7 @@ block is the identity map at initialization.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,6 @@ class BindConfig:
     dim_joint: int = DIM_JOINT
     dim_lm: int = 128
     dim_hidden: int = 256
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "BindConfig":
-        return BindConfig(**d)
 
 
 class BindNetwork:
@@ -55,17 +48,18 @@ def bind_param_shapes(config: BindConfig) -> dict[str, tuple[int, ...]]:
 
 
 def bind_init(config: BindConfig, seed: int) -> BindNetwork:
-    """w0, w1, w2 ~ uniform(+-1/sqrt(fan_in)); w3 = 0; norm gains = 1."""
+    """w3 at zero, norm gains at one, and w0, w1, w2 ~ uniform(+-1/sqrt(fan_in)),
+    drawn in bind_param_shapes order from their stream: w0 or block{i}."""
     params: dict[str, Tensor] = {}
-    rng = derive_rng(seed, "bind", "w0")
-    params["w0"] = uniform_init(rng, (config.dim_joint, config.dim_lm), 1.0 / np.sqrt(config.dim_joint))
-    for i in range(N_BLOCKS):
-        rng = derive_rng(seed, "bind", f"block{i}")
-        bound = 1.0 / np.sqrt(config.dim_lm)
-        params[f"blocks.{i}.w1"] = uniform_init(rng, (config.dim_lm, config.dim_hidden), bound)
-        params[f"blocks.{i}.w2"] = uniform_init(rng, (config.dim_lm, config.dim_hidden), bound)
-        params[f"blocks.{i}.w3"] = Tensor(np.zeros((config.dim_hidden, config.dim_lm)))
-        params[f"blocks.{i}.norm_gain"] = Tensor(np.ones((1, config.dim_lm)))
+    rngs: dict[str, np.random.Generator] = {}
+    for name, shape in bind_param_shapes(config).items():
+        if name.endswith((".w3", ".norm_gain")):
+            params[name] = Tensor(np.full(shape, 0.0 if name.endswith(".w3") else 1.0))
+            continue
+        stream = f"block{name.split('.')[1]}" if name.startswith("blocks.") else "w0"
+        if stream not in rngs:
+            rngs[stream] = derive_rng(seed, "bind", stream)
+        params[name] = uniform_init(rngs[stream], shape, 1.0 / np.sqrt(shape[0]))
     return BindNetwork(config, params)
 
 

@@ -23,7 +23,7 @@ parameter set that does not describe the models.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class Checkpoint:
                     encoder_config: EncoderConfig, rng_state: dict,
                     step: int, provenance: list[str]) -> "Checkpoint":
         config = {
-            "lm": lm.config.to_dict(),
-            "bind": bind.config.to_dict(),
-            "encoder": encoder_config.to_dict(),
+            "lm": asdict(lm.config),
+            "bind": asdict(bind.config),
+            "encoder": asdict(encoder_config),
             "tokenizer": tok.to_dict(),
             "adapters": {
                 name: {"rank": spec.rank, "scaling": spec.scaling}
@@ -76,8 +76,8 @@ class Checkpoint:
     def to_models(self) -> tuple[InjectedLM, BindNetwork, Tokenizer]:
         """Rebuild the models; the params must be exactly those the config implies."""
         try:
-            lm_config = LMConfig.from_dict(self.config["lm"])
-            bind_config = BindConfig.from_dict(self.config["bind"])
+            lm_config = LMConfig(**self.config["lm"])
+            bind_config = BindConfig(**self.config["bind"])
             adapters = {
                 name: LoraSpec(rank=d["rank"], scaling=d["scaling"])
                 for name, d in self.config.get("adapters", {}).items()
@@ -137,7 +137,7 @@ class Checkpoint:
     def encoder_config(self) -> EncoderConfig:
         """The encoders' config; their output width must be the bind network's input width."""
         try:
-            config = EncoderConfig.from_dict(self.config["encoder"])
+            config = EncoderConfig(**self.config["encoder"])
             bind_width = self.config["bind"]["dim_joint"]
         except _CONFIG_ERRORS as exc:
             raise CheckpointFormatError(f"config does not describe the encoders: {exc!r}") from None

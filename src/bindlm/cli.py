@@ -37,6 +37,7 @@ from .data import (
     generate_hq_corpus,
     generate_instruction_corpus,
     ingest,
+    naming_corpus,
     write_caption_corpus,
     write_instruction_corpus,
     write_jsonl,
@@ -195,7 +196,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     e.add_argument("--raw-eq4", action="store_true")
     e.add_argument("--out", metavar="FILE", type=_output_path, help="write the JSON report here")
-    e.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -270,8 +270,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(ckpt, args.out)
     if args.history:
         Path(args.history).write_text(json.dumps(history, sort_keys=True) + "\n")
-    final = history[-1]["loss"] if history else float("nan")
-    print(f"stage {plan.stage}: {len(history)} steps, final loss {final:.4f}, "
+    print(f"stage {plan.stage}: {len(history)} steps, final loss {history[-1]['loss']:.4f}, "
           f"checkpoint {args.out}")
     return 0
 
@@ -317,9 +316,11 @@ def _cmd_cache(args) -> int:
     if args.cache_command == "build":
         manifest = DatasetManifest.load(args.data)
         encoders = manifest.encoders()
-        samples = read_raw_samples(Path(args.data) / manifest.corpus_file("cache"))
-        store = cache_build(encode(encoders[s["modality"]], s["raw"], s["source_id"])
-                            for s in samples)
+        corpus = Path(args.data) / manifest.corpus_file("cache")
+        samples = read_raw_samples(corpus)
+        with naming_corpus(corpus):
+            store = cache_build(encode(encoders[s["modality"]], s["raw"], s["source_id"])
+                                for s in samples)
         save_cache(store, args.out)
         print(f"cached {store.size} embeddings to {args.out}")
         return 0
@@ -377,15 +378,17 @@ def _cmd_eval(args) -> int:
     lm, bind, tok, encoders = _load_models(args.ckpt)
     manifest = DatasetManifest.load(args.data)
     if args.suite == "perplexity":
-        records = ingest(Path(args.data) / (args.file or manifest.corpus_file("pretrain")),
-                         "caption")
-        report = perplexity_eval(lm, bind, tok, encoders, records)
+        corpus = Path(args.data) / (args.file or manifest.corpus_file("pretrain"))
+        records = ingest(corpus, "caption")
+        with naming_corpus(corpus):
+            report = perplexity_eval(lm, bind, tok, encoders, records)
     else:
-        records = ingest(Path(args.data) / (args.file or manifest.corpus_file("eval_yesno")),
-                         "instruction")
+        corpus = Path(args.data) / (args.file or manifest.corpus_file("eval_yesno"))
+        records = ingest(corpus, "instruction")
         store = load_cache(args.cache) if args.cache else None
-        report = yesno_eval(lm, bind, tok, encoders, records, cache=store,
-                            k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4)
+        with naming_corpus(corpus):
+            report = yesno_eval(lm, bind, tok, encoders, records, cache=store,
+                                k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4)
     if args.out:
         write_report(report, args.out)
     summary = {k: v for k, v in report.items() if k != "items"}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .encoders import (
     build_encoders,
     parse_sample,
 )
-from .tensor import derive_rng
+from .tensor import ShapeError, derive_rng
 
 COLORS = ["red", "blue", "green", "amber", "violet", "teal", "coral", "ochre"]
 SHAPES = ["cube", "sphere", "prism", "torus", "wedge", "cone", "disk", "helix"]
@@ -36,7 +37,17 @@ LANGUAGE_WORDS = ["echo", "tide", "ember", "quartz", "maple", "onyx", "fjord", "
 
 
 class IngestError(ValueError):
-    """A JSONL corpus failed schema validation."""
+    """A JSONL corpus failed schema validation, or a record of it could not be encoded."""
+
+
+@contextmanager
+def naming_corpus(path):
+    """Re-raise a ShapeError from encoding the records of the corpus at path,
+    such as a raw vector of the wrong length, as an IngestError naming the file."""
+    try:
+        yield
+    except ShapeError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -355,7 +366,7 @@ class DatasetManifest:
             if not all(isinstance(name, str) for name in payload["files"].values()):
                 raise TypeError("files must map corpus keys to file names")
             return DatasetManifest(
-                encoder=EncoderConfig.from_dict(payload["encoder"]),
+                encoder=EncoderConfig(**payload["encoder"]),
                 seed=payload["seed"],
                 files=payload["files"],
             )

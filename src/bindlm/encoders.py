@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,13 +132,6 @@ class EncoderConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
                 raise EncoderConfigError(f"{name} must be a finite number, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderConfig":
-        return EncoderConfig(**d)
 
 
 class SyntheticEncoder:

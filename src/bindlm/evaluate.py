@@ -58,14 +58,14 @@ def yesno_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer, encoders,
         if cache is not None and not ex.language_only:
             condition_src = enhance(cache, ex.embedding, k=k, alpha=alpha, raw_eq4=raw_eq4).enhanced
         out = generate(lm, bind, condition_src, ex.prompt_ids, GenerationParams(max_new_tokens=1))
-        ok = bool(out) and out[0] == ex.target_ids[0]
+        ok = out[0] == ex.target_ids[0]
         correct += ok
         items.append(
             {
                 "source_id": rec.source_id,
                 "expected": rec.response,
-                "first_token": out[0] if out else None,
-                "answer": tok.decode(out[:1]).strip() if out else "",
+                "first_token": out[0],
+                "answer": tok.decode(out).strip(),
                 "ok": ok,
             }
         )

@@ -24,7 +24,7 @@ while B = 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,13 +84,6 @@ class LMConfig:
             raise ShapeError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.positions not in ("learned", "rope"):
             raise ShapeError(f"positions must be learned|rope, got {self.positions!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "LMConfig":
-        return LMConfig(**d)
 
 
 class GenerationParamsError(ValueError):

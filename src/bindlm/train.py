@@ -41,11 +41,11 @@ from .data import (
     DatasetManifest,
     InstructionRecord,
     ingest,
+    naming_corpus,
 )
 from .encoders import Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
-from .tensor import (NonFiniteError, ShapeError, Tape, Tensor, add, check_finite, derive_rng,
-                     scale)
+from .tensor import NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
 from .tokenizer import EOS, Tokenizer, default_tokenizer
 
 
@@ -61,13 +61,13 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-STAGES = ("pretrain", "instruct", "hq_instruct")
-
-_STAGE_DEFAULTS = {
-    "pretrain": dict(epochs=3, batch_size=1, lr=4e-4, warmup_epochs=0),
-    "instruct": dict(epochs=4, batch_size=1, lr=2e-3, warmup_epochs=1),
-    "hq_instruct": dict(epochs=2, batch_size=1, lr=2e-3, warmup_epochs=1),
+# stage -> (its plan defaults, the stage whose checkpoint it starts from)
+_STAGES = {
+    "pretrain": (dict(epochs=3, batch_size=1, lr=4e-4, warmup_epochs=0), None),
+    "instruct": (dict(epochs=4, batch_size=1, lr=2e-3, warmup_epochs=1), "pretrain"),
+    "hq_instruct": (dict(epochs=2, batch_size=1, lr=2e-3, warmup_epochs=1), "instruct"),
 }
+STAGES = tuple(_STAGES)
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,11 @@ class TrainPlan:
 
 
 def default_plan(stage: str, data: str, seed: int = 0, **overrides) -> TrainPlan:
-    if stage not in STAGES:
+    if stage not in _STAGES:
         raise PipelineError(f"unknown stage {stage!r}")
-    values = dict(_STAGE_DEFAULTS[stage])
-    values.update(overrides)
-    values.setdefault("trainable", peft.STAGE_TRAINABLE[stage])
-    return TrainPlan(stage=stage, data=data, seed=seed, **values)
+    defaults, _ = _STAGES[stage]
+    return TrainPlan(stage=stage, data=data, seed=seed,
+                     **{**defaults, "trainable": peft.STAGE_TRAINABLE[stage], **overrides})
 
 
 def _parse_scalar(raw: str):
@@ -354,11 +353,8 @@ def prepare_instruction(rec: InstructionRecord, tok: Tokenizer, encoders) -> Pre
 # Stage runner
 # ---------------------------------------------------------------------------
 
-_REQUIRED_PREDECESSOR = {"instruct": "pretrain", "hq_instruct": "instruct"}
-
-
 def _check_ordering(plan: TrainPlan, checkpoint_in: Checkpoint | None) -> None:
-    needed = _REQUIRED_PREDECESSOR.get(plan.stage)
+    _, needed = _STAGES[plan.stage]
     if needed is None:
         if checkpoint_in is not None:
             raise PipelineError("pretrain starts from scratch; no input checkpoint allowed")
@@ -404,7 +400,9 @@ def run_stage(
             f"{Path(plan.data) / MANIFEST_NAME}: encoder dim_joint = {manifest.encoder.dim_joint}"
             f" differs from the bind network's dim_joint = {bind.config.dim_joint}")
 
-    if plan.stage in ("instruct", "hq_instruct"):
+    # a stage that starts from a checkpoint tunes adapters on instruction records
+    tuning = _STAGES[plan.stage][1] is not None
+    if tuning:
         peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
 
     try:
@@ -412,16 +410,13 @@ def run_stage(
     except peft.ConfigurationError as exc:
         raise PipelineError(f"stage {plan.stage}: {exc}") from None
 
-    kind = "caption" if plan.stage == "pretrain" else "instruction"
     corpus = Path(plan.data) / manifest.corpus_file(plan.stage)
-    records = ingest(corpus, kind)
+    records = ingest(corpus, "instruction" if tuning else "caption")
     if not records:
         raise PipelineError(f"stage {plan.stage}: corpus is empty")
-    prepare = prepare_caption if kind == "caption" else prepare_instruction
-    try:
+    prepare = prepare_instruction if tuning else prepare_caption
+    with naming_corpus(corpus):
         examples = [prepare(r, tok, encoders) for r in records]
-    except ShapeError as exc:
-        raise PipelineError(f"{corpus}: {exc}") from None
 
     if counters is not None:
         counters["trainable_params"] = sum(peft.resolve_param(lm, bind, n).size for n in names)

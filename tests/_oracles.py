@@ -7,7 +7,35 @@ closures: it is the reference for how Tape.grad chooses what to replay, not
 for the closures' arithmetic, which grad_check covers.
 """
 
+import hashlib
+
 import numpy as np
+
+
+def philox_stream(seed: int, *labels: str) -> np.random.Generator:
+    """The Philox generator of (seed, labels): the seed and an 8-byte blake2b
+    digest of each label, little-endian, as SeedSequence entropy."""
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF]
+    entropy += [int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "little")
+                for label in labels]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def bind_init_oracle(seed: int, dim_joint: int, dim_lm: int, dim_hidden: int) -> dict:
+    """The bind network's initial parameters, drawn one by one: w0 from stream
+    ("bind", "w0") at bound 1/sqrt(dim_joint); in each of the three blocks, w1
+    then w2 from ("bind", "block{i}") at 1/sqrt(dim_lm), w3 zero, norm gain one."""
+    rng = philox_stream(seed, "bind", "w0")
+    bound = 1.0 / np.sqrt(dim_joint)
+    params = {"w0": rng.uniform(-bound, bound, size=(dim_joint, dim_lm))}
+    for i in range(3):
+        rng = philox_stream(seed, "bind", f"block{i}")
+        bound = 1.0 / np.sqrt(dim_lm)
+        params[f"blocks.{i}.w1"] = rng.uniform(-bound, bound, size=(dim_lm, dim_hidden))
+        params[f"blocks.{i}.w2"] = rng.uniform(-bound, bound, size=(dim_lm, dim_hidden))
+        params[f"blocks.{i}.w3"] = np.zeros((dim_hidden, dim_lm))
+        params[f"blocks.{i}.norm_gain"] = np.ones((1, dim_lm))
+    return params
 
 
 def bind_oracle(params: dict, f: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ from bindlm.bind import BindConfig, BindNetwork, N_BLOCKS, _block_update, bind_f
 from bindlm.encoders import JointEmbedding, Modality
 from bindlm.tensor import ShapeError, Tensor, derive_rng, grad_check, tensor_sum
 
-from _oracles import bind_oracle
+from _oracles import bind_init_oracle, bind_oracle
 
 
 def _embedding(rng, dim):
@@ -48,6 +48,17 @@ def test_matches_independent_oracle_on_seeded_nets():
         got = bind_forward(net, e).array
         want = bind_oracle({n: t.array for n, t in params.items()}, e.vector.array)
         assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("cfg", [BindConfig(), BindConfig(dim_joint=8, dim_lm=6, dim_hidden=10)])
+def test_init_draws_match_the_explicit_construction(cfg, seed):
+    net = bind_init(cfg, seed)
+    want = bind_init_oracle(seed, cfg.dim_joint, cfg.dim_lm, cfg.dim_hidden)
+    assert list(net.params) == list(want)
+    for name, a in want.items():
+        got = net.params[name].array
+        assert got.dtype == a.dtype and got.shape == a.shape and got.tobytes() == a.tobytes()
 
 
 def test_init_deterministic():

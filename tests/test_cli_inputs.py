@@ -201,15 +201,25 @@ def test_non_finite_raw_value_in_a_corpus_names_the_file_and_line(tmp_path, caps
     _assert_clean_failure(capsys, code, 2, str(path), "line 2: the raw vector holds", "at index 0")
 
 
-def test_short_raw_vector_in_a_corpus_names_the_file_and_source(tmp_path, capsys):
+@pytest.mark.parametrize("corpus,command", [
+    ("captions.jsonl", ["train", "--stage", "pretrain"]),
+    ("eval_yesno.jsonl", ["eval", "--suite", "yesno", "--ckpt"]),
+    ("captions.jsonl", ["eval", "--suite", "perplexity", "--ckpt"]),
+    ("cache.jsonl", ["cache", "build"]),
+], ids=["train", "eval-yesno", "eval-perplexity", "cache-build"])
+def test_short_raw_vector_in_a_corpus_names_the_file_and_source(tmp_path, capsys, corpus,
+                                                                 command):
     out = _gen(tmp_path)
-    path = out / "captions.jsonl"
+    path = out / corpus
     lines = path.read_text().splitlines(keepends=True)
     record = json.loads(lines[1])
     record["raw"] = record["raw"][:5]
     lines[1] = json.dumps(record) + "\n"
     path.write_text("".join(lines))
-    code = cli(["train", "--stage", "pretrain", "--data", str(out),
-                "--out", str(tmp_path / "ck.bnk")])
-    _assert_clean_failure(capsys, code, 2, str(path), repr(record["source_id"]), "raw length 5")
-    assert not (tmp_path / "ck.bnk").exists()
+    if command[-1] == "--ckpt":
+        save_checkpoint(small_checkpoint(), tmp_path / "in.bnk")
+        command = command + [str(tmp_path / "in.bnk")]
+    code = cli(command + ["--data", str(out), "--out", str(tmp_path / "out.bin")])
+    _assert_clean_failure(capsys, code, 2, f"{path}: raw length 5",
+                          f"for source {record['source_id']!r}")
+    assert not (tmp_path / "out.bin").exists()

@@ -5,6 +5,7 @@ dropped here changes every file written from now on.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,12 +22,12 @@ LINEARS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 
 
 def test_default_config_dicts():
-    assert LMConfig().to_dict() == {
+    assert asdict(LMConfig()) == {
         "vocab_size": 512, "dim": 128, "layers": 4, "heads": 4, "max_seq": 128,
         "positions": "learned", "shared_gate": False, "ffn_hidden": 256,
     }
-    assert BindConfig().to_dict() == {"dim_joint": 64, "dim_lm": 128, "dim_hidden": 256}
-    assert EncoderConfig().to_dict() == {
+    assert asdict(BindConfig()) == {"dim_joint": 64, "dim_lm": 128, "dim_hidden": 256}
+    assert asdict(EncoderConfig()) == {
         "dim_raw": 96, "dim_joint": 64, "offset_scale": 0.12, "noise_scale": 0.0, "seed": 0,
     }
 
@@ -37,7 +38,7 @@ def test_config_dicts_round_trip():
     bind = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=24)
     enc = EncoderConfig(dim_raw=24, dim_joint=16, offset_scale=0.5, noise_scale=0.25, seed=3)
     for config in (lm, bind, enc):
-        assert type(config).from_dict(json.loads(json.dumps(config.to_dict()))) == config
+        assert type(config)(**json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_gen_data_manifest(tmp_path):

@@ -94,6 +94,23 @@ def test_plan_validation():
         default_plan("pretrain", "d", epochs=0)
 
 
+@pytest.mark.parametrize("stage,epochs,lr,warmup,trainable", [
+    ("pretrain", 3, 4e-4, 0, {"base_lm", "bind_network", "gates"}),
+    ("instruct", 4, 2e-3, 1, {"lora", "bias_norm", "gates"}),
+    ("hq_instruct", 2, 2e-3, 1, {"lora", "bias_norm", "gates"}),
+])
+def test_default_plan_per_stage(stage, epochs, lr, warmup, trainable):
+    plan = default_plan(stage, "d")
+    assert (plan.epochs, plan.batch_size, plan.lr, plan.warmup_epochs) == (epochs, 1, lr, warmup)
+    assert plan.trainable == trainable
+    assert (plan.stage, plan.data, plan.seed) == (stage, "d", 0)
+
+
+def test_a_trainable_preset_is_not_a_stage():
+    with pytest.raises(PipelineError, match="unknown stage 'align_only'"):
+        default_plan("align_only", "d")
+
+
 def test_stage_ordering_enforced(dataset):
     with pytest.raises(PipelineError, match="requires a pretrain checkpoint"):
         run_stage(_tiny_plan("instruct", dataset))
