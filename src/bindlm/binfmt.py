@@ -1,4 +1,4 @@
-"""Every input file is opened here: BNDK and BNDC files, JSONL corpora, text.
+"""Every file is opened here: BNDK and BNDC files, JSONL corpora, JSON, text.
 
 A file that cannot be opened or decoded raises the caller's error type naming
 it. A BNDK checkpoint or BNDC cache is a 4-byte magic and a u32 version, then
@@ -70,6 +70,17 @@ def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) 
     if errors:
         raise error(f"{path}: " + "; ".join(errors))
     return records
+
+
+def write_json(path, value, indent: int | None = None) -> None:
+    """value as sorted-keys JSON text and a newline, UTF-8: equal values write equal bytes."""
+    Path(path).write_text(json.dumps(value, sort_keys=True, indent=indent) + "\n", "utf-8")
+
+
+def write_jsonl(path, rows) -> None:
+    """One sorted-keys JSON line per row, UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def read_binary(path, error: type[Exception]) -> "Reader":
@@ -152,7 +163,7 @@ class Reader:
 
 
 class Writer:
-    """Collects the fields of one file in order; save() writes them at once."""
+    """Collects the fields of one file in order; save() writes them, arrays uncopied."""
 
     def __init__(self, magic: bytes, version: int):
         self._chunks = [magic]
@@ -173,7 +184,8 @@ class Writer:
         self._chunks.append(raw)
 
     def array(self, values, dtype) -> None:
-        self._chunks.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        self._chunks.append(np.ascontiguousarray(values, dtype=dtype))
 
     def save(self, path) -> None:
-        Path(path).write_bytes(b"".join(self._chunks))
+        with open(path, "wb") as fh:
+            fh.writelines(self._chunks)

@@ -12,14 +12,14 @@ most 1; raw_eq4=True uses the raw similarity row instead.
 
 File format (encoded and bounds-checked by binfmt.py):
 
-    magic 'BNDC' | version u32 | dim u32 | count u64 | values-elided flag u8
-    | keys float32 row-major | values float32 row-major (absent when elided)
+    magic 'BNDC' | version u32 | dim u32 | count u64 | values flag u8, always 1
+    | rows float32 row-major, the keys and the values alike
     | ids: per row u32 length + UTF-8 bytes
 
 Rows are quantized to float32 once at build time, so save/load round-trips
 are bitwise faithful and rebuilding from the same stream reproduces the same
 file. load_cache holds a file to what cache_build guarantees: dim 0 only with
-no rows, and every key and value row finite and unit-norm within UNIT_NORM_TOL.
+no rows, values flag 1, and every row finite and unit-norm within UNIT_NORM_TOL.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ class _Partitions:
 
 
 class CacheStore:
-    def __init__(self, keys: np.ndarray, values: np.ndarray, ids: list[str]):
-        self.keys = keys  # float64 holding exactly float32-representable rows
-        self.values = values
+    def __init__(self, keys: np.ndarray, ids: list[str]):
+        self.keys = self.values = keys  # float64 holding exactly float32-representable rows
         self.ids = ids
         self._partitions: _Partitions | None = None
 
@@ -90,7 +89,7 @@ class CacheStore:
 
     @property
     def dim(self) -> int:
-        return self.keys.shape[1] if self.keys.ndim == 2 else 0
+        return self.keys.shape[1]
 
     @property
     def values_elided(self) -> bool:
@@ -149,14 +148,13 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
         rows.append(v)
         ids.append(e.source_id)
     if not rows:
-        keys = np.zeros((0, 0))
-        return CacheStore(keys, keys, [])
+        return CacheStore(np.zeros((0, 0)), [])
     keys = np.stack(rows).astype("<f4").astype(np.float64)
     bad = _first_non_unit_row(keys)
     if bad is not None:
         row, norm = bad
         raise CacheBuildError(f"embedding {ids[row]!r} is not unit-norm (|v| = {norm:.2e})")
-    return CacheStore(keys, keys, ids)
+    return CacheStore(keys, ids)
 
 
 def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
@@ -247,10 +245,8 @@ def save_cache(store: CacheStore, path) -> None:
     w = binfmt.Writer(MAGIC, VERSION)
     w.u32(store.dim)
     w.u64(store.size)
-    w.u8(1 if store.values_elided else 0)
+    w.u8(1)
     w.array(store.keys, "<f4")
-    if not store.values_elided:
-        w.array(store.values, "<f4")
     for sid in store.ids:
         w.string(sid)
     w.save(path)
@@ -262,25 +258,16 @@ def load_cache(path) -> CacheStore:
     dim, count = r.u32("dim"), r.u64("count")
     if dim == 0 and count:
         r.fail(f"dim 0 at byte offset 8 with {count} rows")
-    elided = r.u8("flag")
-    if elided not in (0, 1):
-        r.fail(f"bad values flag {elided} at offset {r.off - 1}")
-    keys = _load_rows(r, count, dim, "keys")
-    values = keys if elided else _load_rows(r, count, dim, "values")
-    ids = [r.string(f"id of row {row}") for row in range(count)]
-    r.finish()
-    return CacheStore(keys, values, ids)
-
-
-def _load_rows(r: binfmt.Reader, count: int, dim: int, what: str) -> np.ndarray:
-    """The next count x dim block as float64; every row must be unit-norm."""
+    flag = r.u8("flag")
+    if flag != 1:
+        r.fail(f"bad values flag {flag} at offset {r.off - 1}")
     start = r.off
-    rows = r.array("<f4", (count, dim), what).astype(np.float64)
-    if not count:
-        return np.zeros((0, 0))
-    bad = _first_non_unit_row(rows)
+    keys = r.array("<f4", (count, dim), "keys").astype(np.float64)
+    bad = _first_non_unit_row(keys)
     if bad is not None:
         row, norm = bad
-        r.fail(f"row {row} of {what} is not unit-norm (|v| = {norm:.2e}) "
+        r.fail(f"row {row} of keys is not unit-norm (|v| = {norm:.2e}) "
                f"at byte offset {start + 4 * dim * row}")
-    return rows
+    ids = [r.string(f"id of row {row}") for row in range(count)]
+    r.finish()
+    return CacheStore(keys if count else np.zeros((0, 0)), ids)

@@ -214,6 +214,7 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(r.u32()):
         name = r.string()
         dims = tuple(r.array("<u4", (r.u32(),)).tolist())
+        # copied: most views into the file's bytes are unaligned, and BLAS is 1.5x slower on them
         params[name] = r.array("<f8", dims, f"parameter {name!r}").copy()
     rng_state = r.json_value()
     step = r.u64()

@@ -40,7 +40,6 @@ from .data import (
     naming_corpus,
     write_caption_corpus,
     write_instruction_corpus,
-    write_jsonl,
 )
 from .encoders import (
     ENCODER_MODALITIES,
@@ -251,8 +250,8 @@ def _cmd_gen_data(args) -> int:
         args.instruct_pairs, 0, args.seed, encoders, modality=Modality.AUDIO
     )
     write_instruction_corpus(out / CORPUS_FILES["eval_yesno_audio"], eval_audio)
-    write_jsonl(out / CORPUS_FILES["cache"],
-                generate_cache_corpus(objects, args.cache_variants, args.seed, encoders))
+    binfmt.write_jsonl(out / CORPUS_FILES["cache"],
+                       generate_cache_corpus(objects, args.cache_variants, args.seed, encoders))
     DatasetManifest(encoder=enc_cfg, seed=args.seed, files=dict(CORPUS_FILES)).save(out)
     print(f"wrote corpora to {out}")
     return 0
@@ -269,7 +268,7 @@ def _cmd_train(args) -> int:
     ckpt = run_stage(plan, checkpoint_in=checkpoint_in, history=history)
     save_checkpoint(ckpt, args.out)
     if args.history:
-        Path(args.history).write_text(json.dumps(history, sort_keys=True) + "\n")
+        binfmt.write_json(args.history, history)
     print(f"stage {plan.stage}: {len(history)} steps, final loss {history[-1]['loss']:.4f}, "
           f"checkpoint {args.out}")
     return 0
@@ -363,14 +362,11 @@ def _cmd_mix(args) -> int:
         embs.append(_read_input(file_part, encoders))
     with np.errstate(over="ignore"):  # as in _read_input
         mixed = mix(embs, coeffs)
-    payload = json.dumps(
-        {"modality": mixed.modality.value, "vector": mixed.vector.array.reshape(-1).tolist()},
-        sort_keys=True,
-    )
+    payload = {"modality": mixed.modality.value, "vector": mixed.vector.array.reshape(-1).tolist()}
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        binfmt.write_json(args.out, payload)
     else:
-        print(payload)
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -9,7 +9,6 @@ the encoder's own projection, which is what makes cross-modal pairing hold.
 
 from __future__ import annotations
 
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -263,18 +262,12 @@ def _instruction_to_json(r: InstructionRecord) -> dict:
     return obj
 
 
-def write_jsonl(path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
 def write_caption_corpus(path, records: list[CaptionRecord]) -> None:
-    write_jsonl(path, [_caption_to_json(r) for r in records])
+    binfmt.write_jsonl(path, map(_caption_to_json, records))
 
 
 def write_instruction_corpus(path, records: list[InstructionRecord]) -> None:
-    write_jsonl(path, [_instruction_to_json(r) for r in records])
+    binfmt.write_jsonl(path, map(_instruction_to_json, records))
 
 
 def _parse_caption(obj: dict) -> CaptionRecord:
@@ -353,8 +346,7 @@ class DatasetManifest:
     files: dict[str, str] = field(default_factory=dict)
 
     def save(self, directory) -> None:
-        out = Path(directory) / MANIFEST_NAME
-        out.write_text(json.dumps(asdict(self), sort_keys=True, indent=1) + "\n")
+        binfmt.write_json(Path(directory) / MANIFEST_NAME, asdict(self), indent=1)
 
     @staticmethod
     def load(directory) -> "DatasetManifest":

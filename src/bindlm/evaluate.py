@@ -9,10 +9,9 @@ suite exists for.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 
+from . import binfmt
 from .bind import BindNetwork
 from .cache import DEFAULT_ALPHA, DEFAULT_TOP_K, CacheStore, enhance
 from .data import InstructionRecord
@@ -81,4 +80,4 @@ def yesno_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer, encoders,
 
 
 def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    binfmt.write_json(path, report, indent=1)

@@ -10,9 +10,10 @@ assets/vocab.json and rebuilding it is byte-for-byte reproducible.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
+
+from . import binfmt
 
 VOCAB_SIZE = 512
 BOS, EOS, PAD = 256, 257, 258
@@ -24,7 +25,7 @@ _ASSET = Path(__file__).parent / "assets" / "vocab.json"
 
 
 class VocabularyError(ValueError):
-    """A token id fell outside the model vocabulary or the tokenizer's ids."""
+    """A token id the model or the tokenizer does not define, or an unreadable tokenizer file."""
 
 
 class Tokenizer:
@@ -78,11 +79,12 @@ class Tokenizer:
         return Tokenizer([tuple(m) for m in d["merges"]])
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        binfmt.write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "Tokenizer":
-        return Tokenizer.from_dict(json.loads(Path(path).read_text()))
+        text = binfmt.read_text(path, VocabularyError)
+        return Tokenizer.from_dict(binfmt.parse_json(text, VocabularyError, path))
 
 
 def train_merges(text: str, max_merges: int) -> list[tuple[int, int]]:

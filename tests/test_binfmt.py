@@ -1,13 +1,18 @@
 """Both file formats against layouts assembled here with struct, field by field."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bindlm.binfmt import Reader
-from bindlm.cache import load_cache, save_cache
-from bindlm.checkpoint import load_checkpoint, save_checkpoint
+from bindlm.bind import BindConfig, bind_init
+from bindlm.binfmt import Reader, Writer
+from bindlm.cache import CacheFormatError, load_cache, save_cache
+from bindlm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from bindlm.encoders import EncoderConfig
+from bindlm.lm import LMConfig, lm_init
+from bindlm.tokenizer import default_tokenizer
 
 
 def _string(text: str) -> bytes:
@@ -38,16 +43,20 @@ def test_checkpoint_layout(tmp_path):
 
 @pytest.mark.parametrize("elided", [True, False])
 def test_cache_layout(tmp_path, elided):
+    """Values flag 1 and one row block load and save back to the same bytes;
+    flag 0, which once announced a second (values) block, is rejected."""
     keys = np.array([[0.6, 0.8], [0.0, 1.0]], dtype="<f4")
-    values = keys if elided else keys[::-1].copy()
     raw = (b"BNDC" + struct.pack("<IIQB", 1, 2, 2, int(elided)) + keys.tobytes()
-           + (b"" if elided else values.tobytes()) + _string("a") + _string("ü"))
+           + (b"" if elided else keys[::-1].tobytes()) + _string("a") + _string("ü"))
     p = tmp_path / "hand.bnc"
     p.write_bytes(raw)
+    if not elided:
+        with pytest.raises(CacheFormatError, match="hand.bnc: bad values flag 0 at offset 20$"):
+            load_cache(p)
+        return
     store = load_cache(p)
     assert store.keys.tobytes() == keys.astype(np.float64).tobytes()
-    assert store.values.tobytes() == values.astype(np.float64).tobytes()
-    assert store.values_elided == elided
+    assert store.values is store.keys
     assert store.ids == ["a", "ü"]
     save_cache(store, tmp_path / "again.bnc")
     assert (tmp_path / "again.bnc").read_bytes() == raw
@@ -88,3 +97,41 @@ def test_array_shape_numpy_cannot_hold_is_a_format_error(shape):
     """Zero bytes of data, but a shape no ndarray can take."""
     with pytest.raises(_Oops, match="shape numpy cannot hold"):
         Reader(b"", "f.bin", _Oops).array("<f8", shape, "w")
+
+
+def test_writer_arrays_match_their_bytes(tmp_path):
+    """Writer streams each array from memory; the file holds what tobytes gives."""
+    m = np.arange(12, dtype=np.float64).reshape(3, 4) / 7
+    arrays = [(m, "<f8"), (m.T, "<f8"), (m, "<f4"), ((3, 4), "<u4"), (np.zeros((0, 5)), "<f4")]
+    w = Writer(b"TEST", 1)
+    for a, dt in arrays:
+        w.array(a, dt)
+    w.save(tmp_path / "f.bin")
+    want = b"TEST" + struct.pack("<I", 1) + b"".join(
+        np.ascontiguousarray(a, dt).tobytes() for a, dt in arrays)
+    assert (tmp_path / "f.bin").read_bytes() == want
+
+
+def _default_checkpoint() -> Checkpoint:
+    lm, bind = lm_init(LMConfig(), 0), bind_init(BindConfig(), 0)
+    return Checkpoint.from_models(lm, bind, default_tokenizer(), EncoderConfig(), {}, 0, [])
+
+
+def test_save_checkpoint_copies_no_parameter(tmp_path):
+    """Saving a default-size model allocates far less than the file it writes."""
+    ckpt, p = _default_checkpoint(), tmp_path / "ck.bnk"
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.stat().st_size / 8
+
+
+def test_loaded_parameters_are_aligned(tmp_path):
+    """load_checkpoint copies each parameter out of the file's bytes, where
+    most would be unaligned views."""
+    p = tmp_path / "ck.bnk"
+    save_checkpoint(_default_checkpoint(), p)
+    assert all(a.flags.aligned for a in load_checkpoint(p).params.values())

@@ -10,7 +10,6 @@ from bindlm.cache import (
     CacheBuildError,
     CacheFormatError,
     CacheRangeError,
-    CacheStore,
     EmptyCacheError,
     cache_build,
     enhance,
@@ -372,12 +371,9 @@ def test_load_rejects_zero_dim_with_rows(tmp_path):
         load_cache(p)
 
 
-def _saved_store(path, values_elided=True):
+def _saved_store(path):
     """A saved 4-row, 4-dim store; returns the byte offset of its keys block."""
-    store = cache_build(_embs(derive_rng(16, "cache-contract"), 4, 4))
-    if not values_elided:
-        store = CacheStore(store.keys, store.keys.copy(), store.ids)
-    save_cache(store, path)
+    save_cache(cache_build(_embs(derive_rng(16, "cache-contract"), 4, 4)), path)
     return 4 + 4 + 4 + 8 + 1
 
 
@@ -398,14 +394,12 @@ def test_load_rejects_non_finite_key_naming_row_and_offset(tmp_path, bad):
         load_cache(p)
 
 
-@pytest.mark.parametrize("values_elided,block,row", [(True, "keys", 1), (False, "values", 3)])
-def test_load_rejects_non_unit_row_naming_row_and_offset(tmp_path, values_elided, block, row):
+def test_load_rejects_non_unit_row_naming_row_and_offset(tmp_path):
     p = tmp_path / "c.bnc"
-    keys_at = _saved_store(p, values_elided)
-    row_at = keys_at + (0 if values_elided else 64) + 16 * row
-    _patch_row(p, row_at, load_cache(p).keys[row] * np.sqrt(10.0))  # |v| = 3.16
+    row_at = _saved_store(p) + 16 * 1
+    _patch_row(p, row_at, load_cache(p).keys[1] * np.sqrt(10.0))  # |v| = 3.16
     with pytest.raises(CacheFormatError,
-                       match=rf"row {row} of {block} is not unit-norm .*3.16e\+00.* byte offset {row_at}$"):
+                       match=rf"row 1 of keys is not unit-norm .*3.16e\+00.* byte offset {row_at}$"):
         load_cache(p)
 
 

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from bindlm.lm import PROMPT_TEMPLATE, YESNO_SUFFIX, prompt_template, yesno_prompt
 from bindlm.tokenizer import (
@@ -7,6 +10,7 @@ from bindlm.tokenizer import (
     PAD,
     VOCAB_SIZE,
     Tokenizer,
+    VocabularyError,
     build_default_vocab,
     default_tokenizer,
     train_merges,
@@ -52,6 +56,19 @@ def test_rebuild_matches_checked_in_asset():
     rebuilt = build_default_vocab().to_dict()
     committed = json.loads(_ASSET.read_text())
     assert rebuilt == committed
+
+
+def test_rebuild_writes_the_checked_in_asset_bytes(tmp_path):
+    from bindlm.tokenizer import _ASSET
+
+    build_default_vocab().save(tmp_path / "vocab.json")
+    assert (tmp_path / "vocab.json").read_bytes() == _ASSET.read_bytes()
+
+
+def test_load_of_a_missing_file_names_it(tmp_path):
+    missing = tmp_path / "nope.json"
+    with pytest.raises(VocabularyError, match=re.escape(f"{missing}: cannot read")):
+        Tokenizer.load(missing)
 
 
 def test_train_merges_deterministic():
