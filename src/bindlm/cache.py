@@ -270,4 +270,4 @@ def load_cache(path) -> CacheStore:
                f"at byte offset {start + 4 * dim * row}")
     ids = [r.string(f"id of row {row}") for row in range(count)]
     r.finish()
-    return CacheStore(keys if count else np.zeros((0, 0)), ids)
+    return CacheStore(keys, ids)

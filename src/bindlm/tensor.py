@@ -1,7 +1,10 @@
 """Dense float64 tensor math with explicit forward/backward for a closed op set.
 
-Every operation here has a hand-written backward. When a Tape is active
-(``with Tape() as tape:``) each primitive records itself, and
+Every primitive computes its forward and ends in ``return _op(value, inputs,
+_<name>_backward, *saved)``, its hand-written backward placed right after
+it. ``_op`` is the one place that records: under an active Tape (``with
+Tape() as tape:``) it appends a node whose backward is ``_<name>_backward``
+bound to the saved values; with none it only wraps the result.
 ``tape.grad(loss, params)`` replays the records in reverse to produce exact
 reverse-mode gradients. The replay visits only the records on a path from a
 requested parameter, and each backward computes only the input gradients on
@@ -32,6 +35,7 @@ the tests keep as oracles.
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 from typing import Callable, Sequence
 
@@ -100,11 +104,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _wrap(arr: np.ndarray) -> Tensor:
-    """Wrap an op result without a finiteness check (see the module docstring)."""
-    return Tensor(arr, _checked=True)
-
-
 _ACTIVE_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar(
     "bindlm_active_tape", default=None
 )
@@ -114,10 +113,10 @@ class _Node:
     """One primitive application.
 
     backward(g, need) maps the output gradient to one input gradient per
-    input; an input whose ``need`` flag is False may get None. The closure
-    must not reference the Tape: the tape holds its nodes, so that would
-    form a cycle that keeps every recorded activation alive until the cyclic
-    garbage collector runs.
+    input; an input whose ``need`` flag is False may get None. ``_op`` binds
+    it from a module-level function and the forward's saved values, so it
+    never sees the Tape and no node forms a cycle through the tape that
+    holds it: recorded activations die with the tape, not at a later GC.
     """
 
     __slots__ = ("out_id", "inputs", "backward")
@@ -145,9 +144,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-        self._nodes.append(_Node(out, inputs, backward))
 
     def grad(self, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
         """Gradients of a scalar loss for each param; zeros if unused.
@@ -194,6 +190,15 @@ def _tape() -> Tape | None:
     return _ACTIVE_TAPE.get()
 
 
+def _op(value: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable, *saved) -> Tensor:
+    """Wrap a primitive's result unchecked; under a Tape, record backward(*saved, g, need)."""
+    out = Tensor(value, _checked=True)
+    tape = _ACTIVE_TAPE.get()
+    if tape is not None:
+        tape._nodes.append(_Node(out, inputs, functools.partial(backward, *saved)))
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcasted gradient back to the input shape."""
     while grad.ndim > len(shape):
@@ -213,66 +218,57 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C = A @ B for 2-D tensors, on BLAS."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = _wrap(a.array @ b.array)
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            # dA = dC . B^T, dB = A^T . dC
-            da = g @ b.array.T if need[0] else None
-            db = None
-            if need[1]:
-                # a one-row A makes dB an outer product: one rounding per
-                # entry, so exact either way, and einsum is 2-3x faster than
-                # a K=1 BLAS call at the bind network's 128-256 widths
-                db = (np.einsum("k,n->kn", a.array[0], g[0]) if a.shape[0] == 1
-                      else a.array.T @ g)
-            return [da, db]
+    return _op(a.array @ b.array, (a, b), _matmul_backward, a, b)
 
-        tape._record(out, (a, b), backward)
-    return out
+
+def _matmul_backward(a, b, g, need):
+    # dA = dC . B^T, dB = A^T . dC
+    da = g @ b.array.T if need[0] else None
+    db = None
+    if need[1]:
+        # a one-row A makes dB an outer product: one rounding per
+        # entry, so exact either way, and einsum is 2-3x faster than
+        # a K=1 BLAS call at the bind network's 128-256 widths
+        db = (np.einsum("k,n->kn", a.array[0], g[0]) if a.shape[0] == 1
+              else a.array.T @ g)
+    return [da, db]
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.array.ndim != 2:
         raise ShapeError(f"transpose expects 2-D, got {a.shape}")
-    out = _wrap(a.array.T)
-    tape = _tape()
-    if tape is not None:
-        tape._record(out, (a,), lambda g, need: [g.T])
-    return out
+    return _op(a.array.T, (a,), _transpose_backward)
+
+
+def _transpose_backward(g, need):
+    return [g.T]
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _wrap(a.array + b.array)
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            return [_unbroadcast(g, a.shape) if need[0] else None,
-                    _unbroadcast(g, b.shape) if need[1] else None]
+    return _op(a.array + b.array, (a, b), _add_backward, a, b)
 
-        tape._record(out, (a, b), backward)
-    return out
+
+def _add_backward(a, b, g, need):
+    return [_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None]
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _wrap(a.array * b.array)
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            return [_unbroadcast(g * b.array, a.shape) if need[0] else None,
-                    _unbroadcast(g * a.array, b.shape) if need[1] else None]
+    return _op(a.array * b.array, (a, b), _mul_backward, a, b)
 
-        tape._record(out, (a, b), backward)
-    return out
+
+def _mul_backward(a, b, g, need):
+    return [_unbroadcast(g * b.array, a.shape) if need[0] else None,
+            _unbroadcast(g * a.array, b.shape) if need[1] else None]
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (no gradient for the constant)."""
-    out = _wrap(a.array * c)
-    tape = _tape()
-    if tape is not None:
-        tape._record(out, (a,), lambda g, need: [g * c])
-    return out
+    return _op(a.array * c, (a,), _scale_backward, c)
+
+
+def _scale_backward(c, g, need):
+    return [g * c]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -286,15 +282,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def silu(x: Tensor) -> Tensor:
     """y_i = x_i * sigmoid(x_i)."""
     s = _sigmoid(x.array)
-    out = _wrap(x.array * s)
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            # d/dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-            return [g * (s * (1.0 + x.array * (1.0 - s)))]
+    return _op(x.array * s, (x,), _silu_backward, x, s)
 
-        tape._record(out, (x,), backward)
-    return out
+
+def _silu_backward(x, s, g, need):
+    # d/dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
+    return [g * (s * (1.0 + x.array * (1.0 - s)))]
 
 
 RMS_EPS = 1e-6
@@ -310,22 +303,19 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
     # sum / n is what .mean computes, without its Python-level wrapper
     inv = 1.0 / np.sqrt((x.array * x.array).sum(axis=1, keepdims=True) / n + eps)
     normed = x.array * inv
-    out = _wrap(normed * gain.array)
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            dx = dgain = None
-            if need[0]:
-                gg = g * gain.array
-                # dx_k = s*u_k - s^3/n * x_k * sum_j(u_j * x_j), u = g * gain, per row
-                dot = (gg * x.array).sum(axis=1, keepdims=True)
-                dx = inv * gg - (inv ** 3 / n) * x.array * dot
-            if need[1]:
-                dgain = (g * normed).sum(axis=0, keepdims=True)
-            return [dx, dgain]
+    return _op(normed * gain.array, (x, gain), _rmsnorm_backward, x, gain, n, inv, normed)
 
-        tape._record(out, (x, gain), backward)
-    return out
+
+def _rmsnorm_backward(x, gain, n, inv, normed, g, need):
+    dx = dgain = None
+    if need[0]:
+        gg = g * gain.array
+        # dx_k = s*u_k - s^3/n * x_k * sum_j(u_j * x_j), u = g * gain, per row
+        dot = (gg * x.array).sum(axis=1, keepdims=True)
+        dx = inv * gg - (inv ** 3 / n) * x.array * dot
+    if need[1]:
+        dgain = (g * normed).sum(axis=0, keepdims=True)
+    return [dx, dgain]
 
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -337,16 +327,13 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ShapeError(
             f"embedding id out of range [0, {table.shape[0]}): {int(idx.min())}..{int(idx.max())}"
         )
-    out = _wrap(table.array[idx])
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            dt = np.zeros_like(table.array)
-            np.add.at(dt, idx, g)
-            return [dt]
+    return _op(table.array[idx], (table,), _embedding_backward, table, idx)
 
-        tape._record(out, (table,), backward)
-    return out
+
+def _embedding_backward(table, idx, g, need):
+    dt = np.zeros_like(table.array)
+    np.add.at(dt, idx, g)
+    return [dt]
 
 
 _MASK_FILL = -1e30  # finite stand-in for -inf; exp underflows to exactly 0.0
@@ -379,39 +366,35 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scores = scores - scores.max(axis=2, keepdims=True)
     expd = np.exp(scores)
     probs = expd / expd.sum(axis=2, keepdims=True)
-    out = _wrap((probs @ vh).transpose(1, 0, 2).reshape(m, c))
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            gh = g.reshape(m, n_heads, hd).transpose(1, 0, 2)
-            dq = dk = dv = None
-            if need[2]:
-                dv = (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, c)
-            if need[0] or need[1]:
-                dprobs = gh @ vh.transpose(0, 2, 1)
-                # softmax backward per row: p * (dp - sum_j dp*p)
-                dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
-                if need[0]:
-                    dq = ((dscores @ kh) * sc).transpose(1, 0, 2).reshape(m, c)
-                if need[1]:
-                    dk = ((dscores.transpose(0, 2, 1) @ qh) * sc).transpose(1, 0, 2).reshape(n, c)
-            return [dq, dk, dv]
+    return _op((probs @ vh).transpose(1, 0, 2).reshape(m, c), (q, k, v), _causal_attention_backward,
+               m, n, c, n_heads, hd, sc, qh, kh, vh, probs)
 
-        tape._record(out, (q, k, v), backward)
-    return out
+
+def _causal_attention_backward(m, n, c, n_heads, hd, sc, qh, kh, vh, probs, g, need):
+    gh = g.reshape(m, n_heads, hd).transpose(1, 0, 2)
+    dq = dk = dv = None
+    if need[2]:
+        dv = (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, c)
+    if need[0] or need[1]:
+        dprobs = gh @ vh.transpose(0, 2, 1)
+        # softmax backward per row: p * (dp - sum_j dp*p)
+        dscores = probs * (dprobs - (dprobs * probs).sum(axis=2, keepdims=True))
+        if need[0]:
+            dq = ((dscores @ kh) * sc).transpose(1, 0, 2).reshape(m, c)
+        if need[1]:
+            dk = ((dscores.transpose(0, 2, 1) @ qh) * sc).transpose(1, 0, 2).reshape(n, c)
+    return [dq, dk, dv]
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Stack [M, C] above [N, C] into [M + N, C]."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows shape mismatch: {a.shape} over {b.shape}")
-    out = _wrap(np.concatenate([a.array, b.array]))
-    tape = _tape()
-    if tape is not None:
-        m = a.shape[0]
-        tape._record(out, (a, b),
-                     lambda g, need: [g[:m] if need[0] else None, g[m:] if need[1] else None])
-    return out
+    return _op(np.concatenate([a.array, b.array]), (a, b), _concat_rows_backward, a.shape[0])
+
+
+def _concat_rows_backward(m, g, need):
+    return [g[:m] if need[0] else None, g[m:] if need[1] else None]
 
 
 def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> Tensor:
@@ -429,27 +412,24 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> Tensor:
     yh = np.empty_like(xh)
     yh[:, :, 0::2] = xe * cc - xo * ss
     yh[:, :, 1::2] = xe * ss + xo * cc
-    out = _wrap(yh.reshape(n, c))
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            gh = g.reshape(n, n_heads, hd)
-            ge, go = gh[:, :, 0::2], gh[:, :, 1::2]
-            dx = np.empty_like(gh)
-            dx[:, :, 0::2] = ge * cc + go * ss
-            dx[:, :, 1::2] = -ge * ss + go * cc
-            return [dx.reshape(n, c)]
+    return _op(yh.reshape(n, c), (x,), _rope_backward, n, c, n_heads, hd, cc, ss)
 
-        tape._record(out, (x,), backward)
-    return out
+
+def _rope_backward(n, c, n_heads, hd, cc, ss, g, need):
+    gh = g.reshape(n, n_heads, hd)
+    ge, go = gh[:, :, 0::2], gh[:, :, 1::2]
+    dx = np.empty_like(gh)
+    dx[:, :, 0::2] = ge * cc + go * ss
+    dx[:, :, 1::2] = -ge * ss + go * cc
+    return [dx.reshape(n, c)]
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out = _wrap(np.array([[x.array.sum()]]))
-    tape = _tape()
-    if tape is not None:
-        tape._record(out, (x,), lambda g, need: [np.full(x.shape, float(g.reshape(-1)[0]))])
-    return out
+    return _op(np.array([[x.array.sum()]]), (x,), _tensor_sum_backward, x)
+
+
+def _tensor_sum_backward(x, g, need):
+    return [np.full(x.shape, float(g.reshape(-1)[0]))]
 
 
 def softmax_cross_entropy(
@@ -481,18 +461,17 @@ def softmax_cross_entropy(
     sumz = expz.sum(axis=1, keepdims=True)
     logp = z - np.log(sumz)
     rows = np.nonzero(keep)[0]
-    out = Tensor(np.array([[-logp[rows, tk].mean()]]))
-    tape = _tape()
-    if tape is not None:
-        def backward(g, need):
-            gscale = float(g.reshape(-1)[0]) / n_valid
-            d = expz / sumz
-            d[rows, tk] -= 1.0
-            d[~keep] = 0.0
-            return [d * gscale]
+    loss = np.array([[-logp[rows, tk].mean()]])
+    check_finite(loss)
+    return _op(loss, (logits,), _softmax_cross_entropy_backward, n_valid, expz, sumz, rows, tk, keep)
 
-        tape._record(out, (logits,), backward)
-    return out
+
+def _softmax_cross_entropy_backward(n_valid, expz, sumz, rows, tk, keep, g, need):
+    gscale = float(g.reshape(-1)[0]) / n_valid
+    d = expz / sumz
+    d[rows, tk] -= 1.0
+    d[~keep] = 0.0
+    return [d * gscale]
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,15 @@ def test_load_rejects_zero_dim_with_rows(tmp_path):
         load_cache(p)
 
 
+def test_load_keeps_the_width_of_an_empty_store(tmp_path):
+    p, q = tmp_path / "c.bnc", tmp_path / "again.bnc"
+    p.write_bytes(b"BNDC" + struct.pack("<IIQB", 1, 5, 0, 1))  # dim 5, no rows
+    store = load_cache(p)
+    assert store.keys.shape == (0, 5)
+    save_cache(store, q)
+    assert q.read_bytes() == p.read_bytes()
+
+
 def _saved_store(path):
     """A saved 4-row, 4-dim store; returns the byte offset of its keys block."""
     save_cache(cache_build(_embs(derive_rng(16, "cache-contract"), 4, 4)), path)
