@@ -56,17 +56,20 @@ def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) 
     """parse(obj) for the JSON object on each non-blank line of path; lines end
     at \\n, \\r\\n or \\r (not U+2028 or U+0085), as in text-mode iteration.
     error names the file and each line (up to 20) whose JSON or parse raises
-    KeyError, ValueError, TypeError or OverflowError (an int past float range)."""
+    KeyError (a missing key), ValueError, TypeError or OverflowError (an int
+    past float range)."""
     records, errors = [], []
     for lineno, line in enumerate(io.StringIO(read_text(path, error)), start=1):
         if not line.strip():
             continue
         try:
             records.append(parse(parse_json(line, ValueError)))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except KeyError as exc:
+            errors.append(f"line {lineno}: missing key {exc}")
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append(f"line {lineno}: {exc}")
-            if len(errors) >= 20:
-                break
+        if len(errors) >= 20:
+            break
     if errors:
         raise error(f"{path}: " + "; ".join(errors))
     return records

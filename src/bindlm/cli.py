@@ -265,7 +265,12 @@ def _cmd_train(args) -> int:
         plan = default_plan(stage, args.data, seed=args.seed)
     checkpoint_in = load_checkpoint(args.init) if args.init else None
     history: list = []
-    ckpt = run_stage(plan, checkpoint_in=checkpoint_in, history=history)
+    try:
+        ckpt = run_stage(plan, checkpoint_in=checkpoint_in, history=history)
+    except DivergenceError:
+        if args.history:  # the steps before the failing one
+            binfmt.write_json(args.history, history)
+        raise
     save_checkpoint(ckpt, args.out)
     if args.history:
         binfmt.write_json(args.history, history)

@@ -14,7 +14,8 @@ stale.
 
 Each LoRA-adapted linear runs in one of two forms, chosen by whether a Tape
 is recording. Training records the factored form
-x @ W + s (x @ A^T) @ B^T + bias, because the gradients of A and B need it.
+x @ W + s (x @ A^T) @ B^T + bias, because the gradients of A and B need it,
+as one tape node per adapted linear (peft.lora_forward).
 Without a tape (generate, the evals, the CLI) the adapter is folded into one
 dense weight, peft.merge(view, W), computed on first use and kept on the
 InjectedLM for as long as W, A and B are the same tensors; each linear is

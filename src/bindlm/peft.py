@@ -6,10 +6,11 @@ at zero, and a learnable bias. B = 0 makes the adapter an exact no-op at
 attach time, mirroring the zero-gate philosophy of the conditioning pathway.
 
 Training keeps each adapter factored (lora_forward), since A and B need their
-own gradients. Inference folds it into the dense weight once (merge), so an
-adapted linear costs one matmul plus the bias; lm._linear picks the form by
-whether a Tape is recording. The folded form agrees with the factored one to
-rounding, and bitwise while B = 0.
+own gradients, and records each adapted linear as one tape node. Inference
+folds the adapter into the dense weight once (merge), so an adapted linear
+costs one matmul plus the bias; lm._linear picks the form by whether a Tape
+is recording. The folded form agrees with the factored one to rounding, and
+bitwise while B = 0.
 
 Stage presets map parameter groups onto the training schedule. The joint
 pretrain stage also trains the base LM, since this artifact has no pretrained
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, matmul, scale, transpose, uniform_init, derive_rng
+from .tensor import (ShapeError, Tensor, _op, _unbroadcast, _weight_grad, derive_rng,
+                     uniform_init)
 
 
 class ConfigurationError(ValueError):
@@ -76,14 +78,52 @@ def _check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
 
 
 def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor:
-    """y = x @ W + s * (x @ A^T) @ B^T + bias, with W stored as [in, out]."""
+    """y = x @ W + s * (x @ A^T) @ B^T + bias, with W stored as [in, out].
+
+    One tape node with the bits of the matmul/transpose/scale/add chain it
+    replaces: A^T and B^T are multiplied as contiguous copies, and the inputs
+    are listed as (x, A, B[, bias], x, W) so that x's two gradients
+    accumulate in that chain's order, the adapter path's first.
+    """
     _check_fits(adapter, base_weight)
-    y = matmul(x, base_weight)
-    delta = matmul(matmul(x, transpose(adapter.a)), transpose(adapter.b))
-    y = add(y, scale(delta, adapter.scaling))
-    if adapter.bias is not None:
-        y = add(y, adapter.bias)
-    return y
+    if x.array.ndim != 2 or x.shape[1] != base_weight.shape[0]:
+        raise ShapeError(f"input {x.shape} does not fit weight {base_weight.shape}")
+    a, b, bias = adapter.a, adapter.b, adapter.bias
+    at = np.ascontiguousarray(a.array.T)
+    bt = np.ascontiguousarray(b.array.T)
+    xa = x.array @ at
+    y = x.array @ base_weight.array + (xa @ bt) * adapter.scaling
+    saved = (x.array, base_weight.array, at, bt, xa, adapter.scaling)
+    if bias is None:
+        return _op(y, (x, a, b, x, base_weight), _lora_forward_backward, *saved, None)
+    return _op(y + bias.array, (x, a, b, bias, x, base_weight), _lora_forward_backward,
+               *saved, bias.shape)
+
+
+def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
+    if bias_shape is None:  # no bias input: index need as if its slot were there
+        need = need[:3] + (False,) + need[3:]
+    dx_adapter = da = db = dbias = dx_base = dw = None
+    if need[3]:
+        dbias = _unbroadcast(g, bias_shape)
+    if need[0] or need[1] or need[2]:
+        gd = g * s
+        if need[2]:
+            db = _weight_grad(xa, gd).T
+        if need[0] or need[1]:
+            gxa = gd @ bt.T
+            if need[0]:
+                dx_adapter = gxa @ at.T
+            if need[1]:
+                da = _weight_grad(x, gxa).T
+    if need[4]:
+        dx_base = g @ w.T
+    if need[5]:
+        dw = _weight_grad(x, g)
+    grads = [dx_adapter, da, db, dbias, dx_base, dw]
+    if bias_shape is None:
+        del grads[3]
+    return grads
 
 
 def merge(adapter: LoraAdapter, base_weight: Tensor) -> Tensor:

@@ -223,15 +223,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _matmul_backward(a, b, g, need):
     # dA = dC . B^T, dB = A^T . dC
-    da = g @ b.array.T if need[0] else None
-    db = None
-    if need[1]:
-        # a one-row A makes dB an outer product: one rounding per
-        # entry, so exact either way, and einsum is 2-3x faster than
-        # a K=1 BLAS call at the bind network's 128-256 widths
-        db = (np.einsum("k,n->kn", a.array[0], g[0]) if a.shape[0] == 1
-              else a.array.T @ g)
-    return [da, db]
+    return [g @ b.array.T if need[0] else None,
+            _weight_grad(a.array, g) if need[1] else None]
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A^T . dC, the gradient of B in C = A @ B."""
+    # a one-row A makes it an outer product: one rounding per entry, so
+    # exact either way, and einsum is 2-3x faster than a K=1 BLAS call at
+    # the bind network's 128-256 widths
+    return np.einsum("k,n->kn", a[0], g[0]) if a.shape[0] == 1 else a.T @ g
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -1,15 +1,19 @@
 """Straight-line numpy re-implementations used as independent test oracles.
 
 Nothing here calls into bindlm's op layer; every formula is written out
-directly so the oracles cannot share bugs with the code under test. The one
-exception is unpruned_grad, which replays a tape's own recorded backward
+directly so the oracles cannot share bugs with the code under test. There
+are two exceptions. unpruned_grad replays a tape's own recorded backward
 closures: it is the reference for how Tape.grad chooses what to replay, not
-for the closures' arithmetic, which grad_check covers.
+for the closures' arithmetic, which grad_check covers. lora_forward_oracle
+is the chain of tensor primitives that peft.lora_forward fuses into one
+node: it is the reference for the fused node's bits, forward and backward.
 """
 
 import hashlib
 
 import numpy as np
+
+from bindlm.tensor import add, matmul, scale, transpose
 
 
 def philox_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -147,6 +151,17 @@ def unpruned_grad(tape, loss, params) -> list[np.ndarray]:
             key = id(t_in)
             grads[key] = grads[key] + g_in if key in grads else g_in
     return [grads.get(id(p), np.zeros_like(p.array)) for p in params]
+
+
+def lora_forward_oracle(base_weight, adapter, x):
+    """x @ W + s * (x @ A^T) @ B^T + bias as eight recorded primitives:
+    three matmuls, two transposes, a scale and two adds (one without a bias)."""
+    y = matmul(x, base_weight)
+    delta = matmul(matmul(x, transpose(adapter.a)), transpose(adapter.b))
+    y = add(y, scale(delta, adapter.scaling))
+    if adapter.bias is not None:
+        y = add(y, adapter.bias)
+    return y
 
 
 def adamw_oracle(params, grad_steps, lrs, lr_mults, decays,

@@ -3,6 +3,7 @@ end in one error line and the documented exit code, never a traceback."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,31 @@ def test_diverging_run_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: divergence at step "), proc.stderr
+
+
+def test_diverging_run_writes_its_history_up_to_the_failing_step(tmp_path, capsys):
+    out = _gen(tmp_path, captions=2, cap_variants=1)
+    plan = tmp_path / "plan.kv"
+    plan.write_text("lr = 1e20\nepochs = 3\n")
+    history = tmp_path / "history.json"
+    code = cli(["train", "--stage", "pretrain", "--data", str(out), "--out", str(tmp_path / "ck.bnk"),
+                "--plan", str(plan), "--history", str(history)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1, err
+    failed = int(re.match(r"error: divergence at step (\d+): ", err).group(1))
+    records = json.loads(history.read_text())
+    assert failed >= 1 and [r["step"] for r in records] == list(range(1, failed + 1))
+    assert all(np.isfinite(r["loss"]) for r in records)
+    assert not (tmp_path / "ck.bnk").exists()
+
+
+def test_missing_key_in_a_corpus_line_is_named(tmp_path, capsys):
+    out = _gen(tmp_path)
+    save_checkpoint(small_checkpoint(), tmp_path / "in.bnk")
+    code = cli(["eval", "--suite", "yesno", "--ckpt", str(tmp_path / "in.bnk"), "--data", str(out),
+                "--file", "captions.jsonl"])
+    _assert_clean_failure(capsys, code, 2, f"{out / 'captions.jsonl'}: line 1: missing key "
+                          "'response'; line 2: missing key 'response'")
 
 
 def test_integer_past_float_range_in_an_input_is_data_error(tmp_path, capsys):

@@ -86,7 +86,8 @@ def test_lines_split_only_at_text_mode_line_ends(tmp_path):
     path.write_bytes("".join(rows).encode("utf-8"))
     with pytest.raises(IngestError) as err:
         ingest(path, "instruction")
-    assert str(err.value).endswith("odd.jsonl: line 4: 'response'; line 5: 'response'")
+    assert str(err.value).endswith("odd.jsonl: line 4: missing key 'response'; "
+                                   "line 5: missing key 'response'")
 
     samples = tmp_path / "samples.jsonl"
     samples.write_bytes((_line({"source_id": odd, "modality": "audio", "raw": [1.0]}) + "\r\n"

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from _oracles import lora_forward_oracle
 from bindlm.bind import BindConfig, bind_init
 from bindlm.lm import LMConfig, lm_forward, lm_init
 from bindlm.peft import (
@@ -17,11 +20,13 @@ from bindlm.peft import (
 )
 from bindlm.tensor import (
     ShapeError,
+    Tape,
     Tensor,
     add,
     derive_rng,
     grad_check,
     matmul,
+    mul,
     scale,
     tensor_sum,
 )
@@ -125,6 +130,95 @@ def test_merge_then_rewrap_is_stable():
     x = Tensor(rng.standard_normal((5, 8)))
     again = lora_forward(merged, fresh, x).array
     assert np.abs(again - lora_forward(w, ad, x).array).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the fused adapted linear against its unfused chain
+# ---------------------------------------------------------------------------
+
+
+def _adapted_linear(rng, with_bias, in_dim=12, out_dim=10, rank=3):
+    """A base weight and an adapter with every tensor off zero."""
+    w = _base(rng, in_dim, out_dim)
+    ad = LoraAdapter(a=Tensor(rng.standard_normal((rank, in_dim))),
+                     b=Tensor(rng.standard_normal((out_dim, rank))), rank=rank,
+                     scaling=1.0 / rank,
+                     bias=Tensor(rng.standard_normal((1, out_dim))) if with_bias else None)
+    return w, ad
+
+
+def _outputs_and_grads(forward, linears, x, wrt, rng):
+    """Each linear's output on x and the gradients of wrt for a loss whose
+    gradient at each output is a seeded random array."""
+    with Tape() as tape:
+        ys = [forward(w, ad, x) for w, ad in linears]
+        loss = tensor_sum(mul(ys[0], Tensor(rng.standard_normal(ys[0].shape))))
+        for y in ys[1:]:
+            loss = add(loss, tensor_sum(mul(y, Tensor(rng.standard_normal(y.shape)))))
+    return [y.array for y in ys], tape.grad(loss, wrt)
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("rows", [4, 1])
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("w_trains", [True, False])
+@pytest.mark.parametrize("x_is_param", [True, False])
+def test_fused_node_matches_unfused_chain_bitwise(rows, with_bias, w_trains, x_is_param):
+    rng = derive_rng(7, "lora-fused", str(rows), str(with_bias), str(w_trains), str(x_is_param))
+    w, ad = _adapted_linear(rng, with_bias)
+    x = Tensor(rng.standard_normal((rows, w.shape[0])))
+    wrt = [ad.a, ad.b] + [ad.bias] * with_bias + [w] * w_trains + [x] * x_is_param
+    seed = int(rng.integers(2 ** 32))
+    got = _outputs_and_grads(lora_forward, [(w, ad)], x, wrt, derive_rng(seed, "g"))
+    want = _outputs_and_grads(lora_forward_oracle, [(w, ad)], x, wrt, derive_rng(seed, "g"))
+    _assert_same_bits(got[0], want[0])
+    _assert_same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("rows", [5, 1])
+def test_shared_input_gradient_accumulates_in_unfused_order(rows):
+    """Three adapted linears read one x, as wq, wk and wv read the normed
+    hidden state: x's six gradient terms must add up in the chain's order."""
+    rng = derive_rng(8, "lora-shared", str(rows))
+    linears = [_adapted_linear(rng, with_bias=True) for _ in range(3)]
+    x = Tensor(rng.standard_normal((rows, 12)))
+    wrt = [x] + [t for w, ad in linears for t in (ad.a, ad.b, ad.bias)]
+    got = _outputs_and_grads(lora_forward, linears, x, wrt, derive_rng(9, "g"))
+    want = _outputs_and_grads(lora_forward_oracle, linears, x, wrt, derive_rng(9, "g"))
+    _assert_same_bits(got[0], want[0])
+    _assert_same_bits(got[1], want[1])
+
+
+def test_fused_node_matches_central_differences():
+    rng = derive_rng(10, "lora-gradcheck")
+    w, ad = _adapted_linear(rng, with_bias=True, in_dim=5, out_dim=4, rank=2)
+    x = Tensor(rng.standard_normal((3, 5)))
+    weights = Tensor(rng.standard_normal((3, 4)))
+
+    def f(ps):
+        adapter = LoraAdapter(a=ps[1], b=ps[2], rank=2, scaling=ad.scaling, bias=ps[3])
+        return tensor_sum(mul(lora_forward(ps[4], adapter, ps[0]), weights))
+
+    assert grad_check(f, [x, ad.a, ad.b, ad.bias, w], h=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_one_adapted_linear_records_one_node_computing_only_what_is_needed(with_bias):
+    rng = derive_rng(11, "lora-node", str(with_bias))
+    w, ad = _adapted_linear(rng, with_bias)
+    x = Tensor(rng.standard_normal((3, 12)))
+    with Tape() as tape:
+        y = lora_forward(w, ad, x)
+    assert len(tape) == 1
+    (node,) = tape._nodes
+    g = rng.standard_normal(y.shape)
+    for need in itertools.product((False, True), repeat=len(node.inputs)):
+        assert [d is not None for d in node.backward(g, need)] == list(need)
 
 
 # ---------------------------------------------------------------------------
