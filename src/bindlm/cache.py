@@ -31,7 +31,7 @@ import numpy as np
 
 from . import binfmt
 from .encoders import JointEmbedding
-from .tensor import Tensor
+from .tensor import DataError, Tensor
 
 MAGIC = b"BNDC"
 VERSION = 1
@@ -46,20 +46,20 @@ UNIT_NORM_TOL = 1e-6
 KMEANS_ITERATIONS = 6
 
 
-class EmptyCacheError(ValueError):
+class EmptyCacheError(DataError):
     """Retrieval was attempted against a store with no rows."""
 
 
-class CacheRangeError(ValueError):
+class CacheRangeError(DataError):
     """k is outside [1, M], a partitioning count is below 1, or the
     partitioning seed is negative."""
 
 
-class CacheBuildError(ValueError):
+class CacheBuildError(DataError):
     """An embedding in the build stream violated the store contract."""
 
 
-class CacheFormatError(ValueError):
+class CacheFormatError(DataError):
     """The file is not a valid cache; message carries the byte offset."""
 
 

@@ -32,14 +32,14 @@ from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
 from .lm import InjectedLM, LMConfig, lm_param_shapes
 from .peft import DEFAULT_TARGETS, STAGE_TRAINABLE, LoraSpec, _classify
-from .tensor import Tensor
+from .tensor import DataError, Tensor
 from .tokenizer import Tokenizer
 
 MAGIC = b"BNDK"
 VERSION = 1
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(DataError):
     """The file is not a valid checkpoint; message carries the byte offset."""
 
 

@@ -1,6 +1,7 @@
 """Command-line surface tying the corpus, training, cache, and eval together.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 training divergence.
+Exit codes: 0 success, 1 usage error, 2 data error (any DataError: the
+module that raises an error decides whether it is one), 3 training divergence.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from . import binfmt
 from .cache import (
     DEFAULT_ALPHA,
     DEFAULT_TOP_K,
-    CacheBuildError,
-    CacheFormatError,
-    CacheRangeError,
-    EmptyCacheError,
     cache_build,
     enhance,
     load_cache,
@@ -43,7 +40,6 @@ from .data import (
 )
 from .encoders import (
     ENCODER_MODALITIES,
-    DegenerateMixError,
     EncoderConfig,
     JointEmbedding,
     Modality,
@@ -53,35 +49,11 @@ from .encoders import (
     read_raw_samples,
 )
 from .evaluate import perplexity_eval, write_report, yesno_eval
-from .lm import (
-    GenerationParams,
-    GenerationParamsError,
-    TruncationError,
-    VocabularyError,
-    generate,
-    prompt_template,
-)
-from .tensor import EmptyBatchError, NonFiniteError, ShapeError
-from .train import DivergenceError, PipelineError, default_plan, plan_from_file, run_stage
+from .lm import GenerationParams, GenerationParamsError, generate, prompt_template
+from .tensor import DataError
+from .train import DivergenceError, default_plan, plan_from_file, run_stage
 
 _USAGE_EXIT, _DATA_EXIT, _DIVERGENCE_EXIT = 1, 2, 3
-
-_DATA_ERRORS = (
-    IngestError,
-    CacheFormatError,
-    CacheRangeError,
-    CacheBuildError,
-    EmptyCacheError,
-    CheckpointFormatError,
-    ShapeError,
-    VocabularyError,
-    TruncationError,
-    DegenerateMixError,
-    EmptyBatchError,
-    NonFiniteError,
-    PipelineError,
-)
-
 
 _MODALITY_CHOICES = [m.value for m in ENCODER_MODALITIES]
 
@@ -217,10 +189,12 @@ def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
         raw = np.asarray(obj, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise IngestError(f"{path}: the raw vector is not a list of numbers") from None
+    if raw.ndim != 1:
+        raise IngestError(f"{path}: the raw vector is not a flat list of numbers: "
+                          f"its shape is {raw.shape}")
     if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
                           f"the encoders take {encoder.config.dim_raw}")
-    raw = raw.reshape(-1)
     if not np.isfinite(raw).all():
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise IngestError(f"{path}: the raw vector holds {raw[bad]} at index {bad}")
@@ -418,7 +392,7 @@ def cli(argv) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DIVERGENCE_EXIT
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

@@ -24,7 +24,7 @@ from .encoders import (
     build_encoders,
     parse_sample,
 )
-from .tensor import ShapeError, derive_rng
+from .tensor import DataError, ShapeError, derive_rng
 
 COLORS = ["red", "blue", "green", "amber", "violet", "teal", "coral", "ochre"]
 SHAPES = ["cube", "sphere", "prism", "torus", "wedge", "cone", "disk", "helix"]
@@ -35,7 +35,7 @@ CAPTION_INSTRUCTION = "Describe the input."
 LANGUAGE_WORDS = ["echo", "tide", "ember", "quartz", "maple", "onyx", "fjord", "lumen"]
 
 
-class IngestError(ValueError):
+class IngestError(DataError):
     """A JSONL corpus failed schema validation, or a record of it could not be encoded."""
 
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfmt
-from .tensor import ShapeError, Tensor, check_finite, derive_rng
+from .tensor import DataError, ShapeError, Tensor, check_finite, derive_rng
 
 
-class DegenerateMixError(ValueError):
+class DegenerateMixError(DataError):
     """Mixing coefficients cancelled the embeddings to the zero vector."""
 
 
-class EncoderConfigError(ValueError):
+class EncoderConfigError(DataError):
     """An encoder config field has the wrong type or range."""
 
 
@@ -222,16 +222,19 @@ def parse_sample(obj: dict) -> dict:
     """The source_id, encoder modality and raw vector of one JSON sample object.
 
     Raises KeyError for a missing field, and ValueError or TypeError for a
-    modality no encoder takes or a raw value that is not a finite number.
+    modality no encoder takes, or a raw value that is not a flat list of
+    finite numbers.
     """
     modality = Modality(obj["modality"])
     if modality not in ENCODER_MODALITIES:
         raise ValueError(f"not an encoder modality: {obj['modality']}")
     source_id = str(obj["source_id"])
     raw = np.asarray(obj["raw"], dtype=np.float64)
+    if raw.ndim != 1:
+        raise ValueError(f"the raw vector is not a flat list of numbers: its shape is {raw.shape}")
     if not np.isfinite(raw).all():
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
-        raise ValueError(f"the raw vector holds {raw.reshape(-1)[bad]} at index {bad}")
+        raise ValueError(f"the raw vector holds {raw[bad]} at index {bad}")
     return {"source_id": source_id, "modality": modality, "raw": raw}
 
 

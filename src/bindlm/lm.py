@@ -33,6 +33,7 @@ from . import peft
 from .bind import BindNetwork, bind_forward
 from .encoders import JointEmbedding
 from .tensor import (
+    DataError,
     EmptyBatchError,
     ShapeError,
     Tensor,
@@ -65,7 +66,7 @@ def yesno_prompt(question: str) -> str:
     return prompt_template(question + YESNO_SUFFIX)
 
 
-class TruncationError(ValueError):
+class TruncationError(DataError):
     """A sequence would exceed the model's maximum length."""
 
 
@@ -87,7 +88,7 @@ class LMConfig:
             raise ShapeError(f"positions must be learned|rope, got {self.positions!r}")
 
 
-class GenerationParamsError(ValueError):
+class GenerationParamsError(DataError):
     """A generation setting is outside its range; field names the setting."""
 
     def __init__(self, field: str, message: str):

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (ShapeError, Tensor, _op, _unbroadcast, _weight_grad, derive_rng,
-                     uniform_init)
+from .tensor import (DataError, ShapeError, Tensor, _op, _unbroadcast, _weight_grad,
+                     derive_rng, uniform_init)
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(DataError):
     """A training plan selected an impossible parameter-group combination."""
 
 

@@ -42,15 +42,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class ShapeError(ValueError):
+class DataError(ValueError):
+    """A value from outside the program (a file, a flag, a corpus or a config
+    in it) is invalid. The CLI exits 2 on any DataError; the module that
+    raises an error decides whether it is one."""
+
+
+class ShapeError(DataError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-class NonFiniteError(ArithmeticError):
+class NonFiniteError(DataError, ArithmeticError):
     """A tensor acquired a NaN or Inf value."""
 
 
-class EmptyBatchError(ValueError):
+class EmptyBatchError(DataError):
     """A reduction was asked for over zero contributing positions."""
 
 

@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 from . import binfmt
+from .tensor import DataError
 
 VOCAB_SIZE = 512
 BOS, EOS, PAD = 256, 257, 258
@@ -24,14 +25,14 @@ _PIECE_RE = re.compile(r" ?\w+| ?[^\w\s]+|\s")
 _ASSET = Path(__file__).parent / "assets" / "vocab.json"
 
 
-class VocabularyError(ValueError):
+class VocabularyError(DataError):
     """A token id the model or the tokenizer does not define, or an unreadable tokenizer file."""
 
 
 class Tokenizer:
     def __init__(self, merges: list[tuple[int, int]]):
         if len(merges) > VOCAB_SIZE - _FIRST_MERGE_ID:
-            raise ValueError(f"too many merges for vocab size {VOCAB_SIZE}")
+            raise VocabularyError(f"too many merges for vocab size {VOCAB_SIZE}")
         self.merges = [tuple(m) for m in merges]
         self.ranks = {m: i for i, m in enumerate(self.merges)}
         self._bytes: dict[int, bytes] = {i: bytes([i]) for i in range(256)}
@@ -83,8 +84,11 @@ class Tokenizer:
 
     @staticmethod
     def load(path) -> "Tokenizer":
-        text = binfmt.read_text(path, VocabularyError)
-        return Tokenizer.from_dict(binfmt.parse_json(text, VocabularyError, path))
+        obj = binfmt.parse_json(binfmt.read_text(path, VocabularyError), VocabularyError, path)
+        try:
+            return Tokenizer.from_dict(obj)
+        except (KeyError, TypeError, ValueError) as exc:  # a merge table that is not id pairs
+            raise VocabularyError(f"{path}: not a tokenizer file: {exc!r}") from None
 
 
 def train_merges(text: str, max_merges: int) -> list[tuple[int, int]]:

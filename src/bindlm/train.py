@@ -45,16 +45,17 @@ from .data import (
 )
 from .encoders import Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
-from .tensor import NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
+from .tensor import DataError, NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
 from .tokenizer import EOS, Tokenizer, default_tokenizer
 
 
-class PipelineError(ValueError):
+class PipelineError(DataError):
     """Stage ordering or plan validation failure."""
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss. step numbers the failing step as
+    the history numbers its steps: from 1, after the input checkpoint's."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"divergence at step {step}: {message}")
@@ -452,7 +453,7 @@ def run_stage(
                     updated = opt.step(names, params, grads,
                                        lr=lr_at(local_step, total_steps, warmup_steps, plan.lr))
             except NonFiniteError as exc:
-                raise DivergenceError(step, str(exc)) from exc
+                raise DivergenceError(step + 1, str(exc)) from exc
             for n, t in zip(names, updated):
                 peft.set_param(lm, bind, n, t)
             step += 1

@@ -149,7 +149,7 @@ def test_diverging_run_writes_its_history_up_to_the_failing_step(tmp_path, capsy
     assert code == 3 and err.count("\n") == 1, err
     failed = int(re.match(r"error: divergence at step (\d+): ", err).group(1))
     records = json.loads(history.read_text())
-    assert failed >= 1 and [r["step"] for r in records] == list(range(1, failed + 1))
+    assert failed >= 1 and [r["step"] for r in records] == list(range(1, failed))
     assert all(np.isfinite(r["loss"]) for r in records)
     assert not (tmp_path / "ck.bnk").exists()
 
@@ -225,6 +225,38 @@ def test_non_finite_raw_value_in_a_corpus_names_the_file_and_line(tmp_path, caps
     code = cli(["train", "--stage", "pretrain", "--data", str(out),
                 "--out", str(tmp_path / "ck.bnk")])
     _assert_clean_failure(capsys, code, 2, str(path), "line 2: the raw vector holds", "at index 0")
+
+
+def test_nested_raw_vector_in_an_input_file_is_data_error(tmp_path, capsys):
+    # 2 x 48 numbers: the size the encoders take, in the wrong shape
+    ckpt = tmp_path / "ck.bnk"
+    save_checkpoint(small_checkpoint(), ckpt)
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([[0.5] * 48, [0.25] * 48]))
+    code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image",
+                "--input", str(probe), "--prompt", "hi"])
+    _assert_clean_failure(capsys, code, 2, f"{probe}: the raw vector is not a flat list",
+                          "(2, 48)")
+
+
+@pytest.mark.parametrize("corpus,command", [
+    ("captions.jsonl", ["train", "--stage", "pretrain"]),
+    ("cache.jsonl", ["cache", "build"]),
+], ids=["train", "cache-build"])
+def test_nested_raw_vector_in_a_corpus_names_the_file_and_line(tmp_path, capsys, corpus,
+                                                               command):
+    out = _gen(tmp_path)
+    path = out / corpus
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    half = len(record["raw"]) // 2
+    record["raw"] = [record["raw"][:half], record["raw"][half:]]
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code = cli(command + ["--data", str(out), "--out", str(tmp_path / "out.bin")])
+    _assert_clean_failure(capsys, code, 2, f"{path}: line 2: the raw vector is not a flat list",
+                          f"(2, {half})")
+    assert not (tmp_path / "out.bin").exists()
 
 
 @pytest.mark.parametrize("corpus,command", [

@@ -124,7 +124,7 @@ def test_nan_in_front_of_a_primitive_diverges_at_its_step(monkeypatch, pretraine
         run_stage(_tiny_plan(stage, data, epochs=1), checkpoint_in=ckpt_in,
                   lm_config=TINY_LM, bind_config=TINY_BIND, history=history)
     assert planter.calls >= 1
-    assert info.value.step == plant_step + (pre.step if ckpt_in else 0)
+    assert info.value.step == plant_step + 1 + (pre.step if ckpt_in else 0)
     assert len(history) == plant_step
 
 
@@ -164,7 +164,7 @@ def test_nan_in_an_ignored_row_still_raises():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("lr,step", [(1e160, 1), (1e40, 3), (1e20, 3)])
+@pytest.mark.parametrize("lr,step", [(1e160, 2), (1e40, 4), (1e20, 4)])
 def test_divergence_step_is_the_one_per_op_checks_gave(pretrained, lr, step):
     # the step numbers checking every primitive output gave, on this plan
     data, _ = pretrained

@@ -71,6 +71,24 @@ def test_load_of_a_missing_file_names_it(tmp_path):
         Tokenizer.load(missing)
 
 
+@pytest.mark.parametrize("text,named", [
+    ('{"merges": 5}', "TypeError"),
+    ("{}", "KeyError('merges')"),
+    ('{"merges": [[1, 2, 3]]}', "ValueError"),
+    ('{"merges": [[104, 105], [259, 600]]}', "KeyError(600)"),  # no id 600 before merge 1
+])
+def test_load_of_a_malformed_merge_table_names_the_file(tmp_path, text, named):
+    path = tmp_path / "vocab.json"
+    path.write_text(text)
+    with pytest.raises(VocabularyError, match=re.escape(f"{path}: not a tokenizer file: {named}")):
+        Tokenizer.load(path)
+
+
+def test_too_many_merges_is_a_vocabulary_error():
+    with pytest.raises(VocabularyError, match="too many merges"):
+        Tokenizer([(104, 105)] * (VOCAB_SIZE - 258))
+
+
 def test_train_merges_deterministic():
     text = "ab ab ab cd cd"
     m1 = train_merges(text, 10)
