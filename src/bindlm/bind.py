@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import DIM_JOINT, JointEmbedding
-from .tensor import ShapeError, Tensor, matmul, mul, rmsnorm, silu, add, uniform_init, derive_rng
+from .tensor import (ShapeError, Tensor, add, check_fields, derive_rng, matmul, mul, rmsnorm, silu,
+                     uniform_init)
 
 N_BLOCKS = 3
 
@@ -27,6 +28,9 @@ class BindConfig:
     dim_joint: int = DIM_JOINT
     dim_lm: int = 128
     dim_hidden: int = 256
+
+    def __post_init__(self):
+        check_fields(self, ShapeError, dim_joint=1, dim_lm=1, dim_hidden=1)
 
 
 class BindNetwork:

@@ -8,6 +8,7 @@ bytes, and an array is little-endian row-major data shaped by earlier fields.
 A read error names the file and the byte offset.
 """
 
+import contextlib
 import io
 import json
 import math
@@ -50,6 +51,15 @@ def parse_json(text: str, error: type[Exception], where: object = "",
     except RecursionError:
         reason = "JSON nested too deeply to read"
     raise error(f"{where}: {reason}" if where else reason) from None
+
+
+@contextlib.contextmanager
+def naming(path, caught: type[Exception], error: type[Exception]):
+    """Re-raise a caught error from using what path holds as error naming the file."""
+    try:
+        yield
+    except caught as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) -> list:

@@ -204,8 +204,7 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
             if len(lst):
                 picked.append(lst)
                 total += len(lst)
-        if total >= k:  # else degenerate partitioning: fall back to the full scan
-            candidates = np.sort(np.concatenate(picked))
+        candidates = np.sort(np.concatenate(picked))  # the lists cover every row, so total >= k
     elif mode != "exact":
         raise CacheRangeError(f"unknown mode {mode!r}")
     sims = store.keys @ q if candidates is None else store.keys[candidates] @ q

@@ -32,7 +32,7 @@ from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
 from .lm import InjectedLM, LMConfig, lm_param_shapes
 from .peft import DEFAULT_TARGETS, STAGE_TRAINABLE, LoraSpec, _classify
-from .tensor import DataError, Tensor
+from .tensor import DataError, Tensor, check_fields
 from .tokenizer import Tokenizer
 
 MAGIC = b"BNDK"
@@ -78,10 +78,7 @@ class Checkpoint:
         try:
             lm_config = LMConfig(**self.config["lm"])
             bind_config = BindConfig(**self.config["bind"])
-            adapters = {
-                name: LoraSpec(rank=d["rank"], scaling=d["scaling"])
-                for name, d in self.config.get("adapters", {}).items()
-            }
+            adapters = {name: LoraSpec(**d) for name, d in self.config.get("adapters", {}).items()}
             tok = Tokenizer.from_dict(self.config["tokenizer"])
             want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
             want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
@@ -107,10 +104,10 @@ class Checkpoint:
             base = want.get(f"lm.{name}")
             if base is None or name.rsplit(".", 1)[-1] not in DEFAULT_TARGETS:
                 raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
-            if not isinstance(spec.rank, int) or spec.rank < 1:
-                raise CheckpointFormatError(f"adapter on {name!r} has rank {spec.rank!r}")
-            if not isinstance(spec.scaling, (int, float)) or not np.isfinite(spec.scaling):
-                raise CheckpointFormatError(f"adapter on {name!r} has scaling {spec.scaling!r}")
+            try:
+                check_fields(spec, CheckpointFormatError, rank=1)
+            except CheckpointFormatError as exc:
+                raise CheckpointFormatError(f"adapter on {name!r} has {exc}") from None
             d_in, d_out = base
             want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
             want[f"lm.{name}.lora_b"] = (d_out, spec.rank)

@@ -34,7 +34,6 @@ from .data import (
     generate_hq_corpus,
     generate_instruction_corpus,
     ingest,
-    naming_corpus,
     write_caption_corpus,
     write_instruction_corpus,
 )
@@ -46,11 +45,12 @@ from .encoders import (
     build_encoders,
     encode,
     mix,
+    raw_vector,
     read_raw_samples,
 )
 from .evaluate import perplexity_eval, write_report, yesno_eval
 from .lm import GenerationParams, GenerationParamsError, generate, prompt_template
-from .tensor import DataError
+from .tensor import DataError, ShapeError
 from .train import DivergenceError, default_plan, plan_from_file, run_stage
 
 _USAGE_EXIT, _DATA_EXIT, _DIVERGENCE_EXIT = 1, 2, 3
@@ -186,18 +186,12 @@ def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
         modality = named
     encoder = encoders[Modality(modality)]
     try:
-        raw = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
-        raise IngestError(f"{path}: the raw vector is not a list of numbers") from None
-    if raw.ndim != 1:
-        raise IngestError(f"{path}: the raw vector is not a flat list of numbers: "
-                          f"its shape is {raw.shape}")
+        raw = raw_vector(obj)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
     if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
                           f"the encoders take {encoder.config.dim_raw}")
-    if not np.isfinite(raw).all():
-        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
-        raise IngestError(f"{path}: the raw vector holds {raw[bad]} at index {bad}")
     with np.errstate(over="ignore"):  # a norm that overflows is rescaled, not an error
         return encode(encoder, raw)
 
@@ -240,7 +234,8 @@ def _cmd_train(args) -> int:
     checkpoint_in = load_checkpoint(args.init) if args.init else None
     history: list = []
     try:
-        ckpt = run_stage(plan, checkpoint_in=checkpoint_in, history=history)
+        with binfmt.naming(args.init, CheckpointFormatError, CheckpointFormatError):
+            ckpt = run_stage(plan, checkpoint_in=checkpoint_in, history=history)
     except DivergenceError:
         if args.history:  # the steps before the failing one
             binfmt.write_json(args.history, history)
@@ -256,12 +251,9 @@ def _cmd_train(args) -> int:
 def _load_models(path):
     """The models and encoders of a checkpoint; a config error names the file."""
     ckpt = load_checkpoint(path)
-    try:
+    with binfmt.naming(path, CheckpointFormatError, CheckpointFormatError):
         lm, bind, tok = ckpt.to_models()
-        encoders = build_encoders(ckpt.encoder_config())
-    except CheckpointFormatError as exc:
-        raise CheckpointFormatError(f"{path}: {exc}") from None
-    return lm, bind, tok, encoders
+        return lm, bind, tok, build_encoders(ckpt.encoder_config())
 
 
 def _condition_for(args, encoders):
@@ -273,7 +265,7 @@ def _condition_for(args, encoders):
 
 
 _GENERATION_FLAGS = {"max_new_tokens": "--max-new", "temperature": "--temperature",
-                     "top_k": "--top-k"}
+                     "top_k": "--top-k", "seed": "--seed"}
 
 
 def _cmd_generate(args) -> int:
@@ -296,7 +288,7 @@ def _cmd_cache(args) -> int:
         encoders = manifest.encoders()
         corpus = Path(args.data) / manifest.corpus_file("cache")
         samples = read_raw_samples(corpus)
-        with naming_corpus(corpus):
+        with binfmt.naming(corpus, ShapeError, IngestError):
             store = cache_build(encode(encoders[s["modality"]], s["raw"], s["source_id"])
                                 for s in samples)
         save_cache(store, args.out)
@@ -355,13 +347,13 @@ def _cmd_eval(args) -> int:
     if args.suite == "perplexity":
         corpus = Path(args.data) / (args.file or manifest.corpus_file("pretrain"))
         records = ingest(corpus, "caption")
-        with naming_corpus(corpus):
+        with binfmt.naming(corpus, ShapeError, IngestError):
             report = perplexity_eval(lm, bind, tok, encoders, records)
     else:
         corpus = Path(args.data) / (args.file or manifest.corpus_file("eval_yesno"))
         records = ingest(corpus, "instruction")
         store = load_cache(args.cache) if args.cache else None
-        with naming_corpus(corpus):
+        with binfmt.naming(corpus, ShapeError, IngestError):
             report = yesno_eval(lm, bind, tok, encoders, records, cache=store,
                                 k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4)
     if args.out:

@@ -10,7 +10,6 @@ the encoder's own projection, which is what makes cross-modal pairing hold.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .encoders import (
     build_encoders,
     parse_sample,
 )
-from .tensor import DataError, ShapeError, derive_rng
+from .tensor import DataError, derive_rng
 
 COLORS = ["red", "blue", "green", "amber", "violet", "teal", "coral", "ochre"]
 SHAPES = ["cube", "sphere", "prism", "torus", "wedge", "cone", "disk", "helix"]
@@ -37,16 +36,6 @@ LANGUAGE_WORDS = ["echo", "tide", "ember", "quartz", "maple", "onyx", "fjord", "
 
 class IngestError(DataError):
     """A JSONL corpus failed schema validation, or a record of it could not be encoded."""
-
-
-@contextmanager
-def naming_corpus(path):
-    """Re-raise a ShapeError from encoding the records of the corpus at path,
-    such as a raw vector of the wrong length, as an IngestError naming the file."""
-    try:
-        yield
-    except ShapeError as exc:
-        raise IngestError(f"{path}: {exc}") from None
 
 
 @dataclass

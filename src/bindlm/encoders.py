@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binfmt
-from .tensor import DataError, ShapeError, Tensor, check_finite, derive_rng
+from .tensor import DataError, ShapeError, Tensor, check_fields, check_finite, derive_rng
 
 
 class DegenerateMixError(DataError):
@@ -120,18 +120,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim_raw", "dim_joint", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise EncoderConfigError(f"{name} must be an int, got {value!r}")
-        if not 1 <= self.dim_joint <= self.dim_raw:
-            raise EncoderConfigError(
-                f"need 1 <= dim_joint <= dim_raw, got {self.dim_joint} and {self.dim_raw}")
-        for name in ("offset_scale", "noise_scale"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise EncoderConfigError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self, EncoderConfigError, dim_raw=1, dim_joint=1)
+        if self.dim_joint > self.dim_raw:
+            raise EncoderConfigError(f"dim_joint {self.dim_joint} is above dim_raw {self.dim_raw}")
 
 
 class SyntheticEncoder:
@@ -218,24 +209,33 @@ def mix(embeddings: list[JointEmbedding], coefficients: list[float]) -> JointEmb
     return JointEmbedding(Tensor(unit), Modality.MIXED, source)
 
 
-def parse_sample(obj: dict) -> dict:
-    """The source_id, encoder modality and raw vector of one JSON sample object.
-
-    Raises KeyError for a missing field, and ValueError or TypeError for a
-    modality no encoder takes, or a raw value that is not a flat list of
-    finite numbers.
-    """
-    modality = Modality(obj["modality"])
-    if modality not in ENCODER_MODALITIES:
-        raise ValueError(f"not an encoder modality: {obj['modality']}")
-    source_id = str(obj["source_id"])
-    raw = np.asarray(obj["raw"], dtype=np.float64)
+def raw_vector(value) -> np.ndarray:
+    """value as a float64 vector; ValueError unless it is a flat list of finite numbers."""
+    try:
+        raw = np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:  # an int past float range
+        raise ValueError(f"{exc}: the raw vector is not a list of numbers") from None
+    except (TypeError, ValueError):
+        raise ValueError("the raw vector is not a list of numbers") from None
     if raw.ndim != 1:
         raise ValueError(f"the raw vector is not a flat list of numbers: its shape is {raw.shape}")
     if not np.isfinite(raw).all():
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise ValueError(f"the raw vector holds {raw[bad]} at index {bad}")
-    return {"source_id": source_id, "modality": modality, "raw": raw}
+    return raw
+
+
+def parse_sample(obj: dict) -> dict:
+    """The source_id, encoder modality and raw vector of one JSON sample object.
+
+    Raises KeyError for a missing field, and ValueError or TypeError for a
+    modality no encoder takes, or a raw value raw_vector rejects.
+    """
+    modality = Modality(obj["modality"])
+    if modality not in ENCODER_MODALITIES:
+        raise ValueError(f"not an encoder modality: {obj['modality']}")
+    return {"source_id": str(obj["source_id"]), "modality": modality,
+            "raw": raw_vector(obj["raw"])}
 
 
 def read_raw_samples(path) -> list[dict]:

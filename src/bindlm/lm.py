@@ -39,6 +39,7 @@ from .tensor import (
     Tensor,
     add,
     causal_attention,
+    check_fields,
     check_finite,
     concat_rows,
     derive_rng,
@@ -82,6 +83,8 @@ class LMConfig:
     ffn_hidden: int = 256
 
     def __post_init__(self):
+        check_fields(self, ShapeError, vocab_size=1, dim=1, layers=1, heads=1, max_seq=1,
+                     ffn_hidden=1)
         if self.dim % self.heads != 0:
             raise ShapeError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.positions not in ("learned", "rope"):
@@ -89,11 +92,7 @@ class LMConfig:
 
 
 class GenerationParamsError(DataError):
-    """A generation setting is outside its range; field names the setting."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field} {message}")
-        self.field = field
+    """A generation setting check_fields rejects; field names the setting."""
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,7 @@ class GenerationParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.max_new_tokens >= 0:
-            raise GenerationParamsError("max_new_tokens", f"= {self.max_new_tokens} must be >= 0")
-        if not 0.0 <= self.temperature < np.inf:
-            raise GenerationParamsError(
-                "temperature", f"= {self.temperature} must be finite and >= 0")
-        if not self.top_k >= 0:
-            raise GenerationParamsError("top_k", f"= {self.top_k} must be >= 0")
+        check_fields(self, GenerationParamsError, max_new_tokens=0, temperature=0, top_k=0)
 
 
 class InjectedLM:

@@ -30,13 +30,17 @@ rows, and with them any non-finite value in those rows. The elementwise
 kernels (the sigmoid inside silu, the mean square inside rmsnorm) are
 written for speed but give the same bits as their textbook forms, which
 the tests keep as oracles.
+
+check_fields is the one rule for the kind, finiteness and bounds of config fields.
 """
 
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import functools
 import hashlib
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +50,29 @@ class DataError(ValueError):
     """A value from outside the program (a file, a flag, a corpus or a config
     in it) is invalid. The CLI exits 2 on any DataError; the module that
     raises an error decides whether it is one."""
+
+
+_FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number"), "bool": (bool, "a bool")}
+
+
+def check_fields(config, error: type[Exception], **low) -> None:
+    """Raise error naming the first int, float or bool field of dataclass config
+    that holds another kind (a bool is no number), a number not finite as a
+    float, or a value below its bound in low; the error's field is its name."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        types, kind = _FIELD_KINDS.get(getattr(f.type, "__name__", f.type), (object, None))
+        if kind and (not isinstance(value, types) or isinstance(value, bool) != (types is bool)):
+            problem = f"not {kind}"
+        elif kind and not abs(value) <= sys.float_info.max:  # an int past float range too
+            problem = "not finite as a float"
+        elif f.name in low and value < low[f.name]:
+            problem = f"below {low[f.name]}"
+        else:
+            continue
+        exc = error(f"{f.name} {value!r}, which is {problem}")
+        exc.field = f.name
+        raise exc
 
 
 class ShapeError(DataError):

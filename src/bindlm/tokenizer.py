@@ -37,6 +37,8 @@ class Tokenizer:
         self.ranks = {m: i for i, m in enumerate(self.merges)}
         self._bytes: dict[int, bytes] = {i: bytes([i]) for i in range(256)}
         for i, (a, b) in enumerate(self.merges):
+            if type(a) is not int or type(b) is not int:  # a bool or 1.0 would look up like an int
+                raise VocabularyError(f"merge {i} joins {a!r} and {b!r}, which are not both ints")
             self._bytes[_FIRST_MERGE_ID + i] = self._bytes[a] + self._bytes[b]
 
     @property

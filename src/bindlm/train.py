@@ -39,13 +39,14 @@ from .data import (
     MANIFEST_NAME,
     CaptionRecord,
     DatasetManifest,
+    IngestError,
     InstructionRecord,
     ingest,
-    naming_corpus,
 )
 from .encoders import Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
-from .tensor import DataError, NonFiniteError, Tape, Tensor, add, check_finite, derive_rng, scale
+from .tensor import (DataError, NonFiniteError, ShapeError, Tape, Tensor, add, check_fields,
+                     check_finite, derive_rng, scale)
 from .tokenizer import EOS, Tokenizer, default_tokenizer
 
 
@@ -86,17 +87,9 @@ class TrainPlan:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise PipelineError(f"unknown stage {self.stage!r}")
-        for key in ("epochs", "batch_size", "warmup_epochs", "seed", "lora_rank"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PipelineError(f"{key} must be an integer, got {value!r}")
-        if (isinstance(self.lr, bool) or not isinstance(self.lr, (int, float))
-                or not 0 < self.lr < math.inf):
-            raise PipelineError(f"lr must be a finite number > 0, got {self.lr!r}")
-        for key, bound in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0),
-                           ("lora_rank", 1)):
-            if getattr(self, key) < bound:
-                raise PipelineError(f"{key} must be >= {bound}, got {getattr(self, key)}")
+        check_fields(self, PipelineError, epochs=1, batch_size=1, warmup_epochs=0, lora_rank=1)
+        if not self.lr > 0:
+            raise PipelineError(f"lr {self.lr!r}, which is not above 0")
         if not self.trainable:
             raise PipelineError("trainable names no parameter group")
         try:
@@ -416,7 +409,7 @@ def run_stage(
     if not records:
         raise PipelineError(f"stage {plan.stage}: corpus is empty")
     prepare = prepare_instruction if tuning else prepare_caption
-    with naming_corpus(corpus):
+    with binfmt.naming(corpus, ShapeError, IngestError):
         examples = [prepare(r, tok, encoders) for r in records]
 
     if counters is not None:

@@ -32,6 +32,9 @@ from test_train import small_checkpoint
     ("lora_rank = 0", "lora_rank"),
     ("lr = nan", "lr"),
     ("lr = inf", "lr"),
+    pytest.param("lr = 1" + "0" * 400, "lr", id="lr-past-float-range"),
+    pytest.param("warmup_epochs = 1" + "0" * 400, "warmup_epochs",
+                 id="warmup_epochs-past-float-range"),
     ('lr = "0.1"', "lr"),
     ("trainable = encoders", "trainable"),
     ("trainable = gates, lora_b", "trainable"),
@@ -95,6 +98,43 @@ def test_undecodable_token_is_data_error(tmp_path, capsys):
 def _narrow_encoder(ck, path):
     ck.config["encoder"]["dim_joint"] = 32
     save_checkpoint(ck, path)
+
+
+def _lm_value(key, value):
+    def edit(ck):
+        ck.config["lm"][key] = value
+    return edit
+
+
+def _adapter_rank_true(ck):
+    ck.config["adapters"]["layers.0.wq"]["rank"] = True
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_lm_value("heads", 2.0), "heads 2.0, which is not an int"),
+    (_lm_value("heads", True), "heads True, which is not an int"),
+    (_adapter_rank_true, "adapter on 'layers.0.wq' has rank True, which is not an int"),
+], ids=["heads-2.0", "heads-true", "adapter-rank-true"])
+@pytest.mark.parametrize("command", ["generate", "eval", "train-init"])
+def test_a_config_value_of_the_wrong_kind_in_a_checkpoint_names_file_and_field(
+        tmp_path, capsys, edit, named, command):
+    out = _gen(tmp_path)
+    ck = small_checkpoint()
+    ck.provenance = ["pretrain:seed=0:steps=0"]
+    edit(ck)
+    ckpt = tmp_path / "ck.bnk"
+    save_checkpoint(ck, ckpt)
+    args = {
+        "generate": ["generate", "--ckpt", str(ckpt), "--modality", "image",
+                     "--input", str(_raw_input_file(tmp_path, out)), "--prompt", "hi"],
+        "eval": ["eval", "--suite", "yesno", "--ckpt", str(ckpt), "--data", str(out)],
+        "train-init": ["train", "--stage", "instruct", "--data", str(out), "--init", str(ckpt),
+                       "--out", str(tmp_path / "ins.bnk")],
+    }[command]
+    assert cli(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: ") and named in lines[0], lines
+    assert not (tmp_path / "ins.bnk").exists()
 
 
 def test_encoder_and_bind_widths_must_agree_in_a_checkpoint(tmp_path, capsys):
@@ -256,6 +296,25 @@ def test_nested_raw_vector_in_a_corpus_names_the_file_and_line(tmp_path, capsys,
     code = cli(command + ["--data", str(out), "--out", str(tmp_path / "out.bin")])
     _assert_clean_failure(capsys, code, 2, f"{path}: line 2: the raw vector is not a flat list",
                           f"(2, {half})")
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("corpus,command", [
+    ("captions.jsonl", ["train", "--stage", "pretrain"]),
+    ("cache.jsonl", ["cache", "build"]),
+], ids=["train", "cache-build"])
+def test_a_raw_vector_of_non_numbers_in_a_corpus_names_the_file_and_line(tmp_path, capsys, corpus,
+                                                                         command):
+    out = _gen(tmp_path)
+    path = out / corpus
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["raw"][3] = "a"
+    lines[1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+    code = cli(command + ["--data", str(out), "--out", str(tmp_path / "out.bin")])
+    _assert_clean_failure(capsys, code, 2,
+                          f"{path}: line 2: the raw vector is not a list of numbers")
     assert not (tmp_path / "out.bin").exists()
 
 

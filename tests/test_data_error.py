@@ -50,16 +50,10 @@ def outside_data_error(module: types.ModuleType) -> list[str]:
             and not issubclass(obj, DataError) and name not in OWN_EXIT]
 
 
-def _instance(cls) -> Exception:
-    if cls is lm.GenerationParamsError:
-        return cls("top_k", "must be >= 0, got -1")
-    return cls("planted")
-
-
 @pytest.mark.parametrize("cls", INPUT_ERRORS, ids=lambda c: c.__name__)
 def test_every_input_error_exits_2_with_one_line(monkeypatch, capsys, tmp_path, cls):
     def command(args):
-        raise _instance(cls)
+        raise cls("planted")
 
     monkeypatch.setitem(cli._COMMANDS, "gen-data", command)
     assert cli.cli(["gen-data", "--out", str(tmp_path / "d")]) == 2

@@ -76,6 +76,8 @@ def test_load_of_a_missing_file_names_it(tmp_path):
     ("{}", "KeyError('merges')"),
     ('{"merges": [[1, 2, 3]]}', "ValueError"),
     ('{"merges": [[104, 105], [259, 600]]}', "KeyError(600)"),  # no id 600 before merge 1
+    ('{"merges": [[1.0, 2]]}', "VocabularyError('merge 0 joins 1.0 and 2"),
+    ('{"merges": [[104, 105], [true, 2]]}', "VocabularyError('merge 1 joins True and 2"),
 ])
 def test_load_of_a_malformed_merge_table_names_the_file(tmp_path, text, named):
     path = tmp_path / "vocab.json"
