@@ -53,13 +53,19 @@ def parse_json(text: str, error: type[Exception], where: object = "",
     raise error(f"{where}: {reason}" if where else reason) from None
 
 
+def _reason(exc: Exception) -> str:
+    """What went wrong, without the exception's class: a KeyError names the missing key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 @contextlib.contextmanager
-def naming(path, caught: type[Exception], error: type[Exception]):
-    """Re-raise a caught error from using what path holds as error naming the file."""
+def naming(where, caught: type[Exception] | tuple, error: type[Exception]):
+    """Re-raise a caught error as error("<where>: <reason>"); where is a path
+    or a phrase naming what was being read."""
     try:
         yield
     except caught as exc:
-        raise error(f"{path}: {exc}") from None
+        raise error(f"{where}: {_reason(exc)}") from None
 
 
 def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) -> list:
@@ -74,10 +80,8 @@ def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) 
             continue
         try:
             records.append(parse(parse_json(line, ValueError)))
-        except KeyError as exc:
-            errors.append(f"line {lineno}: missing key {exc}")
-        except (ValueError, TypeError, OverflowError) as exc:
-            errors.append(f"line {lineno}: {exc}")
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            errors.append(f"line {lineno}: {_reason(exc)}")
         if len(errors) >= 20:
             break
     if errors:

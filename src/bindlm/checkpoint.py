@@ -64,10 +64,7 @@ class Checkpoint:
             "bind": asdict(bind.config),
             "encoder": asdict(encoder_config),
             "tokenizer": tok.to_dict(),
-            "adapters": {
-                name: {"rank": spec.rank, "scaling": spec.scaling}
-                for name, spec in sorted(lm.adapters.items())
-            },
+            "adapters": {name: asdict(spec) for name, spec in sorted(lm.adapters.items())},
         }
         params = {f"lm.{n}": t.array for n, t in lm.params.items()}
         params.update({f"bind.{n}": t.array for n, t in bind.params.items()})
@@ -75,15 +72,17 @@ class Checkpoint:
 
     def to_models(self) -> tuple[InjectedLM, BindNetwork, Tokenizer]:
         """Rebuild the models; the params must be exactly those the config implies."""
-        try:
+        with binfmt.naming("config does not describe the models", _CONFIG_ERRORS,
+                           CheckpointFormatError):
             lm_config = LMConfig(**self.config["lm"])
             bind_config = BindConfig(**self.config["bind"])
             adapters = {name: LoraSpec(**d) for name, d in self.config.get("adapters", {}).items()}
             tok = Tokenizer.from_dict(self.config["tokenizer"])
             want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
             want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
-        except _CONFIG_ERRORS as exc:
-            raise CheckpointFormatError(f"config does not describe the models: {exc!r}") from None
+        if bind_config.dim_lm != lm_config.dim:
+            raise CheckpointFormatError(f"bind.dim_lm = {bind_config.dim_lm} differs"
+                                        f" from lm.dim = {lm_config.dim}")
         self._check_params(want, adapters)
         lm_params = {
             n[3:]: Tensor(a) for n, a in self.params.items() if n.startswith("lm.")
@@ -104,10 +103,9 @@ class Checkpoint:
             base = want.get(f"lm.{name}")
             if base is None or name.rsplit(".", 1)[-1] not in DEFAULT_TARGETS:
                 raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
-            try:
+            with binfmt.naming(f"adapter on {name!r}", CheckpointFormatError,
+                               CheckpointFormatError):
                 check_fields(spec, CheckpointFormatError, rank=1)
-            except CheckpointFormatError as exc:
-                raise CheckpointFormatError(f"adapter on {name!r} has {exc}") from None
             d_in, d_out = base
             want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
             want[f"lm.{name}.lora_b"] = (d_out, spec.rank)
@@ -133,11 +131,10 @@ class Checkpoint:
 
     def encoder_config(self) -> EncoderConfig:
         """The encoders' config; their output width must be the bind network's input width."""
-        try:
+        with binfmt.naming("config does not describe the encoders", _CONFIG_ERRORS,
+                           CheckpointFormatError):
             config = EncoderConfig(**self.config["encoder"])
             bind_width = self.config["bind"]["dim_joint"]
-        except _CONFIG_ERRORS as exc:
-            raise CheckpointFormatError(f"config does not describe the encoders: {exc!r}") from None
         if config.dim_joint != bind_width:
             raise CheckpointFormatError(f"encoder.dim_joint = {config.dim_joint} differs"
                                         f" from bind.dim_joint = {bind_width!r}")

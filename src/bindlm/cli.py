@@ -185,10 +185,8 @@ def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
                               f"encoder modality, got {named!r}")
         modality = named
     encoder = encoders[Modality(modality)]
-    try:
+    with binfmt.naming(path, ValueError, IngestError):
         raw = raw_vector(obj)
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
     if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
                           f"the encoders take {encoder.config.dim_raw}")

@@ -343,7 +343,8 @@ class DatasetManifest:
         if not p.exists():
             raise IngestError(f"no {MANIFEST_NAME} in {directory}")
         payload = binfmt.parse_json(binfmt.read_text(p, IngestError), IngestError, p)
-        try:
+        with binfmt.naming(f"{p}: not a dataset manifest",
+                           (KeyError, TypeError, AttributeError, ValueError), IngestError):
             if not all(isinstance(name, str) for name in payload["files"].values()):
                 raise TypeError("files must map corpus keys to file names")
             return DatasetManifest(
@@ -351,8 +352,6 @@ class DatasetManifest:
                 seed=payload["seed"],
                 files=payload["files"],
             )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise IngestError(f"{p}: not a dataset manifest: {exc!r}") from None
 
     def corpus_file(self, key: str) -> str:
         """The file name of corpus key: the manifest's, else CORPUS_FILES'."""

@@ -89,6 +89,9 @@ class LMConfig:
             raise ShapeError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.positions not in ("learned", "rope"):
             raise ShapeError(f"positions must be learned|rope, got {self.positions!r}")
+        if self.positions == "rope" and self.dim // self.heads % 2:
+            raise ShapeError(f"rope needs an even head width, got dim {self.dim}"
+                             f" / heads {self.heads} = {self.dim // self.heads}")
 
 
 class GenerationParamsError(DataError):

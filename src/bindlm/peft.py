@@ -82,7 +82,7 @@ def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor
 
     One tape node with the bits of the matmul/transpose/scale/add chain it
     replaces: A^T and B^T are multiplied as contiguous copies, and the inputs
-    are listed as (x, A, B[, bias], x, W) so that x's two gradients
+    are listed as (x, A, B, x, W[, bias]) so that x's two gradients
     accumulate in that chain's order, the adapter path's first.
     """
     _check_fits(adapter, base_weight)
@@ -93,19 +93,16 @@ def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor
     bt = np.ascontiguousarray(b.array.T)
     xa = x.array @ at
     y = x.array @ base_weight.array + (xa @ bt) * adapter.scaling
-    saved = (x.array, base_weight.array, at, bt, xa, adapter.scaling)
-    if bias is None:
-        return _op(y, (x, a, b, x, base_weight), _lora_forward_backward, *saved, None)
-    return _op(y + bias.array, (x, a, b, bias, x, base_weight), _lora_forward_backward,
-               *saved, bias.shape)
+    inputs = (x, a, b, x, base_weight)
+    if bias is not None:
+        y = y + bias.array
+        inputs += (bias,)
+    return _op(y, inputs, _lora_forward_backward, x.array, base_weight.array, at, bt, xa,
+               adapter.scaling, None if bias is None else bias.shape)
 
 
 def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
-    if bias_shape is None:  # no bias input: index need as if its slot were there
-        need = need[:3] + (False,) + need[3:]
-    dx_adapter = da = db = dbias = dx_base = dw = None
-    if need[3]:
-        dbias = _unbroadcast(g, bias_shape)
+    dx_adapter = da = db = dx_base = dw = None
     if need[0] or need[1] or need[2]:
         gd = g * s
         if need[2]:
@@ -116,13 +113,13 @@ def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
                 dx_adapter = gxa @ at.T
             if need[1]:
                 da = _weight_grad(x, gxa).T
-    if need[4]:
+    if need[3]:
         dx_base = g @ w.T
-    if need[5]:
+    if need[4]:
         dw = _weight_grad(x, g)
-    grads = [dx_adapter, da, db, dbias, dx_base, dw]
-    if bias_shape is None:
-        del grads[3]
+    grads = [dx_adapter, da, db, dx_base, dw]
+    if bias_shape is not None:
+        grads.append(_unbroadcast(g, bias_shape) if need[5] else None)
     return grads
 
 

@@ -37,8 +37,10 @@ class Tokenizer:
         self.ranks = {m: i for i, m in enumerate(self.merges)}
         self._bytes: dict[int, bytes] = {i: bytes([i]) for i in range(256)}
         for i, (a, b) in enumerate(self.merges):
-            if type(a) is not int or type(b) is not int:  # a bool or 1.0 would look up like an int
-                raise VocabularyError(f"merge {i} joins {a!r} and {b!r}, which are not both ints")
+            # a bool or 1.0 would look up like an int
+            if not all(type(m) is int and m in self._bytes for m in (a, b)):
+                raise VocabularyError(f"merge {i} joins {a!r} and {b!r}, which are not both ids"
+                                      f" defined before it")
             self._bytes[_FIRST_MERGE_ID + i] = self._bytes[a] + self._bytes[b]
 
     @property
@@ -87,10 +89,9 @@ class Tokenizer:
     @staticmethod
     def load(path) -> "Tokenizer":
         obj = binfmt.parse_json(binfmt.read_text(path, VocabularyError), VocabularyError, path)
-        try:
+        with binfmt.naming(f"{path}: not a tokenizer file", (KeyError, TypeError, ValueError),
+                           VocabularyError):
             return Tokenizer.from_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:  # a merge table that is not id pairs
-            raise VocabularyError(f"{path}: not a tokenizer file: {exc!r}") from None
 
 
 def train_merges(text: str, max_merges: int) -> list[tuple[int, int]]:

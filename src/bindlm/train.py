@@ -8,9 +8,10 @@ plus bias-norm updates on a mixture of visual and language-only records, and
 high-quality description set.
 
 The optimizer keeps bias-corrected first/second moments per parameter with
-betas (0.9, 0.95); weight decay is 0.01 on dense weights and 0 on gates,
-norm gains and biases. The learning rate ramps linearly over the warmup
-epochs, then follows a cosine down to 10% of the peak. Gates get a fixed
+betas (0.9, 0.95); weight decay is 0 on gates and on the LM's norm gains and
+biases, and 0.01 on every other tensor, the bind network's norm gains
+included. The learning rate ramps linearly over the warmup epochs, then
+follows a cosine down to 10% of the peak. Gates get a fixed
 learning-rate multiplier: they are a handful of scalars that start at zero
 and everything conditioned has to wait for them, so at desk scale they move
 faster than the bulk parameters.
@@ -43,7 +44,7 @@ from .data import (
     InstructionRecord,
     ingest,
 )
-from .encoders import Modality, encode, placeholder_embedding
+from .encoders import JointEmbedding, Modality, encode, placeholder_embedding
 from .lm import LMConfig, caption_loss, lm_init, prompt_template, yesno_prompt
 from .tensor import (DataError, NonFiniteError, ShapeError, Tape, Tensor, add, check_fields,
                      check_finite, derive_rng, scale)
@@ -92,10 +93,8 @@ class TrainPlan:
             raise PipelineError(f"lr {self.lr!r}, which is not above 0")
         if not self.trainable:
             raise PipelineError("trainable names no parameter group")
-        try:
+        with binfmt.naming("trainable", peft.ConfigurationError, PipelineError):
             peft.check_groups(self.trainable)
-        except peft.ConfigurationError as exc:
-            raise PipelineError(f"trainable: {exc}") from None
 
 
 def default_plan(stage: str, data: str, seed: int = 0, **overrides) -> TrainPlan:
@@ -155,10 +154,8 @@ def plan_from_file(path, stage: str, data: str, seed: int) -> TrainPlan:
         values["trainable"] = frozenset(
             g.strip() for g in str(values["trainable"]).split(",") if g.strip()
         )
-    try:
+    with binfmt.naming(path, PipelineError, PipelineError):
         return default_plan(stage, data, seed=seed, **values)
-    except PipelineError as exc:
-        raise PipelineError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
 class PreparedExample:
     prompt_ids: list[int]
     target_ids: list[int]
-    embedding: object  # JointEmbedding or None-like placeholder
+    embedding: JointEmbedding
     language_only: bool = False
 
 
@@ -399,10 +396,8 @@ def run_stage(
     if tuning:
         peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
 
-    try:
+    with binfmt.naming(f"stage {plan.stage}", peft.ConfigurationError, PipelineError):
         names = peft.trainable_param_names(lm, bind, plan.trainable)
-    except peft.ConfigurationError as exc:
-        raise PipelineError(f"stage {plan.stage}: {exc}") from None
 
     corpus = Path(plan.data) / manifest.corpus_file(plan.stage)
     records = ingest(corpus, "instruction" if tuning else "caption")

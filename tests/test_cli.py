@@ -286,7 +286,7 @@ def _misspelt_positions(ck, path):
 @pytest.mark.parametrize("write,message", [
     (_non_utf8_param_name, "byte offset"),
     (_missing_param, "'lm.layers.0.wq'"),
-    (_no_encoder_config, "KeyError('encoder')"),
+    (_no_encoder_config, "missing key 'encoder'"),
     (_misspelt_positions, "'learnad'"),
 ])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, write, message):

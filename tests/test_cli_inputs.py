@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import bindlm
 from bindlm.checkpoint import save_checkpoint
 from bindlm.cli import cli
+from bindlm.lm import LMConfig, lm_init
 
 from test_cli import _assert_clean_failure, _gen, _raw_input_file
 from test_train import small_checkpoint
@@ -110,12 +112,30 @@ def _adapter_rank_true(ck):
     ck.config["adapters"]["layers.0.wq"]["rank"] = True
 
 
+def _rope_with_odd_head_width(ck):
+    """dim 16 / heads 16: one channel per head, which rope cannot pair; the
+    config is edited because LMConfig refuses to build it."""
+    ck.config["lm"].update(positions="rope", heads=16)
+    del ck.params["lm.pos_emb"]
+
+
+def _lm_wider_than_bind(ck):
+    """An LM of width 32 under the bind network of width 16: each part fits its own config."""
+    wide = lm_init(LMConfig(vocab_size=420, dim=32, layers=2, heads=2, max_seq=32, ffn_hidden=24), 0)
+    ck.config["lm"], ck.config["adapters"] = asdict(wide.config), {}
+    ck.params = {n: a for n, a in ck.params.items() if n.startswith("bind.")}
+    ck.params.update({f"lm.{n}": t.array for n, t in wide.params.items()})
+
+
 @pytest.mark.parametrize("edit,named", [
     (_lm_value("heads", 2.0), "heads 2.0, which is not an int"),
     (_lm_value("heads", True), "heads True, which is not an int"),
-    (_adapter_rank_true, "adapter on 'layers.0.wq' has rank True, which is not an int"),
-], ids=["heads-2.0", "heads-true", "adapter-rank-true"])
-@pytest.mark.parametrize("command", ["generate", "eval", "train-init"])
+    (_adapter_rank_true, "adapter on 'layers.0.wq': rank True, which is not an int"),
+    (_rope_with_odd_head_width, "config does not describe the models: rope needs an even head"),
+    (_lm_wider_than_bind, "bind.dim_lm = 16 differs from lm.dim = 32"),
+], ids=["heads-2.0", "heads-true", "adapter-rank-true", "rope-odd-head-width",
+        "lm-wider-than-bind"])
+@pytest.mark.parametrize("command", ["generate", "eval", "eval-perplexity", "train-init"])
 def test_a_config_value_of_the_wrong_kind_in_a_checkpoint_names_file_and_field(
         tmp_path, capsys, edit, named, command):
     out = _gen(tmp_path)
@@ -128,12 +148,15 @@ def test_a_config_value_of_the_wrong_kind_in_a_checkpoint_names_file_and_field(
         "generate": ["generate", "--ckpt", str(ckpt), "--modality", "image",
                      "--input", str(_raw_input_file(tmp_path, out)), "--prompt", "hi"],
         "eval": ["eval", "--suite", "yesno", "--ckpt", str(ckpt), "--data", str(out)],
+        "eval-perplexity": ["eval", "--suite", "perplexity", "--ckpt", str(ckpt),
+                            "--data", str(out)],
         "train-init": ["train", "--stage", "instruct", "--data", str(out), "--init", str(ckpt),
                        "--out", str(tmp_path / "ins.bnk")],
     }[command]
     assert cli(args) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: ") and named in lines[0], lines
+    assert str(out) not in lines[0]  # the checkpoint is at fault, not the corpus
     assert not (tmp_path / "ins.bnk").exists()
 
 

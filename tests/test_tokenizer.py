@@ -72,12 +72,13 @@ def test_load_of_a_missing_file_names_it(tmp_path):
 
 
 @pytest.mark.parametrize("text,named", [
-    ('{"merges": 5}', "TypeError"),
-    ("{}", "KeyError('merges')"),
-    ('{"merges": [[1, 2, 3]]}', "ValueError"),
-    ('{"merges": [[104, 105], [259, 600]]}', "KeyError(600)"),  # no id 600 before merge 1
-    ('{"merges": [[1.0, 2]]}', "VocabularyError('merge 0 joins 1.0 and 2"),
-    ('{"merges": [[104, 105], [true, 2]]}', "VocabularyError('merge 1 joins True and 2"),
+    ('{"merges": 5}', "'int' object is not iterable"),
+    ("{}", "missing key 'merges'"),
+    ('{"merges": [[1, 2, 3]]}', "too many values to unpack"),  # the rest varies by version
+    ('{"merges": [[104, 105], [259, 600]]}',
+     "merge 1 joins 259 and 600, which are not both ids defined before it"),
+    ('{"merges": [[1.0, 2]]}', "merge 0 joins 1.0 and 2, which are not both ids"),
+    ('{"merges": [[104, 105], [true, 2]]}', "merge 1 joins True and 2, which are not both ids"),
 ])
 def test_load_of_a_malformed_merge_table_names_the_file(tmp_path, text, named):
     path = tmp_path / "vocab.json"
