@@ -27,7 +27,7 @@ from .encoders import (
     placeholder_embedding,
 )
 from .lm import GenerationParams, InjectedLM, LMConfig, caption_loss, generate, lm_forward, lm_init
-from .peft import LoraAdapter, apply_peft, apply_stage_freeze, lora_forward, merge
+from .peft import apply_peft, lora_forward, merge
 from .tensor import Tape, Tensor, grad_check
 from .tokenizer import Tokenizer, default_tokenizer
 from .train import AdamW, TrainPlan, default_plan, run_stage

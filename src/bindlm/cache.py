@@ -91,10 +91,6 @@ class CacheStore:
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    @property
-    def values_elided(self) -> bool:
-        return self.keys is self.values
-
     def build_partitions(self, nlist: int | None = None, nprobe: int | None = None,
                          seed: int = 0) -> None:
         """Seeded spherical k-means inverted lists for approximate search."""

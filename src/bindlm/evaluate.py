@@ -54,7 +54,7 @@ def yesno_eval(lm: InjectedLM, bind: BindNetwork, tok: Tokenizer, encoders,
     for rec in records:
         ex = prepare_instruction(rec, tok, encoders)
         condition_src = ex.embedding
-        if cache is not None and not ex.language_only:
+        if cache is not None and not ex.embedding.is_placeholder():
             condition_src = enhance(cache, ex.embedding, k=k, alpha=alpha, raw_eq4=raw_eq4).enhanced
         out = generate(lm, bind, condition_src, ex.prompt_ids, GenerationParams(max_new_tokens=1))
         ok = out[0] == ex.target_ids[0]

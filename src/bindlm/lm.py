@@ -17,10 +17,11 @@ is recording. Training records the factored form
 x @ W + s (x @ A^T) @ B^T + bias, because the gradients of A and B need it,
 as one tape node per adapted linear (peft.lora_forward).
 Without a tape (generate, the evals, the CLI) the adapter is folded into one
-dense weight, peft.merge(view, W), computed on first use and kept on the
+dense weight, peft.merge(W, A, B, s), computed on first use and kept on the
 InjectedLM for as long as W, A and B are the same tensors; each linear is
-then one matmul plus the bias. The two forms agree to rounding, and bitwise
-while B = 0.
+then one matmul plus the bias. Both forms read the adapter's tensors from
+lm.params and its scaling from lm.adapters. The two forms agree to
+rounding, and bitwise while B = 0.
 """
 
 from __future__ import annotations
@@ -186,13 +187,14 @@ def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
     w = params[name]
     if name not in lm.adapters:
         return matmul(x, w)
+    a, b, bias = params[name + ".lora_a"], params[name + ".lora_b"], params[name + ".bias"]
+    scaling = lm.adapters[name].scaling
     if _tape() is not None:
-        return peft.lora_forward(w, peft.adapter_view(lm, name), x)
-    a, b = params[name + ".lora_a"], params[name + ".lora_b"]
+        return peft.lora_forward(x, w, a, b, bias, scaling)
     hit = lm._folded.get(name)
     if not (hit and hit[0] is w and hit[1] is a and hit[2] is b):
-        hit = lm._folded[name] = (w, a, b, peft.merge(peft.adapter_view(lm, name), w))
-    return add(matmul(x, hit[3]), params[name + ".bias"])
+        hit = lm._folded[name] = (w, a, b, peft.merge(w, a, b, scaling))
+    return add(matmul(x, hit[3]), bias)
 
 
 class KVCache:

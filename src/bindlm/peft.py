@@ -1,9 +1,12 @@
 """Parameter-efficient fine-tuning: LoRA adapters, bias-norm tuning, freezing.
 
-Every adapted linear keeps its dense weight frozen and gains three extra
-tensors: a down-projection A [r, in], an up-projection B [out, r] that starts
-at zero, and a learnable bias. B = 0 makes the adapter an exact no-op at
-attach time, mirroring the zero-gate philosophy of the conditioning pathway.
+Every adapted linear keeps its dense weight W [in, out] frozen and gains
+three tensors in lm.params: <name>.lora_a, a down-projection A [r, in];
+<name>.lora_b, an up-projection B [out, r] that starts at zero; and
+<name>.bias [1, out], also zero at first. lm.adapters[<name>] records the
+rank r and the scaling s = 1 / r. Those two records are the whole adapter.
+B = 0 makes it an exact no-op at attach time, mirroring the zero-gate
+philosophy of the conditioning pathway.
 
 Training keeps each adapter factored (lora_forward), since A and B need their
 own gradients, and records each adapted linear as one tape node. Inference
@@ -29,7 +32,8 @@ from .tensor import (DataError, ShapeError, Tensor, _op, _unbroadcast, _weight_g
 
 
 class ConfigurationError(DataError):
-    """A training plan selected an impossible parameter-group combination."""
+    """A training plan selected an impossible parameter-group combination, or
+    an adapter rank wider than a linear it adapts."""
 
 
 @dataclass(frozen=True)
@@ -38,67 +42,29 @@ class LoraSpec:
     scaling: float
 
 
-@dataclass(frozen=True)
-class LoraAdapter:
-    """View of one adapted linear: A [r, in], B [out, r], optional bias [1, out]."""
-
-    a: Tensor
-    b: Tensor
-    rank: int
-    scaling: float
-    bias: Tensor | None = None
-
-
 DEFAULT_RANK = 8
 DEFAULT_TARGETS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 
 
-def make_adapter(
-    in_dim: int,
-    out_dim: int,
-    rank: int,
-    seed: int,
-    label: str = "adapter",
-    with_bias: bool = True,
-) -> LoraAdapter:
-    if rank < 1 or rank > min(in_dim, out_dim):
-        raise ShapeError(f"rank {rank} outside [1, min({in_dim}, {out_dim})]")
-    rng = derive_rng(seed, "lora", label)
-    a = uniform_init(rng, (rank, in_dim), 1.0 / np.sqrt(in_dim))
-    b = Tensor(np.zeros((out_dim, rank)))
-    bias = Tensor(np.zeros((1, out_dim))) if with_bias else None
-    return LoraAdapter(a=a, b=b, rank=rank, scaling=1.0 / rank, bias=bias)
-
-
-def _check_fits(adapter: LoraAdapter, base_weight: Tensor) -> None:
-    if adapter.a.shape[1] != base_weight.shape[0] or adapter.b.shape[0] != base_weight.shape[1]:
-        raise ShapeError(
-            f"adapter {adapter.a.shape}/{adapter.b.shape} does not fit weight {base_weight.shape}"
-        )
-
-
-def lora_forward(base_weight: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor:
+def lora_forward(x: Tensor, w: Tensor, a: Tensor, b: Tensor, bias: Tensor,
+                 scaling: float) -> Tensor:
     """y = x @ W + s * (x @ A^T) @ B^T + bias, with W stored as [in, out].
 
     One tape node with the bits of the matmul/transpose/scale/add chain it
     replaces: A^T and B^T are multiplied as contiguous copies, and the inputs
-    are listed as (x, A, B, x, W[, bias]) so that x's two gradients
-    accumulate in that chain's order, the adapter path's first.
+    are listed as (x, A, B, x, W, bias) so that x's two gradients accumulate
+    in that chain's order, the adapter path's first.
     """
-    _check_fits(adapter, base_weight)
-    if x.array.ndim != 2 or x.shape[1] != base_weight.shape[0]:
-        raise ShapeError(f"input {x.shape} does not fit weight {base_weight.shape}")
-    a, b, bias = adapter.a, adapter.b, adapter.bias
+    if (x.array.ndim != 2 or x.shape[1] != w.shape[0] or a.shape[1] != w.shape[0]
+            or b.shape[0] != w.shape[1]):
+        raise ShapeError(f"lora shapes x {x.shape}, W {w.shape}, A {a.shape}, B {b.shape}"
+                         f" do not fit")
     at = np.ascontiguousarray(a.array.T)
     bt = np.ascontiguousarray(b.array.T)
     xa = x.array @ at
-    y = x.array @ base_weight.array + (xa @ bt) * adapter.scaling
-    inputs = (x, a, b, x, base_weight)
-    if bias is not None:
-        y = y + bias.array
-        inputs += (bias,)
-    return _op(y, inputs, _lora_forward_backward, x.array, base_weight.array, at, bt, xa,
-               adapter.scaling, None if bias is None else bias.shape)
+    y = x.array @ w.array + (xa @ bt) * scaling + bias.array
+    return _op(y, (x, a, b, x, w, bias), _lora_forward_backward, x.array, w.array, at, bt, xa,
+               scaling, bias.shape)
 
 
 def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
@@ -117,59 +83,39 @@ def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
         dx_base = g @ w.T
     if need[4]:
         dw = _weight_grad(x, g)
-    grads = [dx_adapter, da, db, dx_base, dw]
-    if bias_shape is not None:
-        grads.append(_unbroadcast(g, bias_shape) if need[5] else None)
-    return grads
+    return [dx_adapter, da, db, dx_base, dw, _unbroadcast(g, bias_shape) if need[5] else None]
 
 
-def merge(adapter: LoraAdapter, base_weight: Tensor) -> Tensor:
+def merge(w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
     """Dense [in, out] weight W + s A^T B^T: the adapted linear, bias excluded.
 
     lm._linear folds every adapter through this for tape-free forwards.
     """
-    _check_fits(adapter, base_weight)
-    delta = adapter.a.array.T @ adapter.b.array.T
-    return Tensor(base_weight.array + adapter.scaling * delta)
-
-
-# ---------------------------------------------------------------------------
-# Attaching adapters to the LM
-# ---------------------------------------------------------------------------
-
-
-def adapter_view(lm, linear_name: str) -> LoraAdapter:
-    spec = lm.adapters[linear_name]
-    return LoraAdapter(
-        a=lm.params[f"{linear_name}.lora_a"],
-        b=lm.params[f"{linear_name}.lora_b"],
-        rank=spec.rank,
-        scaling=spec.scaling,
-        bias=lm.params[f"{linear_name}.bias"],
-    )
+    return Tensor(w.array + scaling * (a.array.T @ b.array.T))
 
 
 def apply_peft(lm, rank: int = DEFAULT_RANK, seed: int = 0,
                targets: tuple[str, ...] = DEFAULT_TARGETS) -> list[str]:
     """Attach zero-initialized adapters and biases to the LM's linears.
 
-    Idempotent: linears that already carry an adapter are left alone.
+    Each A is uniform in +-1/sqrt(in), drawn from the stream (seed, "lora",
+    name). Idempotent: linears that already carry an adapter are left alone.
     Returns the names of the newly adapted linears.
     """
-    attached = []
-    for l in range(lm.config.layers):
-        for short in targets:
-            name = f"layers.{l}.{short}"
-            if name in lm.adapters:
-                continue
-            w = lm.params[name]
-            ad = make_adapter(w.shape[0], w.shape[1], rank, seed, label=name)
-            lm.params[f"{name}.lora_a"] = ad.a
-            lm.params[f"{name}.lora_b"] = ad.b
-            lm.params[f"{name}.bias"] = ad.bias
-            lm.adapters[name] = LoraSpec(rank=ad.rank, scaling=ad.scaling)
-            attached.append(name)
-    return attached
+    names = [f"layers.{l}.{short}" for l in range(lm.config.layers) for short in targets
+             if f"layers.{l}.{short}" not in lm.adapters]
+    widths = [min(lm.params[name].shape) for name in names]
+    if widths and not 1 <= rank <= min(widths):
+        raise ConfigurationError(f"lora_rank {rank}, which is not in [1, {min(widths)}]:"
+                                 f" {min(widths)} is the narrowest adapted linear's width")
+    for name in names:
+        d_in, d_out = lm.params[name].shape
+        rng = derive_rng(seed, "lora", name)
+        lm.params[f"{name}.lora_a"] = uniform_init(rng, (rank, d_in), 1.0 / np.sqrt(d_in))
+        lm.params[f"{name}.lora_b"] = Tensor(np.zeros((d_out, rank)))
+        lm.params[f"{name}.bias"] = Tensor(np.zeros((1, d_out)))
+        lm.adapters[name] = LoraSpec(rank, 1.0 / rank)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +192,3 @@ def trainable_param_names(lm, bind, trainable_groups) -> list[str]:
         raise ConfigurationError(f"no trainable parameters in groups {selected}")
     return names
 
-
-def apply_stage_freeze(lm, bind, trainable_groups) -> int:
-    """The exact scalar count of trainable_param_names' selection."""
-    names = trainable_param_names(lm, bind, trainable_groups)
-    return sum(resolve_param(lm, bind, n).size for n in names)

@@ -81,7 +81,11 @@ class Tokenizer:
 
     @staticmethod
     def from_dict(d: dict) -> "Tokenizer":
-        return Tokenizer([tuple(m) for m in d["merges"]])
+        merges = d["merges"]
+        if not (isinstance(merges, list) and all(isinstance(m, list) and len(m) == 2
+                                                 for m in merges)):
+            raise VocabularyError("merges is not a list of id pairs")
+        return Tokenizer(merges)
 
     def save(self, path) -> None:
         binfmt.write_json(path, self.to_dict())

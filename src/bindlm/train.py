@@ -311,7 +311,6 @@ class PreparedExample:
     prompt_ids: list[int]
     target_ids: list[int]
     embedding: JointEmbedding
-    language_only: bool = False
 
 
 def render_instruction_prompt(rec: InstructionRecord) -> str:
@@ -337,7 +336,7 @@ def prepare_instruction(rec: InstructionRecord, tok: Tokenizer, encoders) -> Pre
         emb = encode(encoders[rec.modality], rec.raw, rec.source_id)
     prompt = tok.encode(render_instruction_prompt(rec))
     target = tok.encode(" " + rec.response) + [EOS]
-    return PreparedExample(prompt, target, emb, language_only=rec.is_language_only)
+    return PreparedExample(prompt, target, emb)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +392,9 @@ def run_stage(
 
     # a stage that starts from a checkpoint tunes adapters on instruction records
     tuning = _STAGES[plan.stage][1] is not None
-    if tuning:
-        peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
-
     with binfmt.naming(f"stage {plan.stage}", peft.ConfigurationError, PipelineError):
+        if tuning:
+            peft.apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
         names = peft.trainable_param_names(lm, bind, plan.trainable)
 
     corpus = Path(plan.data) / manifest.corpus_file(plan.stage)
@@ -409,7 +407,7 @@ def run_stage(
 
     if counters is not None:
         counters["trainable_params"] = sum(peft.resolve_param(lm, bind, n).size for n in names)
-        counters["placeholder_records"] = sum(e.language_only for e in examples)
+        counters["placeholder_records"] = sum(e.embedding.is_placeholder() for e in examples)
 
     rng = derive_rng(plan.seed, "train", plan.stage)
     opt = AdamW(lr=plan.lr)

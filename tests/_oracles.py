@@ -153,15 +153,12 @@ def unpruned_grad(tape, loss, params) -> list[np.ndarray]:
     return [grads.get(id(p), np.zeros_like(p.array)) for p in params]
 
 
-def lora_forward_oracle(base_weight, adapter, x):
+def lora_forward_oracle(x, w, a, b, bias, scaling):
     """x @ W + s * (x @ A^T) @ B^T + bias as eight recorded primitives:
-    three matmuls, two transposes, a scale and two adds (one without a bias)."""
-    y = matmul(x, base_weight)
-    delta = matmul(matmul(x, transpose(adapter.a)), transpose(adapter.b))
-    y = add(y, scale(delta, adapter.scaling))
-    if adapter.bias is not None:
-        y = add(y, adapter.bias)
-    return y
+    three matmuls, two transposes, a scale and two adds."""
+    y = matmul(x, w)
+    delta = matmul(matmul(x, transpose(a)), transpose(b))
+    return add(add(y, scale(delta, scaling)), bias)
 
 
 def adamw_oracle(params, grad_steps, lrs, lr_mults, decays,

@@ -42,8 +42,8 @@ from bindlm.lm import (
     lm_init,
     prompt_template,
 )
-from bindlm.peft import LoraAdapter, LoraSpec, lora_forward, make_adapter, merge
-from bindlm.tensor import Tensor, derive_rng, grad_check, matmul
+from bindlm.peft import LoraSpec, lora_forward, merge
+from bindlm.tensor import Tensor, derive_rng, grad_check, matmul, uniform_init
 
 from _oracles import bind_oracle
 from test_cache import exhaustive_topk_oracle
@@ -93,10 +93,9 @@ def test_c2_gradient_fidelity():
     rng = derive_rng(SEED, "acc-c2")
 
     # one adapter, with B off zero so the A path carries gradient
-    ad = make_adapter(16, 16, rank=4, seed=SEED, label="c2")
-    lm.params["layers.0.wq.lora_a"] = ad.a
+    lm.params["layers.0.wq.lora_a"] = uniform_init(derive_rng(SEED, "lora", "c2"), (4, 16), 0.25)
     lm.params["layers.0.wq.lora_b"] = Tensor(rng.standard_normal((16, 4)) * 0.2)
-    lm.params["layers.0.wq.bias"] = ad.bias
+    lm.params["layers.0.wq.bias"] = Tensor(np.zeros((1, 16)))
     lm.adapters["layers.0.wq"] = LoraSpec(rank=4, scaling=0.25)
     # gates and w3 off zero so the bind path carries gradient
     for l in range(cfg.layers):
@@ -172,17 +171,14 @@ def test_c4_lora_noop_and_merge():
         w = Tensor(rng.standard_normal((in_dim, out_dim)))
         x = Tensor(rng.standard_normal((int(rng.integers(1, 6)), in_dim)))
 
-        fresh = make_adapter(in_dim, out_dim, rank, seed, with_bias=False)
-        assert lora_forward(w, fresh, x).array.tobytes() == matmul(x, w).array.tobytes()
+        a = uniform_init(derive_rng(seed, "lora", "adapter"), (rank, in_dim), 1.0 / np.sqrt(in_dim))
+        bias = Tensor(np.zeros((1, out_dim)))
+        fresh = lora_forward(x, w, a, Tensor(np.zeros((out_dim, rank))), bias, 1.0 / rank)
+        assert fresh.array.tobytes() == matmul(x, w).array.tobytes()
 
-        ad = LoraAdapter(
-            a=fresh.a,
-            b=Tensor(rng.standard_normal((out_dim, rank))),
-            rank=rank,
-            scaling=fresh.scaling,
-        )
-        adapted = lora_forward(w, ad, x).array
-        dense = matmul(x, merge(ad, w)).array
+        b = Tensor(rng.standard_normal((out_dim, rank)))
+        adapted = lora_forward(x, w, a, b, bias, 1.0 / rank).array
+        dense = matmul(x, merge(w, a, b, 1.0 / rank)).array
         worst = max(worst, float(np.abs(adapted - dense).max()))
     assert worst < 1e-10
     _ok(f"C4 LoRA no-op bitwise + merge equivalence (50 cases, max diff {worst:.2e} < 1e-10)")

@@ -48,7 +48,7 @@ def test_build_keeps_insertion_order():
     store = cache_build(_embs(rng, 3, 8))
     assert store.size == 3
     assert store.ids == ["e0", "e1", "e2"]
-    assert store.values_elided
+    assert store.values is store.keys
 
 
 def test_build_rejects_dim_mismatch_naming_id():
@@ -306,7 +306,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_cache(store, p)
     loaded = load_cache(p)
     assert loaded.keys.tobytes() == store.keys.tobytes()
-    assert loaded.values_elided
+    assert loaded.values is loaded.keys
     assert loaded.ids == store.ids
     p2 = tmp_path / "c2.bnc"
     save_cache(loaded, p2)

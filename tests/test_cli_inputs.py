@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 import bindlm
-from bindlm.checkpoint import save_checkpoint
+from bindlm.bind import BindConfig, bind_init
+from bindlm.checkpoint import Checkpoint, save_checkpoint
 from bindlm.cli import cli
+from bindlm.encoders import EncoderConfig
 from bindlm.lm import LMConfig, lm_init
+from bindlm.tokenizer import default_tokenizer
 
 from test_cli import _assert_clean_failure, _gen, _raw_input_file
 from test_train import small_checkpoint
@@ -50,6 +53,23 @@ def test_bad_plan_file_is_data_error_naming_file_and_key(tmp_path, capsys, line,
                 "--out", str(tmp_path / "ck.bnk"), "--plan", str(plan)])
     _assert_clean_failure(capsys, code, 2, str(plan), named)
     assert not (tmp_path / "ck.bnk").exists()
+
+
+def test_lora_rank_above_the_narrowest_linear_names_stage_key_and_limit(tmp_path, capsys):
+    out = _gen(tmp_path)
+    lm = lm_init(LMConfig(vocab_size=420, dim=16, layers=2, heads=2, max_seq=32, ffn_hidden=24), 0)
+    bind = bind_init(BindConfig(dim_joint=64, dim_lm=16, dim_hidden=24), 0)
+    ck = Checkpoint.from_models(lm, bind, default_tokenizer(), EncoderConfig(), {}, 0,
+                                ["pretrain:seed=0:steps=0"])
+    save_checkpoint(ck, tmp_path / "pre.bnk")
+    plan = tmp_path / "plan.kv"
+    plan.write_text("lora_rank = 200\n")
+    code = cli(["train", "--stage", "instruct", "--data", str(out), "--plan", str(plan),
+                "--init", str(tmp_path / "pre.bnk"), "--out", str(tmp_path / "ins.bnk")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: stage instruct: lora_rank 200, which is not in"
+                                       " [1, 16]: 16 is the narrowest adapted linear's width\n")
+    assert not (tmp_path / "ins.bnk").exists()
 
 
 def test_non_utf8_plan_file_is_data_error(tmp_path, capsys):

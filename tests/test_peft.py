@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,14 +9,12 @@ from bindlm.bind import BindConfig, bind_init
 from bindlm.lm import LMConfig, lm_forward, lm_init
 from bindlm.peft import (
     ConfigurationError,
-    LoraAdapter,
     STAGE_TRAINABLE,
     apply_peft,
-    apply_stage_freeze,
     lora_forward,
-    make_adapter,
     merge,
     param_groups,
+    resolve_param,
     trainable_param_names,
 )
 from bindlm.tensor import (
@@ -36,12 +35,17 @@ def _base(rng, in_dim, out_dim):
     return Tensor(rng.standard_normal((in_dim, out_dim)))
 
 
+def _fresh(rng, in_dim, out_dim, rank):
+    """A, B, bias and scaling of a just-attached adapter: B and the bias are zero."""
+    a = Tensor(rng.standard_normal((rank, in_dim)))
+    return a, Tensor(np.zeros((out_dim, rank))), Tensor(np.zeros((1, out_dim))), 1.0 / rank
+
+
 def test_zero_b_adapter_is_noop_bitwise():
     rng = derive_rng(0, "lora-noop")
     w = _base(rng, 8, 6)
     x = Tensor(rng.standard_normal((3, 8)))
-    ad = make_adapter(8, 6, rank=2, seed=0)
-    got = lora_forward(w, ad, x).array
+    got = lora_forward(x, w, *_fresh(rng, 8, 6, rank=2)).array
     want = matmul(x, w).array
     assert got.tobytes() == want.tobytes()
 
@@ -56,9 +60,8 @@ def test_full_rank_adapter_reaches_any_delta():
     scaling = 1.0 / r
     b = Tensor(u @ np.diag(s) / scaling)
     a = Tensor(vt)
-    ad = LoraAdapter(a=a, b=b, rank=r, scaling=scaling)
     x = Tensor(rng.standard_normal((4, in_dim)))
-    got = lora_forward(w, ad, x).array
+    got = lora_forward(x, w, a, b, Tensor(np.zeros((1, out_dim))), scaling).array
     want = x.array @ (w.array + delta_oi.T)
     assert np.abs(got - want).max() < 1e-9
 
@@ -68,12 +71,11 @@ def test_adapter_path_is_independent_of_base_weight():
     rng = derive_rng(2, "lora-frozen")
     w = _base(rng, 5, 4)
     x = Tensor(rng.standard_normal((2, 5)))
-    ad = make_adapter(5, 4, rank=2, seed=1)
-    ad = LoraAdapter(a=ad.a, b=Tensor(rng.standard_normal((4, 2))), rank=2,
-                     scaling=ad.scaling, bias=ad.bias)
+    a, _, bias, scaling = _fresh(rng, 5, 4, rank=2)
+    b = Tensor(rng.standard_normal((4, 2)))
 
     def delta_only(params):
-        full = lora_forward(params[0], ad, x)
+        full = lora_forward(x, params[0], a, b, bias, scaling)
         return tensor_sum(add(full, scale(matmul(x, params[0]), -1.0)))
 
     err = grad_check(delta_only, [w], h=1e-5)
@@ -86,36 +88,53 @@ def test_gradient_flows_to_a_and_b():
     x = Tensor(rng.standard_normal((2, 5)))
 
     def f(params):
-        ad = LoraAdapter(a=params[0], b=params[1], rank=2, scaling=0.5, bias=params[2])
-        return tensor_sum(lora_forward(w, ad, x))
+        return tensor_sum(lora_forward(x, w, params[0], params[1], params[2], 0.5))
 
-    base = make_adapter(5, 4, rank=2, seed=2)
+    a, _, bias, _ = _fresh(rng, 5, 4, rank=2)
     b_off_zero = Tensor(rng.standard_normal((4, 2)) * 0.3)
-    assert grad_check(f, [base.a, b_off_zero, base.bias], h=1e-5) < 1e-6
+    assert grad_check(f, [a, b_off_zero, bias], h=1e-5) < 1e-6
 
 
-def test_rank_validation():
-    with pytest.raises(ShapeError):
-        make_adapter(4, 8, rank=5, seed=0)
-    with pytest.raises(ShapeError):
-        make_adapter(4, 8, rank=0, seed=0)
+@pytest.mark.parametrize("rank", [0, 17])
+def test_rank_outside_the_narrowest_linear_attaches_nothing(rank):
+    lm = lm_init(LMConfig(vocab_size=260, dim=16, layers=1, heads=2, max_seq=16,
+                          ffn_hidden=24), 0)
+    names = set(lm.params)
+    with pytest.raises(ConfigurationError) as info:
+        apply_peft(lm, rank=rank)
+    assert str(info.value) == (f"lora_rank {rank}, which is not in [1, 16]:"
+                               f" 16 is the narrowest adapted linear's width")
+    assert set(lm.params) == names and lm.adapters == {}
+
+
+def test_initial_adapters_keep_their_bits():
+    """Each A is drawn from its own Philox stream; B and the bias are zero.
+    Philox and elementwise math only, so no BLAS build moves these bits."""
+    lm = lm_init(LMConfig(), 0)
+    base = set(lm.params)
+    apply_peft(lm, seed=0)
+    digest = hashlib.sha256()
+    for name in sorted(set(lm.params) - base):
+        digest.update(name.encode())
+        digest.update(lm.params[name].array.tobytes())
+    assert digest.hexdigest() == "b953557f2fef148eb13b947317621ded5dd7e49bc4f42a27daae4e276134bc62"
 
 
 def test_merge_zero_b_returns_base_bitwise():
     rng = derive_rng(4, "merge0")
     w = _base(rng, 8, 8)
-    ad = make_adapter(8, 8, rank=2, seed=3)
-    assert merge(ad, w).array.tobytes() == w.array.tobytes()
+    a, b, _, scaling = _fresh(rng, 8, 8, rank=2)
+    assert merge(w, a, b, scaling).array.tobytes() == w.array.tobytes()
 
 
 def test_merge_equals_adapted_forward():
     rng = derive_rng(5, "merge-eq")
     w = _base(rng, 8, 8)
-    ad = make_adapter(8, 8, rank=2, seed=4, with_bias=False)
-    ad = LoraAdapter(a=ad.a, b=Tensor(rng.standard_normal((8, 2))), rank=2, scaling=ad.scaling)
-    merged = merge(ad, w)
+    a, _, bias, scaling = _fresh(rng, 8, 8, rank=2)
+    b = Tensor(rng.standard_normal((8, 2)))
+    merged = merge(w, a, b, scaling)
     x = Tensor(rng.standard_normal((5, 8)))
-    adapted = lora_forward(w, ad, x).array
+    adapted = lora_forward(x, w, a, b, bias, scaling).array
     dense = matmul(x, merged).array
     assert np.abs(adapted - dense).max() < 1e-10
 
@@ -123,13 +142,13 @@ def test_merge_equals_adapted_forward():
 def test_merge_then_rewrap_is_stable():
     rng = derive_rng(6, "merge-rewrap")
     w = _base(rng, 8, 8)
-    ad = make_adapter(8, 8, rank=2, seed=5, with_bias=False)
-    ad = LoraAdapter(a=ad.a, b=Tensor(rng.standard_normal((8, 2))), rank=2, scaling=ad.scaling)
-    merged = merge(ad, w)
-    fresh = make_adapter(8, 8, rank=2, seed=6, with_bias=False)  # B = 0 again
+    a, _, bias, scaling = _fresh(rng, 8, 8, rank=2)
+    b = Tensor(rng.standard_normal((8, 2)))
+    merged = merge(w, a, b, scaling)
+    fresh = _fresh(rng, 8, 8, rank=2)  # B = 0 again
     x = Tensor(rng.standard_normal((5, 8)))
-    again = lora_forward(merged, fresh, x).array
-    assert np.abs(again - lora_forward(w, ad, x).array).max() < 1e-10
+    again = lora_forward(x, merged, *fresh).array
+    assert np.abs(again - lora_forward(x, w, a, b, bias, scaling).array).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +156,18 @@ def test_merge_then_rewrap_is_stable():
 # ---------------------------------------------------------------------------
 
 
-def _adapted_linear(rng, with_bias, in_dim=12, out_dim=10, rank=3):
-    """A base weight and an adapter with every tensor off zero."""
-    w = _base(rng, in_dim, out_dim)
-    ad = LoraAdapter(a=Tensor(rng.standard_normal((rank, in_dim))),
-                     b=Tensor(rng.standard_normal((out_dim, rank))), rank=rank,
-                     scaling=1.0 / rank,
-                     bias=Tensor(rng.standard_normal((1, out_dim))) if with_bias else None)
-    return w, ad
+def _adapted_linear(rng, in_dim=12, out_dim=10, rank=3):
+    """W, A, B, bias and scaling of an adapted linear, every tensor off zero."""
+    return (_base(rng, in_dim, out_dim), Tensor(rng.standard_normal((rank, in_dim))),
+            Tensor(rng.standard_normal((out_dim, rank))),
+            Tensor(rng.standard_normal((1, out_dim))), 1.0 / rank)
 
 
 def _outputs_and_grads(forward, linears, x, wrt, rng):
     """Each linear's output on x and the gradients of wrt for a loss whose
     gradient at each output is a seeded random array."""
     with Tape() as tape:
-        ys = [forward(w, ad, x) for w, ad in linears]
+        ys = [forward(x, *linear) for linear in linears]
         loss = tensor_sum(mul(ys[0], Tensor(rng.standard_normal(ys[0].shape))))
         for y in ys[1:]:
             loss = add(loss, tensor_sum(mul(y, Tensor(rng.standard_normal(y.shape)))))
@@ -165,17 +181,16 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("rows", [4, 1])
-@pytest.mark.parametrize("with_bias", [True, False])
 @pytest.mark.parametrize("w_trains", [True, False])
 @pytest.mark.parametrize("x_is_param", [True, False])
-def test_fused_node_matches_unfused_chain_bitwise(rows, with_bias, w_trains, x_is_param):
-    rng = derive_rng(7, "lora-fused", str(rows), str(with_bias), str(w_trains), str(x_is_param))
-    w, ad = _adapted_linear(rng, with_bias)
+def test_fused_node_matches_unfused_chain_bitwise(rows, w_trains, x_is_param):
+    rng = derive_rng(7, "lora-fused", str(rows), str(w_trains), str(x_is_param))
+    linear = w, a, b, bias, _ = _adapted_linear(rng)
     x = Tensor(rng.standard_normal((rows, w.shape[0])))
-    wrt = [ad.a, ad.b] + [ad.bias] * with_bias + [w] * w_trains + [x] * x_is_param
+    wrt = [a, b, bias] + [w] * w_trains + [x] * x_is_param
     seed = int(rng.integers(2 ** 32))
-    got = _outputs_and_grads(lora_forward, [(w, ad)], x, wrt, derive_rng(seed, "g"))
-    want = _outputs_and_grads(lora_forward_oracle, [(w, ad)], x, wrt, derive_rng(seed, "g"))
+    got = _outputs_and_grads(lora_forward, [linear], x, wrt, derive_rng(seed, "g"))
+    want = _outputs_and_grads(lora_forward_oracle, [linear], x, wrt, derive_rng(seed, "g"))
     _assert_same_bits(got[0], want[0])
     _assert_same_bits(got[1], want[1])
 
@@ -185,9 +200,9 @@ def test_shared_input_gradient_accumulates_in_unfused_order(rows):
     """Three adapted linears read one x, as wq, wk and wv read the normed
     hidden state: x's six gradient terms must add up in the chain's order."""
     rng = derive_rng(8, "lora-shared", str(rows))
-    linears = [_adapted_linear(rng, with_bias=True) for _ in range(3)]
+    linears = [_adapted_linear(rng) for _ in range(3)]
     x = Tensor(rng.standard_normal((rows, 12)))
-    wrt = [x] + [t for w, ad in linears for t in (ad.a, ad.b, ad.bias)]
+    wrt = [x] + [t for _, a, b, bias, _ in linears for t in (a, b, bias)]
     got = _outputs_and_grads(lora_forward, linears, x, wrt, derive_rng(9, "g"))
     want = _outputs_and_grads(lora_forward_oracle, linears, x, wrt, derive_rng(9, "g"))
     _assert_same_bits(got[0], want[0])
@@ -196,26 +211,37 @@ def test_shared_input_gradient_accumulates_in_unfused_order(rows):
 
 def test_fused_node_matches_central_differences():
     rng = derive_rng(10, "lora-gradcheck")
-    w, ad = _adapted_linear(rng, with_bias=True, in_dim=5, out_dim=4, rank=2)
+    w, a, b, bias, scaling = _adapted_linear(rng, in_dim=5, out_dim=4, rank=2)
     x = Tensor(rng.standard_normal((3, 5)))
     weights = Tensor(rng.standard_normal((3, 4)))
 
     def f(ps):
-        adapter = LoraAdapter(a=ps[1], b=ps[2], rank=2, scaling=ad.scaling, bias=ps[3])
-        return tensor_sum(mul(lora_forward(ps[4], adapter, ps[0]), weights))
+        return tensor_sum(mul(lora_forward(ps[0], ps[4], ps[1], ps[2], ps[3], scaling), weights))
 
-    assert grad_check(f, [x, ad.a, ad.b, ad.bias, w], h=1e-5) < 1e-6
+    assert grad_check(f, [x, a, b, bias, w], h=1e-5) < 1e-6
 
 
-@pytest.mark.parametrize("with_bias", [True, False])
-def test_one_adapted_linear_records_one_node_computing_only_what_is_needed(with_bias):
-    rng = derive_rng(11, "lora-node", str(with_bias))
-    w, ad = _adapted_linear(rng, with_bias)
+@pytest.mark.parametrize("misfit", ["x", "a", "b"])
+def test_a_tensor_that_does_not_fit_the_weight_is_a_shape_error(misfit):
+    rng = derive_rng(12, "lora-misfit", misfit)
+    w, a, b, bias, scaling = _adapted_linear(rng)
+    x = Tensor(rng.standard_normal((3, 12)))
+    wrong = {"x": Tensor(rng.standard_normal((3, 11))), "a": Tensor(rng.standard_normal((3, 11))),
+             "b": Tensor(rng.standard_normal((9, 3)))}
+    args = {"x": x, "a": a, "b": b, misfit: wrong[misfit]}
+    with pytest.raises(ShapeError, match="do not fit"):
+        lora_forward(args["x"], w, args["a"], args["b"], bias, scaling)
+
+
+def test_one_adapted_linear_records_one_node_computing_only_what_is_needed():
+    rng = derive_rng(11, "lora-node")
+    w, a, b, bias, scaling = _adapted_linear(rng)
     x = Tensor(rng.standard_normal((3, 12)))
     with Tape() as tape:
-        y = lora_forward(w, ad, x)
+        y = lora_forward(x, w, a, b, bias, scaling)
     assert len(tape) == 1
     (node,) = tape._nodes
+    assert [id(t) for t in node.inputs] == [id(t) for t in (x, a, b, x, w, bias)]
     g = rng.standard_normal(y.shape)
     for need in itertools.product((False, True), repeat=len(node.inputs)):
         assert [d is not None for d in node.backward(g, need)] == list(need)
@@ -232,9 +258,13 @@ def _models(lm_cfg=None, bind_cfg=None, seed=0):
     return lm, bind
 
 
+def _trainable_scalars(lm, bind, groups):
+    return sum(resolve_param(lm, bind, n).size for n in trainable_param_names(lm, bind, groups))
+
+
 def test_stage1_count_matches_closed_formula():
     lm, bind = _models()
-    count = apply_stage_freeze(lm, bind, STAGE_TRAINABLE["align_only"])
+    count = _trainable_scalars(lm, bind, STAGE_TRAINABLE["align_only"])
     ci, c, ch = 64, 128, 256
     layers = 4
     want = ci * c + 3 * (2 * c * ch + ch * c + c) + layers
@@ -251,7 +281,7 @@ def test_stage2_freeze_covers_lora_bias_norm_gates():
         for n in names
     )
     assert not any("bind." in n for n in names)
-    count = apply_stage_freeze(lm, bind, STAGE_TRAINABLE["instruct"])
+    count = _trainable_scalars(lm, bind, STAGE_TRAINABLE["instruct"])
     assert count == sum(
         (lm.params[n[3:]] if n.startswith("lm.") else bind.params[n[5:]]).size for n in names
     )
@@ -260,11 +290,11 @@ def test_stage2_freeze_covers_lora_bias_norm_gates():
 def test_configuration_errors():
     lm, bind = _models()
     with pytest.raises(ConfigurationError):
-        apply_stage_freeze(lm, bind, set())
+        trainable_param_names(lm, bind, set())
     with pytest.raises(ConfigurationError):
-        apply_stage_freeze(lm, bind, {"encoders"})
+        trainable_param_names(lm, bind, {"encoders"})
     with pytest.raises(ConfigurationError):
-        apply_stage_freeze(lm, bind, {"adapters?"})
+        trainable_param_names(lm, bind, {"adapters?"})
 
 
 def test_apply_peft_idempotent():
@@ -289,7 +319,7 @@ def test_adapters_and_zero_gates_are_noop_start():
 def test_stage2_trainable_fraction_below_ten_percent_at_defaults():
     lm, bind = _models()
     apply_peft(lm, seed=0)  # default rank
-    stage2 = apply_stage_freeze(lm, bind, STAGE_TRAINABLE["instruct"])
+    stage2 = _trainable_scalars(lm, bind, STAGE_TRAINABLE["instruct"])
     total = sum(t.size for t in lm.params.values()) + sum(t.size for t in bind.params.values())
     assert stage2 / total < 0.10
 
