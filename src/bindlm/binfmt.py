@@ -6,9 +6,14 @@ fields in the order its format module (checkpoint.py, cache.py) gives.
 Integers are unsigned little-endian, a string is a u32 byte length and UTF-8
 bytes, and an array is little-endian row-major data shaped by earlier fields.
 A read error names the file and the byte offset.
+
+Before a reader indexes a JSON object, keys checks that it is an object with
+every key the reader needs and no key the writer never writes; build reads a
+config dataclass so, its fields all required, as asdict writes every one.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -53,11 +58,6 @@ def parse_json(text: str, error: type[Exception], where: object = "",
     raise error(f"{where}: {reason}" if where else reason) from None
 
 
-def _reason(exc: Exception) -> str:
-    """What went wrong, without the exception's class: a KeyError names the missing key."""
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-
-
 @contextlib.contextmanager
 def naming(where, caught: type[Exception] | tuple, error: type[Exception]):
     """Re-raise a caught error as error("<where>: <reason>"); where is a path
@@ -65,23 +65,47 @@ def naming(where, caught: type[Exception] | tuple, error: type[Exception]):
     try:
         yield
     except caught as exc:
-        raise error(f"{where}: {_reason(exc)}") from None
+        raise error(f"{where}: {exc}") from None
 
 
-def read_jsonl(path, parse: Callable[[object], object], error: type[Exception]) -> list:
-    """parse(obj) for the JSON object on each non-blank line of path; lines end
-    at \\n, \\r\\n or \\r (not U+2028 or U+0085), as in text-mode iteration.
-    error names the file and each line (up to 20) whose JSON or parse raises
-    KeyError (a missing key), ValueError, TypeError or OverflowError (an int
-    past float range)."""
+def keys(value, what: str, required, optional=(), error: type[Exception] = ValueError) -> dict:
+    """value, if a JSON object with every key in required and none outside required and
+    optional; else error "<what> is not a JSON object" or "<what>: missing|unknown key 'k'"."""
+    if not isinstance(value, dict):
+        raise error(f"{what} is not a JSON object")
+    missing = [k for k in required if k not in value]
+    unknown = [k for k in value if k not in required and k not in optional]
+    if missing or unknown:
+        raise error(f"{what}: {'missing' if missing else 'unknown'} key {(missing + unknown)[0]!r}")
+    return value
+
+
+def build(cls, value, what: str, error: type[Exception], **nested):
+    """The config dataclass cls from a JSON object whose keys are its fields, each field
+    in nested built as that dataclass; a ValueError from cls's checks names what."""
+    obj = keys(value, what, [f.name for f in dataclasses.fields(cls)], error=error)
+    obj = {**obj, **{k: build(sub, obj[k], f"{what}: {k}", error) for k, sub in nested.items()}}
+    with naming(what, ValueError, error):
+        return cls(**obj)
+
+
+def read_jsonl(path, parse: Callable[[dict], object], error: type[Exception],
+               required, optional=()) -> list:
+    """parse(obj) for the JSON object on each non-blank line of path, its keys
+    checked by keys; lines end at \\n, \\r\\n or \\r (not U+2028 or U+0085),
+    as in text-mode iteration. error names the file and each line (up to 20)
+    whose JSON, keys or parse fails; parse reports a bad value as ValueError."""
     records, errors = [], []
     for lineno, line in enumerate(io.StringIO(read_text(path, error)), start=1):
         if not line.strip():
             continue
+        where = f"line {lineno}"
         try:
-            records.append(parse(parse_json(line, ValueError)))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            errors.append(f"line {lineno}: {_reason(exc)}")
+            obj = keys(parse_json(line, ValueError, where), where, required, optional)
+            with naming(where, ValueError, ValueError):
+                records.append(parse(obj))
+        except ValueError as exc:
+            errors.append(str(exc))
         if len(errors) >= 20:
             break
     if errors:

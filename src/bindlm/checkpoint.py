@@ -32,7 +32,7 @@ from .bind import BindConfig, BindNetwork, bind_param_shapes
 from .encoders import EncoderConfig
 from .lm import InjectedLM, LMConfig, lm_param_shapes
 from .peft import DEFAULT_TARGETS, STAGE_TRAINABLE, LoraSpec, _classify
-from .tensor import DataError, Tensor, check_fields
+from .tensor import DataError, Tensor
 from .tokenizer import Tokenizer
 
 MAGIC = b"BNDK"
@@ -43,8 +43,8 @@ class CheckpointFormatError(DataError):
     """The file is not a valid checkpoint; message carries the byte offset."""
 
 
-# What building a config object from a malformed config JSON can raise.
-_CONFIG_ERRORS = (KeyError, TypeError, AttributeError, ValueError, ArithmeticError)
+# The config's sections, as from_models writes them.
+_CONFIG_KEYS = ("lm", "bind", "encoder", "tokenizer", "adapters")
 
 
 @dataclass
@@ -70,16 +70,23 @@ class Checkpoint:
         params.update({f"bind.{n}": t.array for n, t in bind.params.items()})
         return Checkpoint(config, params, _jsonable_rng(rng_state), step, list(provenance))
 
+    def _section(self, key: str, cls=None):
+        """The config's section key, built as the dataclass cls when given."""
+        section = binfmt.keys(self.config, "config", _CONFIG_KEYS, error=CheckpointFormatError)[key]
+        return binfmt.build(cls, section, f"config.{key}", CheckpointFormatError) if cls else section
+
     def to_models(self) -> tuple[InjectedLM, BindNetwork, Tokenizer]:
         """Rebuild the models; the params must be exactly those the config implies."""
-        with binfmt.naming("config does not describe the models", _CONFIG_ERRORS,
-                           CheckpointFormatError):
-            lm_config = LMConfig(**self.config["lm"])
-            bind_config = BindConfig(**self.config["bind"])
-            adapters = {name: LoraSpec(**d) for name, d in self.config.get("adapters", {}).items()}
-            tok = Tokenizer.from_dict(self.config["tokenizer"])
-            want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
-            want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
+        lm_config, bind_config = self._section("lm", LMConfig), self._section("bind", BindConfig)
+        tok = Tokenizer.from_dict(self._section("tokenizer"), "config.tokenizer",
+                                  CheckpointFormatError)
+        want = {f"lm.{n}": s for n, s in lm_param_shapes(lm_config).items()}
+        linears = [n[3:] for n in want if n.rsplit(".", 1)[-1] in DEFAULT_TARGETS]
+        specs = binfmt.keys(self._section("adapters"), "config.adapters", (), linears,
+                            CheckpointFormatError)
+        adapters = {name: binfmt.build(LoraSpec, d, f"adapter on {name!r}", CheckpointFormatError)
+                    for name, d in specs.items()}
+        want.update({f"bind.{n}": s for n, s in bind_param_shapes(bind_config).items()})
         if bind_config.dim_lm != lm_config.dim:
             raise CheckpointFormatError(f"bind.dim_lm = {bind_config.dim_lm} differs"
                                         f" from lm.dim = {lm_config.dim}")
@@ -100,13 +107,7 @@ class Checkpoint:
         """Raise CheckpointFormatError on a missing, extra or misshapen param;
         want maps each dense parameter the config implies to its shape."""
         for name, spec in adapters.items():
-            base = want.get(f"lm.{name}")
-            if base is None or name.rsplit(".", 1)[-1] not in DEFAULT_TARGETS:
-                raise CheckpointFormatError(f"adapter on {name!r}, which is not an LM linear")
-            with binfmt.naming(f"adapter on {name!r}", CheckpointFormatError,
-                               CheckpointFormatError):
-                check_fields(spec, CheckpointFormatError, rank=1)
-            d_in, d_out = base
+            d_in, d_out = want[f"lm.{name}"]
             want[f"lm.{name}.lora_a"] = (spec.rank, d_in)
             want[f"lm.{name}.lora_b"] = (d_out, spec.rank)
             want[f"lm.{name}.bias"] = (1, d_out)
@@ -131,14 +132,11 @@ class Checkpoint:
 
     def encoder_config(self) -> EncoderConfig:
         """The encoders' config; their output width must be the bind network's input width."""
-        with binfmt.naming("config does not describe the encoders", _CONFIG_ERRORS,
-                           CheckpointFormatError):
-            config = EncoderConfig(**self.config["encoder"])
-            bind_width = self.config["bind"]["dim_joint"]
-        if config.dim_joint != bind_width:
-            raise CheckpointFormatError(f"encoder.dim_joint = {config.dim_joint} differs"
-                                        f" from bind.dim_joint = {bind_width!r}")
-        return config
+        encoder, bind = self._section("encoder", EncoderConfig), self._section("bind", BindConfig)
+        if encoder.dim_joint != bind.dim_joint:
+            raise CheckpointFormatError(f"encoder.dim_joint = {encoder.dim_joint} differs"
+                                        f" from bind.dim_joint = {bind.dim_joint}")
+        return encoder
 
 
 def split_adapters(ckpt: Checkpoint) -> tuple[Checkpoint, Checkpoint]:

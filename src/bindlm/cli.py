@@ -38,24 +38,25 @@ from .data import (
     write_instruction_corpus,
 )
 from .encoders import (
-    ENCODER_MODALITIES,
+    MODALITY_NAMES,
+    SAMPLE_KEYS,
     EncoderConfig,
     JointEmbedding,
     Modality,
     build_encoders,
     encode,
+    encoder_modality,
     mix,
     raw_vector,
     read_raw_samples,
 )
 from .evaluate import perplexity_eval, write_report, yesno_eval
-from .lm import GenerationParams, GenerationParamsError, generate, prompt_template
+from .lm import (GenerationParams, GenerationParamsError, TruncationError, generate,
+                 prompt_template)
 from .tensor import DataError, ShapeError
 from .train import DivergenceError, default_plan, plan_from_file, run_stage
 
 _USAGE_EXIT, _DATA_EXIT, _DIVERGENCE_EXIT = 1, 2, 3
-
-_MODALITY_CHOICES = [m.value for m in ENCODER_MODALITIES]
 
 
 class UsageError(Exception):
@@ -120,7 +121,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="conditioned generation from a checkpoint")
     gen.add_argument("--ckpt", metavar="FILE", required=True)
-    gen.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
+    gen.add_argument("--modality", required=True, choices=MODALITY_NAMES)
     gen.add_argument("--input", metavar="FILE", required=True, help="JSON file with the raw vector")
     gen.add_argument("--prompt", required=True)
     gen.add_argument("--cache", metavar="FILE")
@@ -142,7 +143,7 @@ def _build_parser() -> _Parser:
     for q in (cq, ce):
         q.add_argument("--cache", metavar="FILE", required=True)
         q.add_argument("--data", metavar="DIR", required=True)
-        q.add_argument("--modality", required=True, choices=_MODALITY_CHOICES)
+        q.add_argument("--modality", required=True, choices=MODALITY_NAMES)
         q.add_argument("--input", metavar="FILE", required=True)
         q.add_argument("--k", type=int, default=DEFAULT_TOP_K)
         q.add_argument("--mode", choices=["exact", "partitioned"], default="exact")
@@ -174,19 +175,12 @@ def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
     """The encoding of a raw input file: a bare array, or an object whose "raw"
     is the array. Without modality, the object's "modality" picks the encoder."""
     obj = binfmt.parse_json(binfmt.read_text(path, IngestError), IngestError, path)
-    named = None
-    if isinstance(obj, dict):
-        if "raw" not in obj:
-            raise IngestError(f"{path}: an input object needs a \"raw\" key")
-        named, obj = obj.get("modality"), obj["raw"]
-    if modality is None:
-        if named not in _MODALITY_CHOICES:
-            raise IngestError(f"{path}: a mix input needs a \"modality\" naming an "
-                              f"encoder modality, got {named!r}")
-        modality = named
-    encoder = encoders[Modality(modality)]
+    if isinstance(obj, dict) or modality is None:
+        obj = binfmt.keys(obj, str(path), ("raw",) if modality else ("modality", "raw"),
+                          SAMPLE_KEYS, IngestError)
     with binfmt.naming(path, ValueError, IngestError):
-        raw = raw_vector(obj)
+        encoder = encoders[Modality(modality) if modality else encoder_modality(obj["modality"])]
+        raw = raw_vector(obj["raw"] if isinstance(obj, dict) else obj)
     if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "
                           f"the encoders take {encoder.config.dim_raw}")
@@ -300,20 +294,12 @@ def _cmd_cache(args) -> int:
         store.build_partitions(nlist=args.nlist, nprobe=args.nprobe, seed=args.seed)
     if args.cache_command == "query":
         r = topk(store, emb, args.k, mode=args.mode)
-        print(json.dumps(
-            {
-                "ids": [store.ids[i] for i in r.indices],
-                "indices": r.indices,
-                "similarities": r.similarities.array.reshape(-1).tolist(),
-            },
-            sort_keys=True,
-        ))
-        return 0
-    r = enhance(store, emb, k=args.k, alpha=args.alpha, mode=args.mode, raw_eq4=args.raw_eq4)
-    print(json.dumps(
-        {"enhanced": r.enhanced.array.reshape(-1).tolist(), "indices": r.indices},
-        sort_keys=True,
-    ))
+        payload = {"ids": [store.ids[i] for i in r.indices], "indices": r.indices,
+                   "similarities": r.similarities.array.reshape(-1).tolist()}
+    else:
+        r = enhance(store, emb, k=args.k, alpha=args.alpha, mode=args.mode, raw_eq4=args.raw_eq4)
+        payload = {"enhanced": r.enhanced.array.reshape(-1).tolist(), "indices": r.indices}
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -342,16 +328,16 @@ def _cmd_mix(args) -> int:
 def _cmd_eval(args) -> int:
     lm, bind, tok, encoders = _load_models(args.ckpt)
     manifest = DatasetManifest.load(args.data)
-    if args.suite == "perplexity":
-        corpus = Path(args.data) / (args.file or manifest.corpus_file("pretrain"))
-        records = ingest(corpus, "caption")
-        with binfmt.naming(corpus, ShapeError, IngestError):
+    perplexity = args.suite == "perplexity"
+    default = manifest.corpus_file("pretrain" if perplexity else "eval_yesno")
+    corpus = Path(args.data) / (args.file or default)
+    records = ingest(corpus, "caption" if perplexity else "instruction")
+    store = load_cache(args.cache) if args.cache and not perplexity else None
+    with binfmt.naming(corpus, ShapeError, IngestError), binfmt.naming(
+            f"a record does not fit {args.ckpt}", TruncationError, ShapeError):
+        if perplexity:
             report = perplexity_eval(lm, bind, tok, encoders, records)
-    else:
-        corpus = Path(args.data) / (args.file or manifest.corpus_file("eval_yesno"))
-        records = ingest(corpus, "instruction")
-        store = load_cache(args.cache) if args.cache else None
-        with binfmt.naming(corpus, ShapeError, IngestError):
+        else:
             report = yesno_eval(lm, bind, tok, encoders, records, cache=store,
                                 k=args.k, alpha=args.alpha, raw_eq4=args.raw_eq4)
     if args.out:

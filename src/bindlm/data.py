@@ -17,13 +17,14 @@ import numpy as np
 
 from . import binfmt
 from .encoders import (
+    SAMPLE_KEYS,
     EncoderConfig,
     Modality,
     SyntheticEncoder,
     build_encoders,
     parse_sample,
 )
-from .tensor import DataError, derive_rng
+from .tensor import DataError, check_fields, derive_rng
 
 COLORS = ["red", "blue", "green", "amber", "violet", "teal", "coral", "ochre"]
 SHAPES = ["cube", "sphere", "prism", "torus", "wedge", "cone", "disk", "helix"]
@@ -259,26 +260,22 @@ def write_instruction_corpus(path, records: list[InstructionRecord]) -> None:
     binfmt.write_jsonl(path, map(_instruction_to_json, records))
 
 
-def _parse_caption(obj: dict) -> CaptionRecord:
-    caption = obj["caption"]
-    if not isinstance(caption, str) or not caption:
-        raise ValueError("caption must be a nonempty string")
-    return CaptionRecord(caption=caption, **parse_sample(obj))
+_CAPTION_KEYS = SAMPLE_KEYS + ("caption",)
+# a language-only instruction record has these two keys; a visual one adds SAMPLE_KEYS
+_INSTRUCTION_KEYS = ("response", "instruction")
+
+
+def _text(obj: dict, key: str) -> str:
+    if not isinstance(obj[key], str) or not obj[key]:
+        raise ValueError(f"{key} must be a nonempty string")
+    return obj[key]
 
 
 def _parse_instruction(obj: dict) -> InstructionRecord:
-    response = obj["response"]
-    if not isinstance(response, str) or not response:
-        raise ValueError("response must be a nonempty string")
-    instruction = obj["instruction"]
-    if not isinstance(instruction, str) or not instruction:
-        raise ValueError("instruction must be a nonempty string")
-    has_modality = "modality" in obj or "source_id" in obj or "raw" in obj
-    if not has_modality:
+    response, instruction = _text(obj, "response"), _text(obj, "instruction")
+    if obj.keys() == set(_INSTRUCTION_KEYS):
         return InstructionRecord(instruction=instruction, response=response)
-    for key in ("modality", "source_id", "raw"):
-        if key not in obj:
-            raise ValueError(f"visual instruction record missing {key!r}")
+    binfmt.keys(obj, "a visual record", _INSTRUCTION_KEYS + SAMPLE_KEYS)
     return InstructionRecord(instruction=instruction, response=response, **parse_sample(obj))
 
 
@@ -291,21 +288,20 @@ def ingest(path, kind: str) -> list:
     """
     if kind not in ("caption", "instruction"):
         raise IngestError(f"unknown corpus kind {kind!r}")
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such corpus file: {path}")
     seen_ids: set[str] = set()
 
-    def parse(obj: dict):
-        if kind == "instruction":
-            return _parse_instruction(obj)
-        rec = _parse_caption(obj)
+    def parse_caption(obj: dict):
+        rec = CaptionRecord(caption=_text(obj, "caption"), **parse_sample(obj))
         if rec.source_id in seen_ids:
             raise ValueError(f"duplicate source_id {rec.source_id!r}")
         seen_ids.add(rec.source_id)
         return rec
 
-    records = binfmt.read_jsonl(path, parse, IngestError)
+    if kind == "caption":
+        records = binfmt.read_jsonl(path, parse_caption, IngestError, _CAPTION_KEYS)
+    else:
+        records = binfmt.read_jsonl(path, _parse_instruction, IngestError, _INSTRUCTION_KEYS,
+                                    SAMPLE_KEYS)
     if not records:
         print(f"warning: {path} contained no records", file=sys.stderr)
     return records
@@ -337,21 +333,17 @@ class DatasetManifest:
     def save(self, directory) -> None:
         binfmt.write_json(Path(directory) / MANIFEST_NAME, asdict(self), indent=1)
 
+    def __post_init__(self):
+        check_fields(self, IngestError)
+        binfmt.keys(self.files, "files", (), CORPUS_FILES, IngestError)
+        if not all(isinstance(name, str) for name in self.files.values()):
+            raise IngestError("files must map corpus keys to file names")
+
     @staticmethod
     def load(directory) -> "DatasetManifest":
         p = Path(directory) / MANIFEST_NAME
-        if not p.exists():
-            raise IngestError(f"no {MANIFEST_NAME} in {directory}")
         payload = binfmt.parse_json(binfmt.read_text(p, IngestError), IngestError, p)
-        with binfmt.naming(f"{p}: not a dataset manifest",
-                           (KeyError, TypeError, AttributeError, ValueError), IngestError):
-            if not all(isinstance(name, str) for name in payload["files"].values()):
-                raise TypeError("files must map corpus keys to file names")
-            return DatasetManifest(
-                encoder=EncoderConfig(**payload["encoder"]),
-                seed=payload["seed"],
-                files=payload["files"],
-            )
+        return binfmt.build(DatasetManifest, payload, str(p), IngestError, encoder=EncoderConfig)
 
     def corpus_file(self, key: str) -> str:
         """The file name of corpus key: the manifest's, else CORPUS_FILES'."""

@@ -46,6 +46,7 @@ ENCODER_MODALITIES = (
     Modality.VIDEO,
     Modality.POINT_CLOUD,
 )
+MODALITY_NAMES = tuple(m.value for m in ENCODER_MODALITIES)
 
 DIM_JOINT = 64
 DIM_RAW = 96
@@ -225,19 +226,24 @@ def raw_vector(value) -> np.ndarray:
     return raw
 
 
-def parse_sample(obj: dict) -> dict:
-    """The source_id, encoder modality and raw vector of one JSON sample object.
+SAMPLE_KEYS = ("source_id", "modality", "raw")
 
-    Raises KeyError for a missing field, and ValueError or TypeError for a
-    modality no encoder takes, or a raw value raw_vector rejects.
-    """
-    modality = Modality(obj["modality"])
-    if modality not in ENCODER_MODALITIES:
-        raise ValueError(f"not an encoder modality: {obj['modality']}")
-    return {"source_id": str(obj["source_id"]), "modality": modality,
+
+def encoder_modality(value) -> Modality:
+    """The encoder modality a JSON value names; ValueError for any other value."""
+    if value not in MODALITY_NAMES:
+        raise ValueError(f"modality is not one of {', '.join(MODALITY_NAMES)}")
+    return Modality(value)
+
+
+def parse_sample(obj: dict) -> dict:
+    """The source_id, encoder modality and raw vector of a key-checked sample; else ValueError."""
+    if not isinstance(obj["source_id"], str):
+        raise ValueError("source_id is not a string")
+    return {"source_id": obj["source_id"], "modality": encoder_modality(obj["modality"]),
             "raw": raw_vector(obj["raw"])}
 
 
 def read_raw_samples(path) -> list[dict]:
     """Read raw synthetic samples from JSONL: {source_id, modality, raw}."""
-    return binfmt.read_jsonl(path, parse_sample, ShapeError)
+    return binfmt.read_jsonl(path, parse_sample, ShapeError, SAMPLE_KEYS)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (DataError, ShapeError, Tensor, _op, _unbroadcast, _weight_grad,
-                     derive_rng, uniform_init)
+                     check_fields, derive_rng, uniform_init)
 
 
 class ConfigurationError(DataError):
@@ -40,6 +40,9 @@ class ConfigurationError(DataError):
 class LoraSpec:
     rank: int
     scaling: float
+
+    def __post_init__(self):
+        check_fields(self, ConfigurationError, rank=1)
 
 
 DEFAULT_RANK = 8

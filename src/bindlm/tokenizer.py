@@ -34,7 +34,6 @@ class Tokenizer:
         if len(merges) > VOCAB_SIZE - _FIRST_MERGE_ID:
             raise VocabularyError(f"too many merges for vocab size {VOCAB_SIZE}")
         self.merges = [tuple(m) for m in merges]
-        self.ranks = {m: i for i, m in enumerate(self.merges)}
         self._bytes: dict[int, bytes] = {i: bytes([i]) for i in range(256)}
         for i, (a, b) in enumerate(self.merges):
             # a bool or 1.0 would look up like an int
@@ -42,6 +41,7 @@ class Tokenizer:
                 raise VocabularyError(f"merge {i} joins {a!r} and {b!r}, which are not both ids"
                                       f" defined before it")
             self._bytes[_FIRST_MERGE_ID + i] = self._bytes[a] + self._bytes[b]
+        self.ranks = {m: i for i, m in enumerate(self.merges)}
 
     @property
     def vocab_size(self) -> int:
@@ -80,12 +80,14 @@ class Tokenizer:
         return {"version": 1, "vocab_size": VOCAB_SIZE, "merges": [list(m) for m in self.merges]}
 
     @staticmethod
-    def from_dict(d: dict) -> "Tokenizer":
-        merges = d["merges"]
-        if not (isinstance(merges, list) and all(isinstance(m, list) and len(m) == 2
-                                                 for m in merges)):
-            raise VocabularyError("merges is not a list of id pairs")
-        return Tokenizer(merges)
+    def from_dict(d, what: str, error: type[Exception] = VocabularyError) -> "Tokenizer":
+        """The tokenizer of a JSON object to_dict wrote; a fault raises error naming what."""
+        merges = binfmt.keys(d, what, ("merges",), ("version", "vocab_size"), error)["merges"]
+        with binfmt.naming(what, VocabularyError, error):
+            if not (isinstance(merges, list) and all(isinstance(m, list) and len(m) == 2
+                                                     for m in merges)):
+                raise VocabularyError("merges is not a list of id pairs")
+            return Tokenizer(merges)
 
     def save(self, path) -> None:
         binfmt.write_json(path, self.to_dict())
@@ -93,9 +95,7 @@ class Tokenizer:
     @staticmethod
     def load(path) -> "Tokenizer":
         obj = binfmt.parse_json(binfmt.read_text(path, VocabularyError), VocabularyError, path)
-        with binfmt.naming(f"{path}: not a tokenizer file", (KeyError, TypeError, ValueError),
-                           VocabularyError):
-            return Tokenizer.from_dict(obj)
+        return Tokenizer.from_dict(obj, str(path))
 
 
 def train_merges(text: str, max_merges: int) -> list[tuple[int, int]]:

@@ -145,10 +145,9 @@ def plan_from_file(path, stage: str, data: str, seed: int) -> TrainPlan:
     """The stage's default plan with the file's values; a bad key or value
     raises PipelineError naming the file and the key."""
     values = read_plan_file(path)
-    unknown = sorted(set(values) - PLAN_KEYS)
-    if unknown:
-        raise PipelineError(f"{path}: unknown plan key {unknown[0]!r};"
-                            f" a plan sets {', '.join(sorted(PLAN_KEYS))}")
+    # only instruct attaches adapters, so no other stage reads lora_rank
+    allowed = PLAN_KEYS if stage == "instruct" else PLAN_KEYS - {"lora_rank"}
+    binfmt.keys(values, f"{path}: stage {stage}", (), allowed, PipelineError)
     seed = values.pop("seed", seed)
     if "trainable" in values:
         values["trainable"] = frozenset(

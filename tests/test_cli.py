@@ -207,12 +207,12 @@ def test_mix_bad_coefficient_and_bad_input_file(tmp_path, capsys):
     no_modality = tmp_path / "no_modality.json"
     no_modality.write_text(json.dumps({"raw": json.loads(a.read_text())["raw"]}))
     code = cli(["mix", "--data", str(out), "--inputs", f"{no_modality}:1.0"])
-    _assert_clean_failure(capsys, code, 2, str(no_modality), '"modality"')
+    _assert_clean_failure(capsys, code, 2, f"{no_modality}: missing key 'modality'")
 
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"modality": "mixed", "raw": [0.0]}))
     code = cli(["mix", "--data", str(out), "--inputs", f"{a}:0.5", f"{mixed}:0.5"])
-    _assert_clean_failure(capsys, code, 2, str(mixed), "'mixed'")
+    _assert_clean_failure(capsys, code, 2, f"{mixed}: modality is not one of image, text,")
 
 
 @pytest.mark.parametrize("command", ["query", "enhance"])

@@ -72,6 +72,28 @@ def test_lora_rank_above_the_narrowest_linear_names_stage_key_and_limit(tmp_path
     assert not (tmp_path / "ins.bnk").exists()
 
 
+@pytest.mark.parametrize("stage,provenance", [
+    ("pretrain", None),
+    ("hq", ["pretrain:seed=0:steps=0", "instruct:seed=0:steps=0"]),
+], ids=["pretrain", "hq"])
+def test_lora_rank_on_a_stage_that_attaches_no_adapters_names_file_key_and_stage(
+        tmp_path, capsys, stage, provenance):
+    out = _gen(tmp_path)
+    plan = tmp_path / "plan.kv"
+    plan.write_text("lora_rank = 200\n")
+    args = ["train", "--stage", stage, "--data", str(out), "--plan", str(plan),
+            "--out", str(tmp_path / "ck.bnk")]
+    if provenance:
+        ck = small_checkpoint()
+        ck.provenance = provenance
+        save_checkpoint(ck, tmp_path / "ins.bnk")
+        args += ["--init", str(tmp_path / "ins.bnk")]
+    assert cli(args) == 2
+    name = {"hq": "hq_instruct"}.get(stage, stage)
+    assert capsys.readouterr().err == f"error: {plan}: stage {name}: unknown key 'lora_rank'\n"
+    assert not (tmp_path / "ck.bnk").exists()
+
+
 def test_non_utf8_plan_file_is_data_error(tmp_path, capsys):
     out = _gen(tmp_path)
     plan = tmp_path / "plan.kv"
@@ -151,7 +173,7 @@ def _lm_wider_than_bind(ck):
     (_lm_value("heads", 2.0), "heads 2.0, which is not an int"),
     (_lm_value("heads", True), "heads True, which is not an int"),
     (_adapter_rank_true, "adapter on 'layers.0.wq': rank True, which is not an int"),
-    (_rope_with_odd_head_width, "config does not describe the models: rope needs an even head"),
+    (_rope_with_odd_head_width, "config.lm: rope needs an even head"),
     (_lm_wider_than_bind, "bind.dim_lm = 16 differs from lm.dim = 32"),
 ], ids=["heads-2.0", "heads-true", "adapter-rank-true", "rope-odd-head-width",
         "lm-wider-than-bind"])
@@ -178,6 +200,81 @@ def test_a_config_value_of_the_wrong_kind_in_a_checkpoint_names_file_and_field(
     assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: ") and named in lines[0], lines
     assert str(out) not in lines[0]  # the checkpoint is at fault, not the corpus
     assert not (tmp_path / "ins.bnk").exists()
+
+
+def _config_value(section, key, value):
+    def edit(ck):
+        ck.config[section][key] = value
+    return edit
+
+
+def _drop_lm_dim(ck):
+    del ck.config["lm"]["dim"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_config_value("lm", "foo", 1), "config.lm: unknown key 'foo'"),
+    (_drop_lm_dim, "config.lm: missing key 'dim'"),
+    (lambda ck: ck.config.update(tokenizer=5), "config.tokenizer is not a JSON object"),
+    (lambda ck: ck.config.update(tokenizer={"merges": []}),
+     "a record does not fit {ckpt}: prompt 67 + new 1 exceeds max_seq 32"),
+    (lambda ck: ck.config.update(adapters=[]), "config.adapters is not a JSON object"),
+    (_config_value("bind", "depth", 3), "config.bind: unknown key 'depth'"),
+    (_config_value("encoder", "seed", None), "config.encoder: seed None, which is not an int"),
+], ids=["lm-unknown-key", "lm-dim-missing", "tokenizer-5", "tokenizer-without-merges",
+        "adapters-list", "bind-unknown-key", "encoder-seed-null"])
+def test_a_config_object_of_the_wrong_shape_names_the_checkpoint(tmp_path, capsys, edit,
+                                                                  message):
+    out = _gen(tmp_path)
+    ck = small_checkpoint()
+    edit(ck)
+    ckpt = tmp_path / "ck.bnk"
+    save_checkpoint(ck, ckpt)
+    assert cli(["eval", "--suite", "yesno", "--ckpt", str(ckpt), "--data", str(out)]) == 2
+    where = f"{out / 'eval_yesno.jsonl'}: " if "does not fit" in message else f"{ckpt}: "
+    assert capsys.readouterr().err == f"error: {where}{message.format(ckpt=ckpt)}\n"
+
+
+def _manifest_value(key, value):
+    def edit(manifest):
+        manifest[key] = value
+        return json.dumps(manifest)
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda manifest: "5", "{path} is not a JSON object"),
+    (lambda manifest: "[]", "{path} is not a JSON object"),
+    (_manifest_value("zz", 1), "{path}: unknown key 'zz'"),
+    (_manifest_value("seed", "x"), "{path}: seed 'x', which is not an int"),
+    (_manifest_value("seed", 2.5), "{path}: seed 2.5, which is not an int"),
+    (_manifest_value("seed", True), "{path}: seed True, which is not an int"),
+    (_manifest_value("encoder", 5), "{path}: encoder is not a JSON object"),
+    (_manifest_value("files", {"captions": "c.jsonl"}), "{path}: files: unknown key 'captions'"),
+    (_manifest_value("files", {"cache": 5}), "{path}: files must map corpus keys to file names"),
+    (lambda manifest: json.dumps({k: v for k, v in manifest.items() if k != "seed"}),
+     "{path}: missing key 'seed'"),
+], ids=["5", "array", "unknown-key", "seed-x", "seed-2.5", "seed-true", "encoder-5",
+        "files-unknown-key", "files-value-5", "seed-missing"])
+def test_a_manifest_of_the_wrong_shape_names_the_file_and_the_fault(tmp_path, capsys, edit,
+                                                                     message):
+    out = _gen(tmp_path)
+    path = out / "manifest.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    save_checkpoint(small_checkpoint(), tmp_path / "ck.bnk")
+    code = cli(["eval", "--suite", "yesno", "--ckpt", str(tmp_path / "ck.bnk"), "--data", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+def test_a_corpus_line_that_is_not_an_object_names_the_file_and_line(tmp_path, capsys):
+    out = _gen(tmp_path)
+    path = out / "eval_yesno.jsonl"
+    path.write_text("5\n" + path.read_text())
+    save_checkpoint(small_checkpoint(), tmp_path / "ck.bnk")
+    code = cli(["eval", "--suite", "yesno", "--ckpt", str(tmp_path / "ck.bnk"), "--data", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: line 1 is not a JSON object\n"
 
 
 def test_encoder_and_bind_widths_must_agree_in_a_checkpoint(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every config dataclass checks its fields through tensor.check_fields.
 
-A dataclass in a bindlm module whose name ends in Config, Plan or Params
-calls check_fields(self, ...) in its __post_init__, and no code but
+A dataclass in a bindlm module whose name ends in Config, Plan, Params or
+Manifest calls check_fields(self, ...) in its __post_init__, and no code but
 check_fields tests isinstance(..., bool): that test is how an int field
 turns away True, and one rule should decide it for every config.
 """
@@ -15,7 +15,7 @@ import bindlm
 
 MODULES = sorted(Path(bindlm.__file__).parent.glob("*.py"))
 
-CONFIG_SUFFIXES = ("Config", "Plan", "Params")
+CONFIG_SUFFIXES = ("Config", "Plan", "Params", "Manifest")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -69,7 +69,8 @@ def test_the_lint_sees_the_configs():
     seen = [n.name for p in MODULES for n in ast.walk(ast.parse(p.read_text()))
             if isinstance(n, ast.ClassDef) and n.name.endswith(CONFIG_SUFFIXES)
             and _is_dataclass(n)]
-    assert {"BindConfig", "EncoderConfig", "GenerationParams", "LMConfig", "TrainPlan"} <= set(seen)
+    assert {"BindConfig", "DatasetManifest", "EncoderConfig", "GenerationParams", "LMConfig",
+            "TrainPlan"} <= set(seen)
 
 
 def test_a_planted_config_and_bool_test_are_found():

@@ -126,7 +126,7 @@ def test_ingest_error_paths(tmp_path):
 
     with pytest.raises(IngestError, match="unknown corpus kind"):
         ingest(p, "mystery")
-    with pytest.raises(IngestError, match="no such corpus"):
+    with pytest.raises(IngestError, match="missing.jsonl: cannot read: "):
         ingest(tmp_path / "missing.jsonl", "caption")
 
 

@@ -93,7 +93,7 @@ def test_lines_split_only_at_text_mode_line_ends(tmp_path):
     samples.write_bytes((_line({"source_id": odd, "modality": "audio", "raw": [1.0]}) + "\r\n"
                          + _line({"source_id": "s1", "modality": "smell", "raw": [1.0]})
                          + "\r").encode("utf-8"))
-    with pytest.raises(ShapeError, match="line 2: 'smell' is not a valid Modality"):
+    with pytest.raises(ShapeError, match="line 2: modality is not one of image, text, audio,"):
         read_raw_samples(samples)
     samples.write_bytes(samples.read_bytes().replace(b"smell", b"video"))
     assert [s["source_id"] for s in read_raw_samples(samples)] == [odd, "s1"]
@@ -106,6 +106,7 @@ def test_an_integer_past_float_range_is_the_typed_error(tmp_path):
                     f' "raw": [{huge}]}}\n')
     with pytest.raises(IngestError, match="line 1: int too large"):
         ingest(path, "caption")
+    path.write_text(path.read_text().replace(' "caption": "a cube",', ""))  # no such sample key
     with pytest.raises(ShapeError, match="line 1: int too large"):
         read_raw_samples(path)
 
@@ -119,5 +120,38 @@ def test_a_non_finite_raw_value_is_the_typed_error(tmp_path, value, shown):
     message = rf"odd.jsonl: line 2: the raw vector holds {shown} at index 1$"
     with pytest.raises(IngestError, match=message):
         ingest(path, "caption")
+    path.write_text(path.read_text().replace(' "caption": "a cube",', ""))  # no such sample key
     with pytest.raises(ShapeError, match=message):
         read_raw_samples(path)
+
+
+@pytest.mark.parametrize("value", ['{"a": 1}', "5", "null", "true", "[]"])
+def test_a_source_id_that_is_not_a_string_is_the_typed_error(tmp_path, value):
+    sample = f'{{"source_id": {value}, "modality": "image", "raw": [0.5]}}'
+    path = tmp_path / "odd.jsonl"
+    path.write_text(sample[:-1] + ', "caption": "a cube"}\n')
+    with pytest.raises(IngestError, match=r"odd.jsonl: line 1: source_id is not a string$"):
+        ingest(path, "caption")
+    path.write_text(sample[:-1] + ', "instruction": "Is it?", "response": "yes"}\n')
+    with pytest.raises(IngestError, match=r"odd.jsonl: line 1: source_id is not a string$"):
+        ingest(path, "instruction")
+    path.write_text(sample + "\n")
+    with pytest.raises(ShapeError, match=r"odd.jsonl: line 1: source_id is not a string$"):
+        read_raw_samples(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    ('5', "line 1 is not a JSON object"),
+    ('["instruction", "response"]', "line 1 is not a JSON object"),
+    ('{"instruction": "Is it?", "response": "yes", "id": 1}', "line 1: unknown key 'id'"),
+    ('{"instruction": "Is it?", "response": "yes", "modality": "image"}',
+     "line 1: a visual record: missing key 'source_id'"),
+    ('{"instruction": "Is it?", "response": "yes", "raw": [0.5], "source_id": "s"}',
+     "line 1: a visual record: missing key 'modality'"),
+])
+def test_an_instruction_line_of_the_wrong_shape_is_named(tmp_path, line, message):
+    path = tmp_path / "odd.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(IngestError) as err:
+        ingest(path, "instruction")
+    assert str(err.value) == f"{path}: {message}"

@@ -78,18 +78,29 @@ def test_load_of_a_missing_file_names_it(tmp_path):
     ('{"merges": [[1, 2, 3]]}', "merges is not a list of id pairs"),
     ('{"merges": [[1]]}', "merges is not a list of id pairs"),
     ("{}", "missing key 'merges'"),
+    ('{"merges": [], "vocab": 512}', "unknown key 'vocab'"),
     ('{"merges": [[104, 105], [259, 600]]}',
      "merge 1 joins 259 and 600, which are not both ids defined before it"),
     ('{"merges": [[1.0, 2]]}', "merge 0 joins 1.0 and 2, which are not both ids defined before it"),
     ('{"merges": [[104, 105], [true, 2]]}',
      "merge 1 joins True and 2, which are not both ids defined before it"),
+    ('{"merges": [[[], 105]]}', "merge 0 joins [] and 105, which are not both ids defined before it"),
 ])
 def test_load_of_a_malformed_merge_table_names_the_file(tmp_path, text, named):
     path = tmp_path / "vocab.json"
     path.write_text(text)
     with pytest.raises(VocabularyError) as info:
         Tokenizer.load(path)
-    assert str(info.value) == f"{path}: not a tokenizer file: {named}"
+    assert str(info.value) == f"{path}: {named}"
+
+
+@pytest.mark.parametrize("text", ["5", "[1]", "null", '"merges"'])
+def test_load_of_a_file_that_is_not_an_object_names_the_file(tmp_path, text):
+    path = tmp_path / "vocab.json"
+    path.write_text(text)
+    with pytest.raises(VocabularyError) as info:
+        Tokenizer.load(path)
+    assert str(info.value) == f"{path} is not a JSON object"
 
 
 def test_too_many_merges_is_a_vocabulary_error():

@@ -317,15 +317,15 @@ def _bad_lm_value(ck, key):
     (_add, "bind.w9", "'bind.w9' is not in the configured models"),
     (_reshape, "lm.head", "'lm.head' has shape (420, 16), the config implies (16, 420)"),
     (_reshape, "lm.layers.0.wv.lora_b", "'lm.layers.0.wv.lora_b' has shape (2, 16)"),
-    (_unknown_adapter, "head", "adapter on 'head', which is not an LM linear"),
-    (_unknown_adapter, "layers.5.wq", "adapter on 'layers.5.wq', which is not an LM linear"),
+    (_unknown_adapter, "head", "config.adapters: unknown key 'head'"),
+    (_unknown_adapter, "layers.5.wq", "config.adapters: unknown key 'layers.5.wq'"),
     (_unscaled_adapter, "layers.0.wq", "adapter on 'layers.0.wq': scaling 'x'"),
     (_bool_rank_adapter, "layers.1.wv", "adapter on 'layers.1.wv': rank True, which is not"),
-    (_drop_config, "bind", "config does not describe the models: missing key 'bind'"),
-    (_drop_config, "tokenizer", "config does not describe the models: missing key 'tokenizer'"),
-    (_bad_lm_value, "positions", "config does not describe the models: positions must be"),
-    (_bad_lm_value, "heads", "config does not describe the models: heads 0, which"),
-    (_bad_lm_value, "layers", "config does not describe the models: layers 1.5, which"),
+    (_drop_config, "bind", "config: missing key 'bind'"),
+    (_drop_config, "tokenizer", "config: missing key 'tokenizer'"),
+    (_bad_lm_value, "positions", "config.lm: positions must be"),
+    (_bad_lm_value, "heads", "config.lm: heads 0, which"),
+    (_bad_lm_value, "layers", "config.lm: layers 1.5, which"),
 ])
 def test_to_models_rejects_params_that_do_not_fit_the_config(tmp_path, edit, name, message):
     ck = small_checkpoint()
