@@ -10,6 +10,19 @@ By default the top-k similarities are clamped at zero and normalized to a
 convex combination, which keeps alpha interpretable and the output norm at
 most 1; raw_eq4=True uses the raw similarity row instead.
 
+Search selects before it sorts: np.partition finds the k-th largest
+similarity, and only the rows at or above it are sorted, by descending
+similarity and then by ascending row index, so the lower index wins a tie.
+The exact scan is one `keys @ q` over every row. The partitioned probe
+visits seeded spherical k-means inverted lists, nearest centroid first.
+build_partitions stores each list as one contiguous block of a float64 copy
+of the keys, list after list, so a partitioned store holds the keys twice;
+the probe scores the lists it visits in place, each run of neighbouring
+lists as one product, and copies no rows. Exact similarities are the bits
+of `keys @ q`. Partitioned ones agree with it to 1e-12 but not bitwise: at
+one BLAS thread, OpenBLAS scores the last n % 4 rows of an n-row product
+with another kernel, so a row's bits depend on where its block ends.
+
 File format (encoded and bounds-checked by binfmt.py):
 
     magic 'BNDC' | version u32 | dim u32 | count u64 | values flag u8, always 1
@@ -67,13 +80,17 @@ class CacheFormatError(DataError):
 class RetrievalResult:
     indices: list[int]
     similarities: Tensor  # [1, k], descending, clamped to [-1, 1]
+    scanned: int  # rows scored
+    probed: int  # inverted lists visited; 0 for the exact scan
     enhanced: Tensor | None = None  # [1, C_I]; set by enhance()
 
 
 @dataclass
 class _Partitions:
     centroids: np.ndarray  # [nlist, dim]
-    lists: list[np.ndarray]  # row indices per centroid
+    rows: np.ndarray  # store row indices, list after list, ascending within a list
+    blocks: np.ndarray  # keys[rows]: each list's rows as one contiguous block
+    offsets: np.ndarray  # [nlist + 1]; list l is blocks[offsets[l]:offsets[l + 1]]
     nprobe: int
 
 
@@ -120,8 +137,10 @@ class CacheStore:
                     norm = np.sqrt((c * c).sum())
                     if norm > 0:
                         centroids[l] = c / norm
-        lists = [np.nonzero(assign == l)[0] for l in range(nlist)]
-        self._partitions = _Partitions(centroids, lists, min(nprobe, nlist))
+        rows = np.argsort(assign, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
+        self._partitions = _Partitions(centroids, rows, self.keys[rows], offsets,
+                                       min(nprobe, nlist))
 
 
 def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
@@ -161,19 +180,37 @@ def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
 
 
-def _query_vector(store: CacheStore, query: JointEmbedding) -> np.ndarray:
-    q = query.vector.array.reshape(-1)
-    if q.shape[0] != store.dim:
-        raise CacheBuildError(f"query dim {q.shape[0]} != store dim {store.dim}")
-    return q
+def _rank(sims: np.ndarray, rows: np.ndarray | None, k: int):
+    """The k best rows by similarity, the lower row index first among equals;
+    sims[i] scores store row rows[i], or row i when rows is None."""
+    # a select, then a sort of only the rows at or above the k-th similarity;
+    # every row tied with the k-th stays, so the tie rule sees them all
+    keep = np.flatnonzero(sims >= np.partition(sims, -k)[-k])
+    ids = keep if rows is None else rows[keep]
+    order = np.lexsort((ids, -sims[keep]))[:k]
+    return ids[order].tolist(), np.clip(sims[keep[order]], -1.0, 1.0)
 
 
-def _rank(sims: np.ndarray, candidates: np.ndarray | None, k: int):
-    """The k best rows by similarity; sims holds one entry per candidate row,
-    or per store row when candidates is None."""
-    order = np.argsort(-sims, kind="stable")[:k]  # ties: lower index wins
-    picked = order if candidates is None else candidates[order]
-    return picked.tolist(), np.clip(sims[order], -1.0, 1.0)
+def _probe(part: _Partitions, q: np.ndarray, k: int):
+    """Similarities and row indices of the lists nearest q, and how many lists
+    were visited. Lists are visited nearest centroid first until they hold k
+    rows and nprobe of them are non-empty. The visited lists are scored in
+    place, each run of lists that sit next to each other in blocks as one
+    product."""
+    order = np.argsort(-(part.centroids @ q), kind="stable")
+    sizes = np.diff(part.offsets)[order]
+    # the lists cover every row, so they hold k rows once all are visited
+    enough = (np.cumsum(sizes) >= k) & (np.cumsum(sizes > 0) >= part.nprobe)
+    probed = int(enough.argmax()) + 1 if enough.any() else len(order)
+    lists = np.sort(order[:probed][sizes[:probed] > 0])
+    lo, hi = part.offsets[lists], part.offsets[lists + 1]
+    # a list that starts where the one before it ends extends that run
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] != hi[:-1])))
+    last = np.append(first[1:], len(lists)) - 1
+    runs = list(zip(lo[first].tolist(), hi[last].tolist()))
+    sims = np.concatenate([part.blocks[a:b] @ q for a, b in runs])
+    rows = np.concatenate([part.rows[a:b] for a, b in runs])
+    return sims, rows, probed
 
 
 def topk(store: CacheStore, query: JointEmbedding, k: int,
@@ -183,29 +220,20 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
         raise EmptyCacheError("cache is empty")
     if not (1 <= k <= store.size):
         raise CacheRangeError(f"k = {k} outside [1, {store.size}]")
-    q = _query_vector(store, query)
-    candidates = None  # None scans every row
-    if mode == "partitioned":
+    q = query.vector.array.reshape(-1)
+    if q.shape[0] != store.dim:
+        raise CacheBuildError(f"query dim {q.shape[0]} != store dim {store.dim}")
+    if mode == "exact":
+        sims, rows, probed = store.keys @ q, None, 0
+    elif mode == "partitioned":
         if store._partitions is None:
             store.build_partitions()
-        part = store._partitions
-        csims = part.centroids @ q
-        probe_order = np.argsort(-csims, kind="stable")
-        picked: list[np.ndarray] = []
-        total = 0
-        for li in probe_order:
-            if total >= k and len(picked) >= part.nprobe:
-                break
-            lst = part.lists[li]
-            if len(lst):
-                picked.append(lst)
-                total += len(lst)
-        candidates = np.sort(np.concatenate(picked))  # the lists cover every row, so total >= k
-    elif mode != "exact":
+        sims, rows, probed = _probe(store._partitions, q, k)
+    else:
         raise CacheRangeError(f"unknown mode {mode!r}")
-    sims = store.keys @ q if candidates is None else store.keys[candidates] @ q
-    indices, sims = _rank(sims, candidates, k)
-    return RetrievalResult(indices=indices, similarities=Tensor(sims.reshape(1, -1)))
+    indices, top = _rank(sims, rows, k)
+    return RetrievalResult(indices=indices, similarities=Tensor(top.reshape(1, -1)),
+                           scanned=len(sims), probed=probed)
 
 
 def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
@@ -214,8 +242,7 @@ def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
     """Blend the retrieved aggregate into the query with balance factor alpha."""
     if not (0.0 <= alpha <= 1.0):
         raise CacheRangeError(f"alpha = {alpha} outside [0, 1]")
-    result = topk(store, query, k, mode=mode)
-    q = _query_vector(store, query)
+    result = topk(store, query, k, mode=mode)  # checks the query's width
     sims = result.similarities.array.reshape(-1)
     rows = store.values[result.indices]
     if raw_eq4:
@@ -226,8 +253,7 @@ def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
         # all-nonpositive similarities: fall back to uniform over the k rows
         weights = np.full(k, 1.0 / k) if total == 0.0 else weights / total
     agg = weights @ rows
-    enhanced = alpha * agg + (1.0 - alpha) * q
-    result.enhanced = Tensor(enhanced.reshape(1, -1))
+    result.enhanced = Tensor(alpha * agg + (1.0 - alpha) * query.vector.array)
     return result
 
 

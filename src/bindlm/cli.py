@@ -294,11 +294,12 @@ def _cmd_cache(args) -> int:
         store.build_partitions(nlist=args.nlist, nprobe=args.nprobe, seed=args.seed)
     if args.cache_command == "query":
         r = topk(store, emb, args.k, mode=args.mode)
-        payload = {"ids": [store.ids[i] for i in r.indices], "indices": r.indices,
+        payload = {"ids": [store.ids[i] for i in r.indices],
                    "similarities": r.similarities.array.reshape(-1).tolist()}
     else:
         r = enhance(store, emb, k=args.k, alpha=args.alpha, mode=args.mode, raw_eq4=args.raw_eq4)
-        payload = {"enhanced": r.enhanced.array.reshape(-1).tolist(), "indices": r.indices}
+        payload = {"enhanced": r.enhanced.array.reshape(-1).tolist()}
+    payload.update(indices=r.indices, scanned=r.scanned, probed=r.probed)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

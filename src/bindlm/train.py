@@ -403,6 +403,13 @@ def run_stage(
     prepare = prepare_instruction if tuning else prepare_caption
     with binfmt.naming(corpus, ShapeError, IngestError):
         examples = [prepare(r, tok, encoders) for r in records]
+    # caption_loss forwards [BOS] + prompt + target less its last token
+    for i, (rec, ex) in enumerate(zip(records, examples), start=1):
+        n = len(ex.prompt_ids) + len(ex.target_ids)
+        if n > lm.config.max_seq:
+            which = f"source {rec.source_id!r}" if rec.source_id else f"language-only record {i}"
+            raise PipelineError(
+                f"{corpus}: sequence length {n} > max_seq {lm.config.max_seq} for {which}")
 
     if counters is not None:
         counters["trainable_params"] = sum(peft.resolve_param(lm, bind, n).size for n in names)

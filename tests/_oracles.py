@@ -205,3 +205,35 @@ def rmsnorm_oracle(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.nda
     kernel must give these bits exactly."""
     inv = 1.0 / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps)
     return (x * inv) * gain
+
+
+def kmeans_lists_oracle(keys: np.ndarray, nlist: int, seed: int) -> list[np.ndarray]:
+    """The rows of each inverted list, ascending: the assignment of the last of
+    six spherical k-means rounds from nlist distinct rows drawn by Philox(seed),
+    each round an argmax over keys @ centroids.T, then each non-empty list's
+    normalized mean (a zero mean keeps the old centroid)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    centroids = keys[rng.choice(len(keys), size=nlist, replace=False)].copy()
+    for _ in range(6):
+        assign = (keys @ centroids.T).argmax(axis=1)
+        for l in range(nlist):
+            members = keys[assign == l]
+            if len(members):
+                c = members.mean(axis=0)
+                norm = np.sqrt((c * c).sum())
+                if norm > 0:
+                    centroids[l] = c / norm
+    return [np.nonzero(assign == l)[0] for l in range(nlist)]
+
+
+def topk_oracle(keys: np.ndarray, q: np.ndarray, k: int,
+                candidates: np.ndarray | None = None) -> tuple[list[int], np.ndarray]:
+    """The cache's top-k as a full sort: a stable argsort of the negated scan,
+    which keeps the lower row index first among equals. The scan is keys @ q,
+    or the candidate rows gathered in ascending index order; similarities are
+    clamped to [-1, 1]."""
+    rows = None if candidates is None else np.sort(candidates)
+    sims = keys @ q if rows is None else keys[rows] @ q
+    order = np.argsort(-sims, kind="stable")[:k]
+    picked = order if rows is None else rows[order]
+    return picked.tolist(), np.clip(sims[order], -1.0, 1.0)

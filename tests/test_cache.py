@@ -20,6 +20,8 @@ from bindlm.cache import (
 from bindlm.encoders import JointEmbedding, Modality
 from bindlm.tensor import Tensor, derive_rng
 
+from _oracles import kmeans_lists_oracle, topk_oracle
+
 
 def exhaustive_topk_oracle(keys: np.ndarray, q: np.ndarray, k: int) -> list[int]:
     """Independent scan: sort by (-similarity, index)."""
@@ -196,6 +198,72 @@ def test_exact_topk_equals_oracle_property(seed, m, k_frac):
     k = max(1, int(round(k_frac * m)))
     got = topk(store, q, k).indices
     assert got == exhaustive_topk_oracle(store.keys, q.vector.array.reshape(-1), k)
+
+
+def _tied_store(rng, m, dim):
+    """m rows whose first coordinate is one of seven multiples of 1/4, kept
+    exactly through the float32 copy, so their similarities to e0 are exact
+    ties whatever the summation order."""
+    embs = []
+    for i in range(m):
+        a = int(rng.integers(-3, 4)) / 4
+        rest = rng.standard_normal(dim - 1)
+        v = np.concatenate(([a], np.sqrt(1.0 - a * a) * rest / np.sqrt(rest @ rest)))
+        embs.append(JointEmbedding(Tensor(v.reshape(1, -1)), Modality.IMAGE, f"t{i}"))
+    return cache_build(embs)
+
+
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 40), dim=st.integers(2, 8), data=st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_select_equals_the_full_sort_on_stores_full_of_ties(seed, m, dim, data):
+    """Every k in [1, M]: the exact scan gives the full sort's indices and
+    similarity bytes; the partitioned probe visits the lists the probe rule
+    names and gives the full sort's indices over their rows."""
+    store = _tied_store(derive_rng(seed, "cache-ties"), m, dim)
+    nlist = data.draw(st.integers(1, m), label="nlist")
+    nprobe = data.draw(st.integers(1, nlist), label="nprobe")
+    store.build_partitions(nlist=nlist, nprobe=nprobe, seed=seed)
+    lists = kmeans_lists_oracle(store.keys, nlist, seed)
+    query = JointEmbedding.of(np.eye(dim)[0], Modality.AUDIO, "q")
+    qv = query.vector.array.reshape(-1)
+    scan = store.keys @ qv
+    probe_order = np.argsort(-(store._partitions.centroids @ qv), kind="stable")
+    sizes = [len(lists[l]) for l in probe_order]
+    for k in range(1, m + 1):
+        want, want_sims = topk_oracle(store.keys, qv, k)
+        exact = topk(store, query, k)
+        assert exact.indices == want
+        assert exact.similarities.array.reshape(-1).tobytes() == want_sims.tobytes()
+        assert (exact.scanned, exact.probed) == (m, 0)
+
+        approx = topk(store, query, k, mode="partitioned")
+        enough = [sum(sizes[:n]) >= k and sum(s > 0 for s in sizes[:n]) >= nprobe
+                  for n in range(nlist + 1)]
+        assert approx.probed == (enough.index(True) if True in enough else nlist)
+        candidates = np.concatenate([lists[l] for l in probe_order[:approx.probed]])
+        assert approx.scanned == len(candidates)
+        assert approx.indices == topk_oracle(store.keys, qv, k, candidates)[0]
+        sims = approx.similarities.array.reshape(-1)
+        assert np.abs(sims - np.clip(scan[approx.indices], -1.0, 1.0)).max() <= 1e-12
+
+
+def test_partitions_store_each_kmeans_list_as_one_block():
+    store = cache_build(_embs(derive_rng(18, "cache-layout"), 300, 16))
+    store.build_partitions(nlist=17, seed=0)
+    first = store._partitions
+    store.build_partitions(nlist=17, seed=5)
+    part = store._partitions
+    for p, seed in ((first, 0), (part, 5)):
+        assert np.array_equal(np.sort(p.rows), np.arange(store.size))
+        assert p.blocks.tobytes() == store.keys[p.rows].tobytes()
+        lists = kmeans_lists_oracle(store.keys, 17, seed)
+        assert len(p.offsets) == len(lists) + 1 and p.offsets[0] == 0
+        for l, rows in enumerate(lists):
+            assert np.array_equal(p.rows[p.offsets[l]:p.offsets[l + 1]], rows)
+    # the second build replaces every part of the layout
+    assert not np.array_equal(part.rows, first.rows)
+    assert not np.array_equal(part.centroids, first.centroids)
+    assert not np.shares_memory(part.blocks, first.blocks)
 
 
 # ---------------------------------------------------------------------------

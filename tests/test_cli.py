@@ -93,6 +93,23 @@ def test_cache_enhance_and_partitioned(tmp_path, capsys):
     assert len(payload["enhanced"]) == DatasetManifest.load(out).encoder.dim_joint
 
 
+@pytest.mark.parametrize("command", ["query", "enhance"])
+def test_cache_commands_report_rows_scanned_and_lists_probed(tmp_path, capsys, command):
+    out = _gen(tmp_path)
+    cache_file = tmp_path / "c.bnc"
+    assert cli(["cache", "build", "--data", str(out), "--out", str(cache_file)]) == 0
+    size = int(capsys.readouterr().out.splitlines()[-1].split()[1])  # "cached N embeddings ..."
+    args = ["cache", command, "--cache", str(cache_file), "--data", str(out),
+            "--modality", "image", "--input", str(_raw_input_file(tmp_path, out)), "--k", "3"]
+    assert cli(args) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert (exact["scanned"], exact["probed"]) == (size, 0)
+    assert cli(args + ["--mode", "partitioned", "--nlist", "4", "--nprobe", "2"]) == 0
+    partitioned = json.loads(capsys.readouterr().out)
+    assert partitioned["probed"] >= 2
+    assert 3 <= partitioned["scanned"] <= size
+
+
 def test_mix_cli(tmp_path, capsys):
     out = _gen(tmp_path)
     a = _raw_input_file(tmp_path, out, Modality.IMAGE, "a.json")

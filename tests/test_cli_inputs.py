@@ -94,6 +94,30 @@ def test_lora_rank_on_a_stage_that_attaches_no_adapters_names_file_key_and_stage
     assert not (tmp_path / "ck.bnk").exists()
 
 
+@pytest.mark.parametrize("line,which", [
+    (0, "source 'ins0000v0'"),
+    (-1, "language-only record 6"),
+], ids=["sourced", "language-only"])
+def test_a_training_record_longer_than_max_seq_names_corpus_record_and_lengths(
+        tmp_path, capsys, line, which):
+    out = _gen(tmp_path)
+    corpus = out / "instruct.jsonl"
+    records = [json.loads(r) for r in corpus.read_text().splitlines()]
+    records[line]["response"] = " ".join(["echo"] * 40)
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ck = small_checkpoint()
+    ck.provenance = ["pretrain:seed=0:steps=0"]
+    save_checkpoint(ck, tmp_path / "pre.bnk")
+    code = cli(["train", "--stage", "instruct", "--data", str(out),
+                "--init", str(tmp_path / "pre.bnk"), "--out", str(tmp_path / "ins.bnk")])
+    assert code == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(rf"error: {re.escape(str(corpus))}: sequence length (\d+) > max_seq 32"
+                         rf" for {re.escape(which)}\n", err)
+    assert match and int(match[1]) > 32, err
+    assert not (tmp_path / "ins.bnk").exists()
+
+
 def test_non_utf8_plan_file_is_data_error(tmp_path, capsys):
     out = _gen(tmp_path)
     plan = tmp_path / "plan.kv"
