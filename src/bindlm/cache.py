@@ -14,14 +14,35 @@ Search selects before it sorts: np.partition finds the k-th largest
 similarity, and only the rows at or above it are sorted, by descending
 similarity and then by ascending row index, so the lower index wins a tie.
 The exact scan is one `keys @ q` over every row. The partitioned probe
-visits seeded spherical k-means inverted lists, nearest centroid first.
+searches seeded spherical k-means inverted lists in two phases. Phase 1
+visits lists nearest centroid first until they hold k rows and nprobe of
+them are non-empty; the k-th best similarity t found there is a lower bound
+on the true k-th. Phase 2 also visits every other non-empty list whose upper
+bound on q . x reaches t, so no row the probe skips can enter the top-k and
+the result is the exact top-k. The bound of list l is
+
+    |q| * (cos(max(0, angle(q, c_l) - radius_l)) + UNIT_NORM_TOL + slack)
+
+where radius_l is the largest angle between a member and its final centroid
+c_l. The slack, (dim + 10) float64 epsilons, exceeds the rounding error of a
+dim-term dot product, of the norms, and of arccos and cos. It moves each
+cosine to the safe side before its arccos (the query's up, a radius's down),
+since near an angle of 0 a cosine off by one rounding moves its arccos by far
+more, and it is added to the bound for the rounding of the scores. A
+UNIT_NORM_TOL term covers rows whose norm is off 1. A zero query (the
+placeholder) scores 0 on every row, so it visits every list; so does a
+nonzero query whose norm is outside [2^-500, 2^500], where a product could
+underflow or overflow past the slack.
+
 build_partitions stores each list as one contiguous block of a float64 copy
 of the keys, list after list, so a partitioned store holds the keys twice;
 the probe scores the lists it visits in place, each run of neighbouring
 lists as one product, and copies no rows. Exact similarities are the bits
 of `keys @ q`. Partitioned ones agree with it to 1e-12 but not bitwise: at
 one BLAS thread, OpenBLAS scores the last n % 4 rows of an n-row product
-with another kernel, so a row's bits depend on where its block ends.
+with another kernel, so a row's bits depend on where its block ends. The
+two modes therefore return the same indices up to the order of
+similarities that agree within 1e-12.
 
 File format (encoded and bounds-checked by binfmt.py):
 
@@ -87,7 +108,8 @@ class RetrievalResult:
 
 @dataclass
 class _Partitions:
-    centroids: np.ndarray  # [nlist, dim]
+    centroids: np.ndarray  # [nlist, dim], unit-norm
+    radii: np.ndarray  # [nlist]; each member is at most radii[l] radians from centroid l
     rows: np.ndarray  # store row indices, list after list, ascending within a list
     blocks: np.ndarray  # keys[rows]: each list's rows as one contiguous block
     offsets: np.ndarray  # [nlist + 1]; list l is blocks[offsets[l]:offsets[l + 1]]
@@ -110,7 +132,8 @@ class CacheStore:
 
     def build_partitions(self, nlist: int | None = None, nprobe: int | None = None,
                          seed: int = 0) -> None:
-        """Seeded spherical k-means inverted lists for approximate search."""
+        """Seeded spherical k-means inverted lists for the partitioned probe;
+        nprobe is the fewest non-empty lists its first phase visits."""
         m = self.size
         if m == 0:
             raise EmptyCacheError("cannot partition an empty cache")
@@ -121,9 +144,7 @@ class CacheStore:
             nlist = max(1, int(round(np.sqrt(m))))
         nlist = min(nlist, m)
         if nprobe is None:
-            # Uniformly random keys are the worst case for inverted lists;
-            # probing 80% keeps measured recall@16 above 0.95 even there.
-            nprobe = max(1, -(-nlist * 4 // 5))
+            nprobe = 1  # the bound, not nprobe, keeps the result exact
         rng = np.random.Generator(np.random.Philox(seed))
         centroids = self.keys[rng.choice(m, size=nlist, replace=False)].copy()
         assign = None
@@ -137,9 +158,16 @@ class CacheStore:
                     norm = np.sqrt((c * c).sum())
                     if norm > 0:
                         centroids[l] = c / norm
+        centroids /= _norms(centroids)[:, None]
         rows = np.argsort(assign, kind="stable")
+        blocks = self.keys[rows]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
-        self._partitions = _Partitions(centroids, rows, self.keys[rows], offsets,
+        # a list's radius is the arccos of its members' smallest cosine to the
+        # final centroid, less the slack
+        least = [np.min(blocks[a:b] @ c / _norms(blocks[a:b]), initial=1.0)
+                 for c, a, b in zip(centroids, offsets[:-1], offsets[1:])]
+        radii = np.arccos(np.clip(np.array(least) - _slack(self.dim), -1.0, 1.0))
+        self._partitions = _Partitions(centroids, radii, rows, blocks, offsets,
                                        min(nprobe, nlist))
 
 
@@ -172,10 +200,20 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
     return CacheStore(keys, ids)
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _slack(dim: int) -> float:
+    """What the probe's bound adds to a cosine, per unit of |q|: see the module
+    docstring."""
+    return (dim + 10) * np.finfo(np.float64).eps
+
+
 def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     """Index and norm of the first row whose norm is off 1 by more than
     UNIT_NORM_TOL (a non-finite row always is), or None."""
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms = _norms(rows)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
 
@@ -191,26 +229,54 @@ def _rank(sims: np.ndarray, rows: np.ndarray | None, k: int):
     return ids[order].tolist(), np.clip(sims[keep[order]], -1.0, 1.0)
 
 
+def _score(part: _Partitions, lists: np.ndarray, q: np.ndarray):
+    """Similarities and row indices of the rows of lists, scored in place, each
+    run of lists that sit next to each other in blocks as one product."""
+    runs = []
+    for l in np.sort(lists).tolist():
+        a, b = part.offsets[l], part.offsets[l + 1]
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b  # a list that starts where the one before it ends extends that run
+        else:
+            runs.append([a, b])
+    return (np.concatenate([part.blocks[a:b] @ q for a, b in runs]),
+            np.concatenate([part.rows[a:b] for a, b in runs]))
+
+
+def _bounds(cos: np.ndarray, radii: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Upper bounds on q . x over the members x of lists with centroid cosines
+    cos (centroid @ q) and the given radii, as the module docstring gives them."""
+    with np.errstate(over="ignore"):  # an infinite norm is out of range below
+        norm = np.sqrt(q @ q)
+    if not 2.0 ** -500 <= norm <= 2.0 ** 500:
+        # a zero query scores exactly 0 on every row; any other visits every list
+        return np.full(len(cos), np.inf if q.any() else 0.0)
+    slack = _slack(len(q))
+    # rounding leaves cos / norm above -1 - slack, so only the top needs a clip
+    angle = np.arccos(np.minimum(cos / norm + slack, 1.0))
+    return norm * (np.cos(np.maximum(angle - radii, 0.0)) + UNIT_NORM_TOL + slack)
+
+
 def _probe(part: _Partitions, q: np.ndarray, k: int):
-    """Similarities and row indices of the lists nearest q, and how many lists
-    were visited. Lists are visited nearest centroid first until they hold k
-    rows and nprobe of them are non-empty. The visited lists are scored in
-    place, each run of lists that sit next to each other in blocks as one
-    product."""
-    order = np.argsort(-(part.centroids @ q), kind="stable")
-    sizes = np.diff(part.offsets)[order]
+    """Similarities and row indices of every row of the lists visited, and how
+    many lists were visited: phase 1's lists in centroid order, empty ones
+    included, then the lists phase 2 adds."""
+    cos = part.centroids @ q
+    order = np.argsort(-cos, kind="stable")
+    sizes = part.offsets[1:] - part.offsets[:-1]
+    ordered = sizes[order]
     # the lists cover every row, so they hold k rows once all are visited
-    enough = (np.cumsum(sizes) >= k) & (np.cumsum(sizes > 0) >= part.nprobe)
+    enough = (np.cumsum(ordered) >= k) & (np.cumsum(ordered > 0) >= part.nprobe)
     probed = int(enough.argmax()) + 1 if enough.any() else len(order)
-    lists = np.sort(order[:probed][sizes[:probed] > 0])
-    lo, hi = part.offsets[lists], part.offsets[lists + 1]
-    # a list that starts where the one before it ends extends that run
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] != hi[:-1])))
-    last = np.append(first[1:], len(lists)) - 1
-    runs = list(zip(lo[first].tolist(), hi[last].tolist()))
-    sims = np.concatenate([part.blocks[a:b] @ q for a, b in runs])
-    rows = np.concatenate([part.rows[a:b] for a, b in runs])
-    return sims, rows, probed
+    near = order[:probed]
+    sims, rows = _score(part, near[sizes[near] > 0], q)
+    t = np.partition(sims, -k)[-k]  # at most the true k-th best similarity
+    far = order[probed:]
+    far = far[(sizes[far] > 0) & (_bounds(cos[far], part.radii[far], q) >= t)]
+    if far.size:
+        more, more_rows = _score(part, far, q)
+        sims, rows = np.concatenate((sims, more)), np.concatenate((rows, more_rows))
+    return sims, rows, probed + len(far)
 
 
 def topk(store: CacheStore, query: JointEmbedding, k: int,

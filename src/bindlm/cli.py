@@ -173,13 +173,18 @@ def _build_parser() -> _Parser:
 
 def _read_input(path, encoders, modality: str | None = None) -> JointEmbedding:
     """The encoding of a raw input file: a bare array, or an object whose "raw"
-    is the array. Without modality, the object's "modality" picks the encoder."""
+    is the array. The object's "modality", required without modality and
+    optional with it, must name the encoder modality picks."""
     obj = binfmt.parse_json(binfmt.read_text(path, IngestError), IngestError, path)
     if isinstance(obj, dict) or modality is None:
         obj = binfmt.keys(obj, str(path), ("raw",) if modality else ("modality", "raw"),
                           SAMPLE_KEYS, IngestError)
     with binfmt.naming(path, ValueError, IngestError):
-        encoder = encoders[Modality(modality) if modality else encoder_modality(obj["modality"])]
+        named = isinstance(obj, dict) and "modality" in obj  # else modality is given
+        picked = encoder_modality(obj["modality"]) if named else Modality(modality)
+        if modality and picked.value != modality:
+            raise ValueError(f"modality {picked.value!r} differs from --modality {modality}")
+        encoder = encoders[picked]
         raw = raw_vector(obj["raw"] if isinstance(obj, dict) else obj)
     if raw.size != encoder.config.dim_raw:
         raise IngestError(f"{path}: the raw vector holds {raw.size} numbers, "

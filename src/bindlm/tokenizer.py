@@ -19,6 +19,8 @@ from .tensor import DataError
 VOCAB_SIZE = 512
 BOS, EOS, PAD = 256, 257, 258
 _FIRST_MERGE_ID = 259
+# the keys to_dict writes beside the merges; from_dict accepts only these values
+_HEADER = {"version": 1, "vocab_size": VOCAB_SIZE}
 
 _PIECE_RE = re.compile(r" ?\w+| ?[^\w\s]+|\s")
 
@@ -77,12 +79,15 @@ class Tokenizer:
         return b"".join(chunks).decode("utf-8", errors="replace")
 
     def to_dict(self) -> dict:
-        return {"version": 1, "vocab_size": VOCAB_SIZE, "merges": [list(m) for m in self.merges]}
+        return {**_HEADER, "merges": [list(m) for m in self.merges]}
 
     @staticmethod
     def from_dict(d, what: str, error: type[Exception] = VocabularyError) -> "Tokenizer":
         """The tokenizer of a JSON object to_dict wrote; a fault raises error naming what."""
-        merges = binfmt.keys(d, what, ("merges",), ("version", "vocab_size"), error)["merges"]
+        merges = binfmt.keys(d, what, ("merges",), tuple(_HEADER), error)["merges"]
+        for key, want in _HEADER.items():
+            if key in d and not (type(d[key]) is int and d[key] == want):
+                raise error(f"{what}.{key} {d[key]!r}, which is not {want}")
         with binfmt.naming(what, VocabularyError, error):
             if not (isinstance(merges, list) and all(isinstance(m, list) and len(m) == 2
                                                      for m in merges)):

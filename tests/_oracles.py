@@ -10,6 +10,7 @@ node: it is the reference for the fused node's bits, forward and backward.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -207,11 +208,12 @@ def rmsnorm_oracle(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.nda
     return (x * inv) * gain
 
 
-def kmeans_lists_oracle(keys: np.ndarray, nlist: int, seed: int) -> list[np.ndarray]:
-    """The rows of each inverted list, ascending: the assignment of the last of
-    six spherical k-means rounds from nlist distinct rows drawn by Philox(seed),
-    each round an argmax over keys @ centroids.T, then each non-empty list's
-    normalized mean (a zero mean keeps the old centroid)."""
+def kmeans_oracle(keys: np.ndarray, nlist: int, seed: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The rows of each inverted list, ascending, and the final centroids, each
+    scaled to unit norm: the assignment of the last of six spherical k-means
+    rounds from nlist distinct rows drawn by Philox(seed), each round an argmax
+    over keys @ centroids.T, then each non-empty list's normalized mean (a zero
+    mean keeps the old centroid)."""
     rng = np.random.Generator(np.random.Philox(seed))
     centroids = keys[rng.choice(len(keys), size=nlist, replace=False)].copy()
     for _ in range(6):
@@ -223,7 +225,52 @@ def kmeans_lists_oracle(keys: np.ndarray, nlist: int, seed: int) -> list[np.ndar
                 norm = np.sqrt((c * c).sum())
                 if norm > 0:
                     centroids[l] = c / norm
-    return [np.nonzero(assign == l)[0] for l in range(nlist)]
+    lists = [np.nonzero(assign == l)[0] for l in range(nlist)]
+    return lists, centroids / np.sqrt((centroids * centroids).sum(axis=1, keepdims=True))
+
+
+def probe_oracle(keys: np.ndarray, q: np.ndarray, k: int, nlist: int, nprobe: int,
+                 seed: int) -> tuple[int, int, np.ndarray]:
+    """The lists the partitioned probe visits, one at a time: (lists visited,
+    rows scanned, the candidate rows). First the lists in descending
+    centroid @ q order (stable), until they hold k rows and nprobe of them are
+    non-empty; t is the k-th best similarity among their rows. Then the other
+    non-empty lists in descending bound order, while the bound is at or above
+    t. A list's bound on q . x over its members x is
+    |q| (cos(max(0, arccos(cq + e) - arccos(cm - e))) + 1e-6 + e), where cq is
+    the cosine of q and the centroid, cm the smallest member-centroid cosine,
+    e = (dim + 10) float64 epsilons, cosines are clipped to [-1, 1], and the
+    bound is 0 for a zero q."""
+    lists, centroids = kmeans_oracle(keys, nlist, seed)
+    e = (len(q) + 10) * np.finfo(np.float64).eps
+    qn = math.sqrt(float(q @ q))
+    visited, rows, nonempty = [], 0, 0
+    for l in np.argsort(-(centroids @ q), kind="stable"):
+        if rows >= k and nonempty >= nprobe:
+            break
+        visited.append(l)
+        rows += len(lists[l])
+        nonempty += len(lists[l]) > 0
+    candidates = np.concatenate([lists[l] for l in visited])
+    t = np.sort(keys[candidates] @ q)[-k]
+    bounds = []
+    for l in set(range(nlist)) - set(visited):
+        members = keys[lists[l]]
+        if not len(members):
+            continue
+        if qn == 0.0:
+            bounds.append((0.0, l))
+            continue
+        cm = min(float(x @ centroids[l]) / math.sqrt(float(x @ x)) for x in members)
+        cq = float(centroids[l] @ q) / qn
+        gap = math.acos(min(1.0, cq + e)) - math.acos(max(-1.0, cm - e))
+        bounds.append((qn * (math.cos(max(0.0, gap)) + 1e-6 + e), l))
+    for bound, l in sorted(bounds, reverse=True):
+        if bound < t:
+            break
+        visited.append(l)
+        candidates = np.concatenate((candidates, lists[l]))
+    return len(visited), len(candidates), candidates
 
 
 def topk_oracle(keys: np.ndarray, q: np.ndarray, k: int,

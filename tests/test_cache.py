@@ -20,7 +20,7 @@ from bindlm.cache import (
 from bindlm.encoders import JointEmbedding, Modality
 from bindlm.tensor import Tensor, derive_rng
 
-from _oracles import kmeans_lists_oracle, topk_oracle
+from _oracles import kmeans_oracle, probe_oracle, topk_oracle
 
 
 def exhaustive_topk_oracle(keys: np.ndarray, q: np.ndarray, k: int) -> list[int]:
@@ -151,7 +151,6 @@ def test_exact_matches_oracle_and_partitioned_recall():
     embs = _embs(rng, 256, 32)
     store = cache_build(embs)
     queries = _embs(rng, 32, 32, prefix="q")
-    hits = total = 0
     store.build_partitions(seed=0)
     for q in queries:
         qv = q.vector.array.reshape(-1)
@@ -162,11 +161,9 @@ def test_exact_matches_oracle_and_partitioned_recall():
         assert exact.similarities.array.reshape(-1).tobytes() == np.clip(
             scan[want], -1.0, 1.0).tobytes()
         approx = topk(store, q, 16, mode="partitioned")
+        assert approx.indices == want
         sims = approx.similarities.array.reshape(-1)
         assert np.abs(sims - scan[approx.indices]).max() <= 1e-12
-        hits += len(set(approx.indices) & set(want))
-        total += 16
-    assert hits / total >= 0.95
 
 
 @pytest.mark.parametrize("mode", ["exact", "partitioned"])
@@ -213,38 +210,146 @@ def _tied_store(rng, m, dim):
     return cache_build(embs)
 
 
+def _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed):
+    """The partitioned top-k has the full sort's indices over the whole store,
+    and the probe visits as many lists and scans as many rows as the probe
+    oracle, whose candidates also hold that top-k."""
+    qv = query.vector.array.reshape(-1)
+    want = topk_oracle(store.keys, qv, k)[0]
+    got = topk(store, query, k, mode="partitioned")
+    assert got.indices == want
+    probed, scanned, candidates = probe_oracle(store.keys, qv, k, nlist, nprobe, seed)
+    assert (got.probed, got.scanned) == (probed, scanned)
+    assert topk_oracle(store.keys, qv, k, candidates)[0] == want
+    sims = got.similarities.array.reshape(-1)
+    assert np.abs(sims - np.clip(store.keys[want] @ qv, -1.0, 1.0)).max() <= 1e-12
+
+
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 40), dim=st.integers(2, 8), data=st.data())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_select_equals_the_full_sort_on_stores_full_of_ties(seed, m, dim, data):
     """Every k in [1, M]: the exact scan gives the full sort's indices and
-    similarity bytes; the partitioned probe visits the lists the probe rule
-    names and gives the full sort's indices over their rows."""
+    similarity bytes; the partitioned probe gives the same indices and visits
+    the lists the probe oracle names."""
     store = _tied_store(derive_rng(seed, "cache-ties"), m, dim)
     nlist = data.draw(st.integers(1, m), label="nlist")
     nprobe = data.draw(st.integers(1, nlist), label="nprobe")
     store.build_partitions(nlist=nlist, nprobe=nprobe, seed=seed)
-    lists = kmeans_lists_oracle(store.keys, nlist, seed)
     query = JointEmbedding.of(np.eye(dim)[0], Modality.AUDIO, "q")
     qv = query.vector.array.reshape(-1)
-    scan = store.keys @ qv
-    probe_order = np.argsort(-(store._partitions.centroids @ qv), kind="stable")
-    sizes = [len(lists[l]) for l in probe_order]
     for k in range(1, m + 1):
         want, want_sims = topk_oracle(store.keys, qv, k)
         exact = topk(store, query, k)
         assert exact.indices == want
         assert exact.similarities.array.reshape(-1).tobytes() == want_sims.tobytes()
         assert (exact.scanned, exact.probed) == (m, 0)
+        _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed)
 
-        approx = topk(store, query, k, mode="partitioned")
-        enough = [sum(sizes[:n]) >= k and sum(s > 0 for s in sizes[:n]) >= nprobe
-                  for n in range(nlist + 1)]
-        assert approx.probed == (enough.index(True) if True in enough else nlist)
-        candidates = np.concatenate([lists[l] for l in probe_order[:approx.probed]])
-        assert approx.scanned == len(candidates)
-        assert approx.indices == topk_oracle(store.keys, qv, k, candidates)[0]
-        sims = approx.similarities.array.reshape(-1)
-        assert np.abs(sims - np.clip(scan[approx.indices], -1.0, 1.0)).max() <= 1e-12
+
+def test_partitioned_is_exact_on_a_clustered_store():
+    """Tight clusters, like the many views of few objects an image cache
+    holds, so the bound skips most lists; six k-means rounds leave the
+    centroids still moving, so a radius must come from the final ones."""
+    rng = derive_rng(22, "cache-clusters")
+    centres = rng.standard_normal((24, 16))
+    rows = centres.repeat(8, axis=0) + 0.3 * rng.standard_normal((192, 16))
+    store = cache_build(JointEmbedding.of(_unit(*r), Modality.IMAGE, f"c{i}")
+                        for i, r in enumerate(rows))
+    store.build_partitions(nlist=14, seed=0)
+    scanned = 0
+    for c in centres + 0.3 * rng.standard_normal((24, 16)):
+        query = JointEmbedding.of(_unit(*c), Modality.AUDIO, "q")
+        for k in (1, 4, 16):
+            _assert_partitioned_is_exact(store, query, k, 14, 1, 0)
+        scanned += topk(store, query, 4, mode="partitioned").scanned
+    assert scanned < 0.5 * 24 * store.size
+
+
+def _unit(*v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.sqrt(v @ v)
+
+
+def _duplicates():
+    """Five rows, each stored four times, interleaved; two share a list."""
+    rows = derive_rng(19, "cache-dups").standard_normal((5, 6))
+    return [_unit(*rows[i % 5]) for i in range(20)], 4, [4, 4, 4, 8]
+
+
+def _symmetric_clusters():
+    """Two clusters of five rows, each symmetric about its centre, which is
+    itself a row: the mean's direction is the centre's, so that row lies on
+    its list's centroid, and the other four sit at the list's radius."""
+    rows = []
+    for centre, across in ((0, (1, 2)), (3, (4, 5))):
+        rows.append(np.eye(6)[centre])
+        for axis in across:
+            for sign in (1.0, -1.0):
+                v = 0.8 * np.eye(6)[centre]
+                v[axis] = 0.6 * sign
+                rows.append(v)
+    return rows, 2, [5, 5]
+
+
+def _one_row_lists():
+    """Twelve rows far apart, one to a list."""
+    rows = derive_rng(20, "cache-single").standard_normal((12, 6))
+    return [_unit(*r) for r in rows], 12, [1] * 12
+
+
+# 1 - 13 * 2^-24 and 1 + 7 * 2^-23: float32 values, off 1 by nearly UNIT_NORM_TOL
+SHORT, LONG = 1.0 - 13 * 2.0 ** -24, 1.0 + 7 * 2.0 ** -23
+
+
+def _norms_at_the_bound():
+    """A row just short of unit norm along e0 and one just long along e1, one
+    to a list; the NORM_QUERY prefers e0's centroid, but the long row scores
+    higher than the short one, so only the norm allowance finds it."""
+    rows = [SHORT * np.eye(6)[0], LONG * np.eye(6)[1], _unit(1, 1, 0, 0, 0, 0)]
+    rows += [np.eye(6)[i] for i in range(2, 6)] + [-np.eye(6)[0]]
+    return rows, 8, [1] * 8
+
+
+NORM_QUERY = np.array([1.0, 1.0 - UNIT_NORM_TOL, 0.3, 0.0, 0.0, 0.0])
+
+
+def _store_of(rows):
+    return cache_build(JointEmbedding(Tensor(np.reshape(v, (1, -1))), Modality.IMAGE, f"a{i}")
+                       for i, v in enumerate(rows))
+
+
+@pytest.mark.parametrize("make", [_duplicates, _symmetric_clusters, _one_row_lists,
+                                  _norms_at_the_bound])
+@pytest.mark.parametrize("nprobe", [1, 2])
+def test_partitioned_is_exact_on_adversarial_stores(make, nprobe):
+    """Every k in [1, M] and a random, a stored, an antipodal and a zero query;
+    each store's lists have the sizes its maker names."""
+    rows, nlist, sizes = make()
+    store = _store_of(rows)
+    seed = 0
+    store.build_partitions(nlist=nlist, nprobe=nprobe, seed=seed)
+    assert sorted(np.diff(store._partitions.offsets).tolist()) == sizes
+    queries = [derive_rng(21, "cache-adv").standard_normal(store.dim), store.keys[0],
+               -store.keys[1], np.zeros(store.dim)]
+    if make is _norms_at_the_bound:
+        queries.append(NORM_QUERY)
+    for q in queries:
+        query = JointEmbedding(Tensor(q.reshape(1, -1)), Modality.AUDIO, "q")
+        for k in range(1, store.size + 1):
+            _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_a_query_norm_far_from_one_visits_every_list(scale):
+    """Products of such a query could underflow or overflow past the slack."""
+    rows, nlist, _ = _one_row_lists()
+    store = _store_of(rows)
+    store.build_partitions(nlist=nlist, seed=0)
+    q = scale * derive_rng(23, "cache-scale").standard_normal(store.dim)
+    got = topk(store, JointEmbedding(Tensor(q.reshape(1, -1)), Modality.AUDIO, "q"), 3,
+               mode="partitioned")
+    assert got.indices == topk_oracle(store.keys, q, 3)[0]
+    assert (got.probed, got.scanned) == (nlist, store.size)
 
 
 def test_partitions_store_each_kmeans_list_as_one_block():
@@ -256,10 +361,11 @@ def test_partitions_store_each_kmeans_list_as_one_block():
     for p, seed in ((first, 0), (part, 5)):
         assert np.array_equal(np.sort(p.rows), np.arange(store.size))
         assert p.blocks.tobytes() == store.keys[p.rows].tobytes()
-        lists = kmeans_lists_oracle(store.keys, 17, seed)
+        lists, centroids = kmeans_oracle(store.keys, 17, seed)
         assert len(p.offsets) == len(lists) + 1 and p.offsets[0] == 0
         for l, rows in enumerate(lists):
             assert np.array_equal(p.rows[p.offsets[l]:p.offsets[l + 1]], rows)
+        assert np.abs(p.centroids - centroids).max() <= 1e-15
     # the second build replaces every part of the layout
     assert not np.array_equal(part.rows, first.rows)
     assert not np.array_equal(part.centroids, first.centroids)

@@ -110,6 +110,23 @@ def test_cache_commands_report_rows_scanned_and_lists_probed(tmp_path, capsys, c
     assert 3 <= partitioned["scanned"] <= size
 
 
+def test_partitioned_query_prints_the_exact_indices_from_part_of_the_store(tmp_path, capsys):
+    out = _gen(tmp_path, instruct=32)
+    cache_file = tmp_path / "c.bnc"
+    assert cli(["cache", "build", "--data", str(out), "--out", str(cache_file)]) == 0
+    size = int(capsys.readouterr().out.splitlines()[-1].split()[1])  # "cached N embeddings ..."
+    probe = tmp_path / "probe.json"  # one of the two views of a cached object
+    probe.write_text((out / "cache.jsonl").read_text().splitlines()[5])
+    args = ["cache", "query", "--cache", str(cache_file), "--data", str(out),
+            "--modality", "image", "--input", str(probe), "--k", "2"]
+    assert cli(args + ["--mode", "exact"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert cli(args + ["--mode", "partitioned"]) == 0
+    partitioned = json.loads(capsys.readouterr().out)
+    assert partitioned["indices"] == exact["indices"]
+    assert partitioned["scanned"] < size
+
+
 def test_mix_cli(tmp_path, capsys):
     out = _gen(tmp_path)
     a = _raw_input_file(tmp_path, out, Modality.IMAGE, "a.json")

@@ -245,8 +245,19 @@ def _drop_lm_dim(ck):
     (lambda ck: ck.config.update(adapters=[]), "config.adapters is not a JSON object"),
     (_config_value("bind", "depth", 3), "config.bind: unknown key 'depth'"),
     (_config_value("encoder", "seed", None), "config.encoder: seed None, which is not an int"),
+    (_config_value("tokenizer", "version", None), "config.tokenizer.version None, which is not 1"),
+    (_config_value("tokenizer", "version", 2), "config.tokenizer.version 2, which is not 1"),
+    (_config_value("tokenizer", "version", True), "config.tokenizer.version True, which is not 1"),
+    (_config_value("tokenizer", "vocab_size", "x"),
+     "config.tokenizer.vocab_size 'x', which is not 512"),
+    (_config_value("tokenizer", "vocab_size", 418),
+     "config.tokenizer.vocab_size 418, which is not 512"),
+    (_config_value("tokenizer", "vocab_size", 512.0),
+     "config.tokenizer.vocab_size 512.0, which is not 512"),
 ], ids=["lm-unknown-key", "lm-dim-missing", "tokenizer-5", "tokenizer-without-merges",
-        "adapters-list", "bind-unknown-key", "encoder-seed-null"])
+        "adapters-list", "bind-unknown-key", "encoder-seed-null", "tokenizer-version-null",
+        "tokenizer-version-2", "tokenizer-version-true", "tokenizer-vocab-size-x",
+        "tokenizer-vocab-size-418", "tokenizer-vocab-size-512.0"])
 def test_a_config_object_of_the_wrong_shape_names_the_checkpoint(tmp_path, capsys, edit,
                                                                   message):
     out = _gen(tmp_path)
@@ -429,6 +440,29 @@ def test_non_finite_raw_value_in_a_corpus_names_the_file_and_line(tmp_path, caps
     code = cli(["train", "--stage", "pretrain", "--data", str(out),
                 "--out", str(tmp_path / "ck.bnk")])
     _assert_clean_failure(capsys, code, 2, str(path), "line 2: the raw vector holds", "at index 0")
+
+
+@pytest.mark.parametrize("modality,message", [
+    (5, "modality is not one of image, text, audio, video, point_cloud"),
+    ("mixed", "modality is not one of image, text, audio, video, point_cloud"),
+    ("audio", "modality 'audio' differs from --modality image"),
+], ids=["5", "mixed", "audio"])
+@pytest.mark.parametrize("command", ["generate", "cache-query"])
+def test_an_input_modality_that_is_not_the_flag_names_the_file(tmp_path, capsys, modality,
+                                                               message, command):
+    out = _gen(tmp_path)
+    probe = _raw_input_file(tmp_path, out)
+    probe.write_text(json.dumps({**json.loads(probe.read_text()), "modality": modality}))
+    if command == "generate":
+        ckpt = tmp_path / "ck.bnk"
+        save_checkpoint(small_checkpoint(), ckpt)
+        args = ["generate", "--ckpt", str(ckpt), "--prompt", "hi"]
+    else:
+        assert cli(["cache", "build", "--data", str(out), "--out", str(tmp_path / "c.bnc")]) == 0
+        capsys.readouterr()
+        args = ["cache", "query", "--cache", str(tmp_path / "c.bnc"), "--data", str(out)]
+    assert cli(args + ["--modality", "image", "--input", str(probe)]) == 2
+    assert capsys.readouterr().err == f"error: {probe}: {message}\n"
 
 
 def test_nested_raw_vector_in_an_input_file_is_data_error(tmp_path, capsys):
