@@ -10,16 +10,45 @@ By default the top-k similarities are clamped at zero and normalized to a
 convex combination, which keeps alpha interpretable and the output norm at
 most 1; raw_eq4=True uses the raw similarity row instead.
 
-Search selects before it sorts: np.partition finds the k-th largest
-similarity, and only the rows at or above it are sorted, by descending
-similarity and then by ascending row index, so the lower index wins a tie.
-The exact scan is one `keys @ q` over every row. The partitioned probe
-searches seeded spherical k-means inverted lists in two phases. Phase 1
-visits lists nearest centroid first until they hold k rows and nprobe of
-them are non-empty; the k-th best similarity t found there is a lower bound
-on the true k-th. Phase 2 also visits every other non-empty list whose upper
-bound on q . x reaches t, so no row the probe skips can enter the top-k and
-the result is the exact top-k. The bound of list l is
+A row's similarity is one rule, the same wherever the row sits:
+(keys[rows] * q).sum(axis=1) in float64. A `keys @ q` product is not: at one
+BLAS thread OpenBLAS scores the last M % 4 rows of an M-row product with
+another kernel, so identical rows could differ in their last bits; under
+the rule they always tie. Search applies the rule only to the rows a
+float32 scan cannot rule out. Both modes scale the query by its largest
+magnitude (a zero query by 1), cast it to float32 and score it against a
+float32 copy of the rows; a row's float32 score s and its similarity F then
+satisfy |s - F / scale| <= margin, where, with u = 2^-24, |x| <= 1 +
+UNIT_NORM_TOL for every row x and n the norm of the scaled query,
+
+    margin = (1 + UNIT_NORM_TOL) * n * ((1 + u)^(dim + 1) - 1 + (dim + 8) * eps)
+             + dim * (2^-149 + 2^-1075 / scale)
+
+The first term is relative: the query's cast to float32 is one rounding, a
+dim-term float32 dot product takes at most dim more on any summation order,
+and (dim + 8) float64 epsilons cover the float64 rule's own rounding, the
+scaling, the norm n and the threshold arithmetic below. The second term is
+absolute and covers underflow, where a product or cast is off by up to half
+its type's smallest subnormal (2^-150 or 2^-1075) and a sum of subnormals
+is exact: dim * 2^-149 covers the float32 products and the query's cast,
+and dim * 2^-1075 / scale the rule's products, scaled like s.
+If t is the k-th best float32 score, k rows have F >= (t - margin) * scale,
+so every row of the top-k, and every row tied with the k-th, scores at
+least t - 2 * margin. Those rows, and only those, are re-scored by the rule
+and ranked. Ranking selects before it sorts: np.partition finds the k-th
+largest similarity, and only the rows at or above it are sorted, by
+descending similarity and then by ascending row index, so the lower index
+wins a tie.
+
+The exact scan scores every row. The partitioned probe searches seeded
+spherical k-means inverted lists in two phases. Phase 1 visits lists nearest
+centroid first until they hold k rows and nprobe of them are non-empty; if t
+is the k-th best float32 score found there, (t - margin) * scale is a lower
+bound on the true k-th similarity. Phase 2 also visits every other non-empty
+list whose upper bound on q . x reaches it, so no row the probe skips can
+enter the top-k, or tie with its k-th, and both modes rank the same rows by
+the same rule: they return the same indices and the same similarity bytes.
+The bound of list l is
 
     |q| * (cos(max(0, angle(q, c_l) - radius_l)) + UNIT_NORM_TOL + slack)
 
@@ -28,21 +57,17 @@ c_l. The slack, (dim + 10) float64 epsilons, exceeds the rounding error of a
 dim-term dot product, of the norms, and of arccos and cos. It moves each
 cosine to the safe side before its arccos (the query's up, a radius's down),
 since near an angle of 0 a cosine off by one rounding moves its arccos by far
-more, and it is added to the bound for the rounding of the scores. A
+more, and it is added to the bound for the rounding of the rule. A
 UNIT_NORM_TOL term covers rows whose norm is off 1. A zero query (the
 placeholder) scores 0 on every row, so it visits every list; so does a
 nonzero query whose norm is outside [2^-500, 2^500], where a product could
 underflow or overflow past the slack.
 
-build_partitions stores each list as one contiguous block of a float64 copy
-of the keys, list after list, so a partitioned store holds the keys twice;
-the probe scores the lists it visits in place, each run of neighbouring
-lists as one product, and copies no rows. Exact similarities are the bits
-of `keys @ q`. Partitioned ones agree with it to 1e-12 but not bitwise: at
-one BLAS thread, OpenBLAS scores the last n % 4 rows of an n-row product
-with another kernel, so a row's bits depend on where its block ends. The
-two modes therefore return the same indices up to the order of
-similarities that agree within 1e-12.
+Memory: the store holds its rows as float64 keys (the values are the same
+array) and as one float32 copy, the array cache_build and load_cache make.
+build_partitions reorders that copy so each list is one contiguous block,
+list after list, and both modes scan it in that order; the probe scores the
+lists it visits in place, each run of neighbouring lists as one product.
 
 File format (encoded and bounds-checked by binfmt.py):
 
@@ -58,6 +83,7 @@ no rows, values flag 1, and every row finite and unit-norm within UNIT_NORM_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,8 +127,9 @@ class CacheFormatError(DataError):
 class RetrievalResult:
     indices: list[int]
     similarities: Tensor  # [1, k], descending, clamped to [-1, 1]
-    scanned: int  # rows scored
+    scanned: int  # rows scored in float32
     probed: int  # inverted lists visited; 0 for the exact scan
+    rescored: int  # rows re-scored in float64
     enhanced: Tensor | None = None  # [1, C_I]; set by enhance()
 
 
@@ -111,15 +138,18 @@ class _Partitions:
     centroids: np.ndarray  # [nlist, dim], unit-norm
     radii: np.ndarray  # [nlist]; each member is at most radii[l] radians from centroid l
     rows: np.ndarray  # store row indices, list after list, ascending within a list
-    blocks: np.ndarray  # keys[rows]: each list's rows as one contiguous block
-    offsets: np.ndarray  # [nlist + 1]; list l is blocks[offsets[l]:offsets[l + 1]]
+    offsets: np.ndarray  # [nlist + 1]; list l is rows[offsets[l]:offsets[l + 1]]
     nprobe: int
 
 
 class CacheStore:
-    def __init__(self, keys: np.ndarray, ids: list[str]):
-        self.keys = self.values = keys  # float64 holding exactly float32-representable rows
+    def __init__(self, rows: np.ndarray, ids: list[str]):
+        """rows: the store's float32 rows, in insertion order."""
+        self.keys = self.values = rows.astype(np.float64)
         self.ids = ids
+        # the float32 copy both modes scan: row i is keys[i], or keys[part.rows[i]]
+        # once build_partitions has stored each list as one block
+        self._rows32 = np.require(rows, np.float32, "CA")  # a file's rows may sit unaligned
         self._partitions: _Partitions | None = None
 
     @property
@@ -149,8 +179,10 @@ class CacheStore:
         centroids = self.keys[rng.choice(m, size=nlist, replace=False)].copy()
         assign = None
         for _ in range(KMEANS_ITERATIONS):
-            sims = self.keys @ centroids.T
-            assign = sims.argmax(axis=1)
+            # 4096 rows at a time: the whole [m, nlist] product would be set-up's
+            # largest array, and the heap keeps its pages after it is freed
+            assign = np.concatenate([(self.keys[a:a + 4096] @ centroids.T).argmax(axis=1)
+                                     for a in range(0, m, 4096)])
             for l in range(nlist):
                 members = self.keys[assign == l]
                 if len(members):
@@ -160,15 +192,18 @@ class CacheStore:
                         centroids[l] = c / norm
         centroids /= _norms(centroids)[:, None]
         rows = np.argsort(assign, kind="stable")
-        blocks = self.keys[rows]
         offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
         # a list's radius is the arccos of its members' smallest cosine to the
         # final centroid, less the slack
-        least = [np.min(blocks[a:b] @ c / _norms(blocks[a:b]), initial=1.0)
-                 for c, a, b in zip(centroids, offsets[:-1], offsets[1:])]
+        least = []
+        for c, a, b in zip(centroids, offsets[:-1], offsets[1:]):
+            members = self.keys[rows[a:b]]
+            least.append(np.min(members @ c / _norms(members), initial=1.0))
         radii = np.arccos(np.clip(np.array(least) - _slack(self.dim), -1.0, 1.0))
-        self._partitions = _Partitions(centroids, radii, rows, blocks, offsets,
-                                       min(nprobe, nlist))
+        # where each store row sits in the float32 copy today, then the copy in list order
+        where = np.arange(m) if self._partitions is None else np.argsort(self._partitions.rows)
+        self._rows32 = self._rows32[where[rows]]
+        self._partitions = _Partitions(centroids, radii, rows, offsets, min(nprobe, nlist))
 
 
 def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
@@ -191,13 +226,13 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
         rows.append(v)
         ids.append(e.source_id)
     if not rows:
-        return CacheStore(np.zeros((0, 0)), [])
-    keys = np.stack(rows).astype("<f4").astype(np.float64)
-    bad = _first_non_unit_row(keys)
+        return CacheStore(np.zeros((0, 0), dtype="<f4"), [])
+    store = CacheStore(np.stack(rows).astype("<f4"), ids)
+    bad = _first_non_unit_row(store.keys)
     if bad is not None:
         row, norm = bad
         raise CacheBuildError(f"embedding {ids[row]!r} is not unit-norm (|v| = {norm:.2e})")
-    return CacheStore(keys, ids)
+    return store
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -210,6 +245,17 @@ def _slack(dim: int) -> float:
     return (dim + 10) * np.finfo(np.float64).eps
 
 
+def _margin(scaled: np.ndarray, scale: float) -> float:
+    """Bound on |s - F / scale| for every row, s its float32 score against the
+    scaled query and F its similarity: see the module docstring."""
+    dim = len(scaled)
+    n = math.sqrt(scaled @ scaled)
+    relative = math.expm1((dim + 1) * math.log1p(2.0 ** -24)) + (dim + 8) * 2.0 ** -52
+    # half of float64's smallest subnormal, 2^-1075, is not itself a float64
+    underflow = 2.0 ** -149 + 2.0 ** -1074 / scale / 2
+    return (1.0 + UNIT_NORM_TOL) * n * relative + dim * underflow
+
+
 def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     """Index and norm of the first row whose norm is off 1 by more than
     UNIT_NORM_TOL (a non-finite row always is), or None."""
@@ -218,20 +264,20 @@ def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
 
 
-def _rank(sims: np.ndarray, rows: np.ndarray | None, k: int):
+def _rank(sims: np.ndarray, rows: np.ndarray, k: int):
     """The k best rows by similarity, the lower row index first among equals;
-    sims[i] scores store row rows[i], or row i when rows is None."""
+    sims[i] scores store row rows[i]."""
     # a select, then a sort of only the rows at or above the k-th similarity;
     # every row tied with the k-th stays, so the tie rule sees them all
-    keep = np.flatnonzero(sims >= np.partition(sims, -k)[-k])
-    ids = keep if rows is None else rows[keep]
+    keep = np.flatnonzero(sims >= _kth(sims, k))
+    ids = rows[keep]
     order = np.lexsort((ids, -sims[keep]))[:k]
     return ids[order].tolist(), np.clip(sims[keep[order]], -1.0, 1.0)
 
 
-def _score(part: _Partitions, lists: np.ndarray, q: np.ndarray):
-    """Similarities and row indices of the rows of lists, scored in place, each
-    run of lists that sit next to each other in blocks as one product."""
+def _score(rows32: np.ndarray, part: _Partitions, lists: np.ndarray, q32: np.ndarray):
+    """Float32 scores and row indices of the rows of lists, scored in place, each
+    run of lists that sit next to each other in rows32 as one product."""
     runs = []
     for l in np.sort(lists).tolist():
         a, b = part.offsets[l], part.offsets[l + 1]
@@ -239,7 +285,7 @@ def _score(part: _Partitions, lists: np.ndarray, q: np.ndarray):
             runs[-1][1] = b  # a list that starts where the one before it ends extends that run
         else:
             runs.append([a, b])
-    return (np.concatenate([part.blocks[a:b] @ q for a, b in runs]),
+    return (np.concatenate([rows32[a:b] @ q32 for a, b in runs]),
             np.concatenate([part.rows[a:b] for a, b in runs]))
 
 
@@ -257,10 +303,12 @@ def _bounds(cos: np.ndarray, radii: np.ndarray, q: np.ndarray) -> np.ndarray:
     return norm * (np.cos(np.maximum(angle - radii, 0.0)) + UNIT_NORM_TOL + slack)
 
 
-def _probe(part: _Partitions, q: np.ndarray, k: int):
-    """Similarities and row indices of every row of the lists visited, and how
+def _probe(store: CacheStore, q: np.ndarray, q32: np.ndarray, k: int, margin: float,
+           scale: float):
+    """Float32 scores and row indices of every row of the lists visited, and how
     many lists were visited: phase 1's lists in centroid order, empty ones
     included, then the lists phase 2 adds."""
+    part = store._partitions
     cos = part.centroids @ q
     order = np.argsort(-cos, kind="stable")
     sizes = part.offsets[1:] - part.offsets[:-1]
@@ -269,14 +317,18 @@ def _probe(part: _Partitions, q: np.ndarray, k: int):
     enough = (np.cumsum(ordered) >= k) & (np.cumsum(ordered > 0) >= part.nprobe)
     probed = int(enough.argmax()) + 1 if enough.any() else len(order)
     near = order[:probed]
-    sims, rows = _score(part, near[sizes[near] > 0], q)
-    t = np.partition(sims, -k)[-k]  # at most the true k-th best similarity
+    scores, rows = _score(store._rows32, part, near[sizes[near] > 0], q32)
+    t = (_kth(scores, k) - margin) * scale  # at most the true k-th similarity
     far = order[probed:]
     far = far[(sizes[far] > 0) & (_bounds(cos[far], part.radii[far], q) >= t)]
     if far.size:
-        more, more_rows = _score(part, far, q)
-        sims, rows = np.concatenate((sims, more)), np.concatenate((rows, more_rows))
-    return sims, rows, probed + len(far)
+        more, more_rows = _score(store._rows32, part, far, q32)
+        scores, rows = np.concatenate((scores, more)), np.concatenate((rows, more_rows))
+    return scores, rows, probed + len(far)
+
+
+def _kth(scores: np.ndarray, k: int) -> float:
+    return float(np.partition(scores, -k)[-k])
 
 
 def topk(store: CacheStore, query: JointEmbedding, k: int,
@@ -289,17 +341,25 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
     q = query.vector.array.reshape(-1)
     if q.shape[0] != store.dim:
         raise CacheBuildError(f"query dim {q.shape[0]} != store dim {store.dim}")
+    scale = float(np.abs(q).max()) or 1.0  # a zero query scores 0 at any scale
+    scaled = q / scale
+    q32 = scaled.astype(np.float32)
+    margin = _margin(scaled, scale)
     if mode == "exact":
-        sims, rows, probed = store.keys @ q, None, 0
+        part = store._partitions
+        scores, rows, probed = store._rows32 @ q32, None if part is None else part.rows, 0
     elif mode == "partitioned":
         if store._partitions is None:
             store.build_partitions()
-        sims, rows, probed = _probe(store._partitions, q, k)
+        scores, rows, probed = _probe(store, q, q32, k, margin, scale)
     else:
         raise CacheRangeError(f"unknown mode {mode!r}")
-    indices, top = _rank(sims, rows, k)
+    # np.float64 keeps the comparison in float64: a Python float would be cast to float32
+    keep = scores >= np.float64(_kth(scores, k) - 2.0 * margin)
+    near = np.flatnonzero(keep) if rows is None else rows[keep]
+    indices, top = _rank((store.keys[near] * q).sum(axis=1), near, k)
     return RetrievalResult(indices=indices, similarities=Tensor(top.reshape(1, -1)),
-                           scanned=len(sims), probed=probed)
+                           scanned=len(scores), probed=probed, rescored=len(near))
 
 
 def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
@@ -349,12 +409,12 @@ def load_cache(path) -> CacheStore:
     if flag != 1:
         r.fail(f"bad values flag {flag} at offset {r.off - 1}")
     start = r.off
-    keys = r.array("<f4", (count, dim), "keys").astype(np.float64)
-    bad = _first_non_unit_row(keys)
+    store = CacheStore(r.array("<f4", (count, dim), "keys"), [])
+    bad = _first_non_unit_row(store.keys)
     if bad is not None:
         row, norm = bad
         r.fail(f"row {row} of keys is not unit-norm (|v| = {norm:.2e}) "
                f"at byte offset {start + 4 * dim * row}")
-    ids = [r.string(f"id of row {row}") for row in range(count)]
+    store.ids = [r.string(f"id of row {row}") for row in range(count)]
     r.finish()
-    return CacheStore(keys, ids)
+    return store

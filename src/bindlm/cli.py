@@ -304,7 +304,7 @@ def _cmd_cache(args) -> int:
     else:
         r = enhance(store, emb, k=args.k, alpha=args.alpha, mode=args.mode, raw_eq4=args.raw_eq4)
         payload = {"enhanced": r.enhanced.array.reshape(-1).tolist()}
-    payload.update(indices=r.indices, scanned=r.scanned, probed=r.probed)
+    payload.update(indices=r.indices, scanned=r.scanned, probed=r.probed, rescored=r.rescored)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -284,3 +284,13 @@ def topk_oracle(keys: np.ndarray, q: np.ndarray, k: int,
     order = np.argsort(-sims, kind="stable")[:k]
     picked = order if rows is None else rows[order]
     return picked.tolist(), np.clip(sims[order], -1.0, 1.0)
+
+
+def rule_topk_oracle(keys: np.ndarray, q: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
+    """The cache's top-k by its per-row rule, one row at a time: each row's
+    (keys[i] * q).sum(), then a stable argsort of the negated scores, which
+    keeps the lower row index first among equals; similarities are clamped to
+    [-1, 1]."""
+    sims = np.array([(keys[i] * q).sum() for i in range(len(keys))])
+    order = np.argsort(-sims, kind="stable")[:k]
+    return order.tolist(), np.clip(sims[order], -1.0, 1.0)

@@ -20,7 +20,7 @@ from bindlm.cache import (
 from bindlm.encoders import JointEmbedding, Modality
 from bindlm.tensor import Tensor, derive_rng
 
-from _oracles import kmeans_oracle, probe_oracle, topk_oracle
+from _oracles import kmeans_oracle, probe_oracle, rule_topk_oracle, topk_oracle
 
 
 def exhaustive_topk_oracle(keys: np.ndarray, q: np.ndarray, k: int) -> list[int]:
@@ -157,13 +157,12 @@ def test_exact_matches_oracle_and_partitioned_recall():
         exact = topk(store, q, 16)
         want = exhaustive_topk_oracle(store.keys, qv, 16)
         assert exact.indices == want
-        scan = store.keys @ qv  # the scan a caller would write, bit for bit
-        assert exact.similarities.array.reshape(-1).tobytes() == np.clip(
-            scan[want], -1.0, 1.0).tobytes()
+        assert 16 <= exact.rescored < 20  # random rows: few sit within the margin of the k-th
+        # the per-row rule, one row at a time, bit for bit
+        assert exact.similarities.array.tobytes() == rule_topk_oracle(store.keys, qv, 16)[1].tobytes()
         approx = topk(store, q, 16, mode="partitioned")
         assert approx.indices == want
-        sims = approx.similarities.array.reshape(-1)
-        assert np.abs(sims - scan[approx.indices]).max() <= 1e-12
+        assert approx.similarities.array.tobytes() == exact.similarities.array.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["exact", "partitioned"])
@@ -213,7 +212,8 @@ def _tied_store(rng, m, dim):
 def _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed):
     """The partitioned top-k has the full sort's indices over the whole store,
     and the probe visits as many lists and scans as many rows as the probe
-    oracle, whose candidates also hold that top-k."""
+    oracle, whose candidates also hold that top-k; the similarities are the
+    exact scan's bytes."""
     qv = query.vector.array.reshape(-1)
     want = topk_oracle(store.keys, qv, k)[0]
     got = topk(store, query, k, mode="partitioned")
@@ -221,8 +221,7 @@ def _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed):
     probed, scanned, candidates = probe_oracle(store.keys, qv, k, nlist, nprobe, seed)
     assert (got.probed, got.scanned) == (probed, scanned)
     assert topk_oracle(store.keys, qv, k, candidates)[0] == want
-    sims = got.similarities.array.reshape(-1)
-    assert np.abs(sims - np.clip(store.keys[want] @ qv, -1.0, 1.0)).max() <= 1e-12
+    assert got.similarities.array.tobytes() == topk(store, query, k).similarities.array.tobytes()
 
 
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 40), dim=st.integers(2, 8), data=st.data())
@@ -238,10 +237,10 @@ def test_select_equals_the_full_sort_on_stores_full_of_ties(seed, m, dim, data):
     query = JointEmbedding.of(np.eye(dim)[0], Modality.AUDIO, "q")
     qv = query.vector.array.reshape(-1)
     for k in range(1, m + 1):
-        want, want_sims = topk_oracle(store.keys, qv, k)
+        want = topk_oracle(store.keys, qv, k)[0]
         exact = topk(store, query, k)
         assert exact.indices == want
-        assert exact.similarities.array.reshape(-1).tobytes() == want_sims.tobytes()
+        assert exact.similarities.array.tobytes() == rule_topk_oracle(store.keys, qv, k)[1].tobytes()
         assert (exact.scanned, exact.probed) == (m, 0)
         _assert_partitioned_is_exact(store, query, k, nlist, nprobe, seed)
 
@@ -352,24 +351,141 @@ def test_a_query_norm_far_from_one_visits_every_list(scale):
     assert (got.probed, got.scanned) == (nlist, store.size)
 
 
+# ---------------------------------------------------------------------------
+# the float32 scan's margin: both modes against the per-row rule
+# ---------------------------------------------------------------------------
+
+
+def _assert_rule_topk(store, q, k, mode):
+    """topk has the per-row rule's indices and similarity bytes, and re-scores
+    every row it returns."""
+    query = JointEmbedding(Tensor(np.reshape(q, (1, -1))), Modality.AUDIO, "q")
+    got = topk(store, query, k, mode=mode)
+    want, want_sims = rule_topk_oracle(store.keys, q, k)
+    assert got.indices == want
+    assert got.similarities.array.reshape(-1).tobytes() == want_sims.tobytes()
+    assert k <= got.rescored <= got.scanned
+    return got
+
+
+MODES = ["exact", "partitioned"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_identical_first_and_last_rows_tie_to_the_first(mode):
+    """13 rows, not a multiple of 4: a product scores the last 13 % 4 rows with
+    another kernel, the per-row rule scores every row alike."""
+    rows = derive_rng(25, "cache-twins").standard_normal((13, 8))
+    rows[12] = rows[0]
+    store = _store_of([_unit(*r) for r in rows])
+    store.build_partitions(nlist=4, seed=0)
+    queries = [store.keys[0], derive_rng(26, "cache-twins-q").standard_normal(8)]
+    for q in queries:
+        for k in range(1, store.size + 1):
+            got = _assert_rule_topk(store, q, k, mode)
+            if 12 in got.indices:
+                assert got.indices.index(0) == got.indices.index(12) - 1
+    assert topk(store, JointEmbedding(Tensor(queries[0].reshape(1, -1)), Modality.AUDIO, "q"),
+                2, mode=mode).indices == [0, 12]
+
+
+def _ring(dim, angle, rng):
+    """Rows at one angle from a direction u, each toward its own axis of a
+    basis of u's complement, signs alternating: far enough apart for one
+    k-means list each, with similarities to u that differ by less than the
+    float32 margin. The last axis, orthogonal to the others, pads each norm to
+    between 1e-10 and 1e-8 under 1 + UNIT_NORM_TOL: the norms reorder rows whose
+    angles the float32 copy left a rounding apart, and each list's bound sits
+    within about 1e-8 of its row's similarity to u."""
+    u = np.append(_unit(*rng.standard_normal(dim - 1)), 0.0)
+    basis = np.linalg.qr(np.column_stack([u[:-1], rng.standard_normal((dim - 1, dim - 2))]))[0]
+    rows = []
+    for j in range(2 * (dim - 2)):
+        v = np.cos(angle) * u[:-1] + (-1.0) ** j * np.sin(angle) * basis[:, 1 + j // 2]
+        v = v.astype(np.float32).astype(np.float64)
+        norm = 1.0 + UNIT_NORM_TOL * (1.0 - rng.uniform(1e-4, 1e-2))
+        rows.append(np.append(v, np.float32(np.sqrt(norm * norm - v @ v))))
+    return u, rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_within_the_margin_straddle_the_kth(mode):
+    """Every k on stores whose rows' similarities differ by less than the float32
+    margin, so the k-th float32 score falls among rows it cannot order; the
+    partitioned probe must lower phase 2's threshold by the margin to visit
+    every list that may hold one of them."""
+    for seed in range(6):
+        rng = derive_rng(seed, "cache-ring")
+        u, rows = _ring(13, 0.02, rng)
+        store = _store_of(rows)
+        store.build_partitions(nlist=len(rows), seed=seed)
+        assert np.diff(store._partitions.offsets).max() == 1
+        for q in (u, u + 1e-3 * rng.standard_normal(13)):
+            for k in range(1, store.size + 1):
+                _assert_rule_topk(store, q, k, mode)
+
+
+def _subnormal_query_store():
+    """Rows scored against a query of four smallest subnormals. Each float64
+    product rounds to a multiple of that subnormal, so a row's rule similarity
+    counts its components above 1/2 less those below -1/2, while the float32
+    scan of the query scaled to ones sums the components: row 0 is last by
+    the scan but ties rows 1 and 3 for first by the rule, and row 2
+    leads the scan and scores 0. Only the margin's underflow term keeps row 0."""
+    rows = [_unit(0.51, -0.4966, -0.4966, -0.4966), _unit(0.49, 0.49, 0.49, 0.5289),
+            _unit(1, 1, 1, 1), _unit(0.3, 0.2, 0.1, 0.9), _unit(-1, 0.1, 0.2, 0.3)]
+    return _store_of(rows), np.full(4, np.finfo(np.float64).smallest_subnormal)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("which", ["1e-200", "1e200", "subnormal parts", "subnormal", "zero"])
+def test_query_scales_far_from_one(mode, which):
+    """Every k, for queries the float32 cast would underflow or overflow without
+    the scaling, one whose small parts underflow anyway, one whose similarities
+    are all underflow, and the zero query."""
+    if which == "subnormal":
+        store, q = _subnormal_query_store()
+        assert rule_topk_oracle(store.keys, q, 2)[0] == [0, 1]
+    else:
+        store = _store_of(_one_row_lists()[0])
+        q = derive_rng(27, "cache-scales").standard_normal(store.dim)
+        q = {"1e-200": 1e-200 * q, "1e200": 1e200 * q, "zero": 0.0 * q,
+             "subnormal parts": q * np.array([1.0, 1e-310, -1e-315, 3e-320, 1e-40, -1e-45])}[which]
+    store.build_partitions(nlist=3, seed=0)
+    for k in range(1, store.size + 1):
+        _assert_rule_topk(store, q, k, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_k_equal_to_the_store_size_rescores_every_row(mode):
+    store = cache_build(_embs(derive_rng(28, "cache-all"), 37, 8))
+    store.build_partitions(nlist=5, seed=0)
+    q = derive_rng(29, "cache-all-q").standard_normal(8)
+    got = _assert_rule_topk(store, q, store.size, mode)
+    assert got.rescored == got.scanned == store.size
+
+
 def test_partitions_store_each_kmeans_list_as_one_block():
+    """The one float32 copy of the rows is reordered into list order, each list
+    one block, from whatever order the build before left it in."""
     store = cache_build(_embs(derive_rng(18, "cache-layout"), 300, 16))
-    store.build_partitions(nlist=17, seed=0)
-    first = store._partitions
-    store.build_partitions(nlist=17, seed=5)
-    part = store._partitions
-    for p, seed in ((first, 0), (part, 5)):
+    assert store._rows32.tobytes() == store.keys.astype(np.float32).tobytes()
+    parts = []
+    for seed in (0, 5):
+        store.build_partitions(nlist=17, seed=seed)
+        p = store._partitions
         assert np.array_equal(np.sort(p.rows), np.arange(store.size))
-        assert p.blocks.tobytes() == store.keys[p.rows].tobytes()
+        assert store._rows32.tobytes() == store.keys[p.rows].astype(np.float32).tobytes()
         lists, centroids = kmeans_oracle(store.keys, 17, seed)
         assert len(p.offsets) == len(lists) + 1 and p.offsets[0] == 0
         for l, rows in enumerate(lists):
             assert np.array_equal(p.rows[p.offsets[l]:p.offsets[l + 1]], rows)
         assert np.abs(p.centroids - centroids).max() <= 1e-15
+        parts.append(p)
     # the second build replaces every part of the layout
+    first, part = parts
     assert not np.array_equal(part.rows, first.rows)
     assert not np.array_equal(part.centroids, first.centroids)
-    assert not np.shares_memory(part.blocks, first.blocks)
 
 
 # ---------------------------------------------------------------------------

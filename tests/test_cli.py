@@ -104,10 +104,13 @@ def test_cache_commands_report_rows_scanned_and_lists_probed(tmp_path, capsys, c
     assert cli(args) == 0
     exact = json.loads(capsys.readouterr().out)
     assert (exact["scanned"], exact["probed"]) == (size, 0)
+    # every top-k row is re-scored in float64, and only rows the float32 scan scored
+    assert 3 <= exact["rescored"] <= size
     assert cli(args + ["--mode", "partitioned", "--nlist", "4", "--nprobe", "2"]) == 0
     partitioned = json.loads(capsys.readouterr().out)
     assert partitioned["probed"] >= 2
     assert 3 <= partitioned["scanned"] <= size
+    assert 3 <= partitioned["rescored"] <= partitioned["scanned"]
 
 
 def test_partitioned_query_prints_the_exact_indices_from_part_of_the_store(tmp_path, capsys):
