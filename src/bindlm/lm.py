@@ -315,7 +315,7 @@ def generate(
             f"max_seq {lm.config.max_seq}"
         )
     condition = _condition_from(bind, embedding_in)
-    rng = derive_rng(params.seed, "generate")
+    rng = None  # only sampling draws from it, so greedy decoding never builds it
     cache = KVCache()
     feed = [BOS] + prompt
     out: list[int] = []
@@ -333,6 +333,8 @@ def generate(
                 z = np.where(z >= cut, z, -np.inf)
             p = np.exp(z)
             p = p / p.sum()
+            if rng is None:
+                rng = derive_rng(params.seed, "generate")
             nxt = int(rng.choice(z.size, p=p))
         out.append(nxt)
         if nxt == EOS:

@@ -22,11 +22,21 @@ weight) is a pass of its own on its own arrays, and the small tensors
 (LoRA factors, biases, norm gains, gates) share one pass per (learning-rate
 multiplier, decay) pair over their concatenation. The elementwise operations
 are the same either way, so every element gets the same bits.
+
+The passes fall into two shares of about equal scalar count. With two CPUs,
+and a lighter share of at least half the heavier one's scalars (pretrain's;
+not instruct's one LoRA bucket against a few thousand other scalars), one
+worker thread, the only thread bindlm starts, runs share 1 while the caller
+runs share 0; numpy releases the GIL inside each pass. The shares write no
+common array and every element goes through the same operations in the same
+order, so no bit depends on the worker.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -175,22 +185,92 @@ SMALL_TENSOR = 4096
 class _Bucket:
     """Tensors updated in one pass: their positions in the step's name list,
     shapes and slices of the concatenation, their shared lr multiplier and
-    decay, and the moments of the concatenation."""
+    decay, the moments of the concatenation, and the pass's view of its
+    share's scratch array (as float64 and as bool)."""
 
-    __slots__ = ("index", "shapes", "slices", "mult", "decay", "m", "v")
+    __slots__ = ("index", "shapes", "slices", "mult", "decay", "m", "v", "scratch", "flags")
 
     def __init__(self, mult: float, decay: float):
         self.index: list[int] = []
         self.shapes: list[tuple[int, ...]] = []
         self.slices: list[slice] = []
         self.mult, self.decay = mult, decay
-        self.m = self.v = None
+
+    @property
+    def size(self) -> int:
+        return self.slices[-1].stop
 
     def add(self, i: int, shape: tuple[int, ...]) -> None:
         start = self.slices[-1].stop if self.slices else 0
         self.index.append(i)
         self.shapes.append(shape)
         self.slices.append(slice(start, start + math.prod(shape)))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _use_worker(light: int, heavy: int) -> bool:
+    """Whether share 1 runs on the worker thread, given the scalar counts of
+    the lighter and the heavier share: only with a second CPU, and only when
+    the lighter share holds at least half the heavier one's scalars, since
+    moving less saves less than the hand-off costs."""
+    return _cpus() >= 2 and 2 * light >= heavy
+
+
+# process id -> the executor of the one thread bindlm starts, made by the first
+# step that uses it; a forked child has no copy of its parent's thread, so it
+# makes its own
+_WORKERS: dict = {}
+
+
+def _worker():
+    worker = _WORKERS.get(os.getpid())
+    if worker is None:
+        from concurrent.futures import ThreadPoolExecutor  # only training loads it
+        # setdefault is atomic: of two first callers, both use the one kept,
+        # and an executor never submitted to starts no thread
+        worker = _WORKERS.setdefault(
+            os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="bindlm-adamw"))
+    return worker
+
+
+def _update(jobs, lr: float, bc1: float, bc2: float, first: bool) -> bool:
+    """One share's passes; True when every new value is finite. Each job is
+    (bucket, params, grads, out), flat, with out the caller's array for the
+    new parameters. Allocates no array: every result goes to out, to the
+    moments or to the share's scratch."""
+    b1, b2 = ADAM_BETAS
+    finite = True
+    for b, p, g, new in jobs:
+        if first:
+            np.multiply(g, 1.0 - b1, out=b.m)
+            np.multiply(g, 1.0 - b2, out=b.v)
+            b.v *= g
+        else:
+            b.m *= b1
+            b.m += np.multiply(g, 1.0 - b1, out=new)
+            g2 = np.multiply(g, 1.0 - b2, out=new)
+            g2 *= g
+            b.v *= b2
+            b.v += g2
+        eff = lr * b.mult
+        # p - eff * ((m / bc1) / (sqrt(v / bc2) + eps)) - (eff * decay) * p
+        np.divide(b.m, bc1, out=new)
+        denom = np.divide(b.v, bc2, out=b.scratch)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        new /= denom
+        new *= eff
+        np.subtract(p, new, out=new)
+        new -= np.multiply(p, eff * b.decay, out=denom)
+        # the scratch's float64 values are spent, so its bytes hold the flags
+        finite = finite and bool(np.isfinite(new, out=b.flags).all())
+    return finite
 
 
 class AdamW:
@@ -203,16 +283,20 @@ class AdamW:
         self.gate_lr_mult = gate_lr_mult
         self.t = 0
         self._names: tuple[str, ...] | None = None
-        self._buckets: list[_Bucket] = []
+        self._shares: tuple[list[_Bucket], list[_Bucket]] = ([], [])
+        self._threaded = False
 
     def _lr_mult_and_decay(self, name: str) -> tuple[float, float]:
         group = peft._classify(name)
         mult = self.gate_lr_mult if group == "gates" else 1.0
         return mult, 0.0 if group in ("gates", "bias_norm") else self.weight_decay
 
-    def _plan(self, names, params) -> list[_Bucket]:
+    def _plan(self, names, params) -> None:
         """A bucket of its own for each tensor above SMALL_TENSOR scalars, and
-        one per (lr multiplier, decay) pair for the rest, in names order."""
+        one per (lr multiplier, decay) pair for the rest, in names order; the
+        buckets then go into two shares balanced by scalar count, largest
+        first, each into the lighter share. Each bucket gets its moments, and
+        each share one scratch array the size of its largest bucket."""
         buckets, shared = [], {}
         for i, (name, p) in enumerate(zip(names, params)):
             key = self._lr_mult_and_decay(name)
@@ -225,7 +309,18 @@ class AdamW:
                 bucket = shared[key] = _Bucket(*key)
             bucket.add(i, p.shape)
             buckets.append(bucket)
-        return buckets
+        loads = [0, 0]
+        for b in sorted(buckets, key=lambda b: -b.size):
+            s = int(loads[1] < loads[0])
+            self._shares[s].append(b)
+            loads[s] += b.size
+        for share in self._shares:
+            scratch = np.empty(max((b.size for b in share), default=0))
+            for b in share:
+                b.m, b.v = np.empty(b.size), np.empty(b.size)
+                b.scratch = scratch[:b.size]
+                b.flags = scratch.view(np.bool_)[:b.size]
+        self._threaded = _use_worker(min(loads), max(loads))
 
     def step(self, names, params, grads, lr: float | None = None) -> list[Tensor]:
         """New parameter tensors; neither ``params`` nor ``grads`` is written.
@@ -240,51 +335,43 @@ class AdamW:
         their gradients, each new parameter then a view of the pass's
         result. The moments are updated in place, with the float operations
         of m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order.
+        Share 1 runs on the worker thread when _plan chose it, in a copy of
+        the caller's context so that its numpy error state holds there too.
         """
         names = tuple(names)
         if self._names is None:
-            self._names, self._buckets = names, self._plan(names, params)
+            self._names = names
+            self._plan(names, params)
         elif names != self._names:
             raise ValueError("AdamW.step: the parameter names differ from the first step's")
         lr = self.lr if lr is None else lr
         b1, b2 = ADAM_BETAS
         self.t += 1
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        scalars = (lr, 1.0 - b1 ** self.t, 1.0 - b2 ** self.t, self.t == 1)
+        jobs: tuple[list, list] = ([], [])
         out: list = [None] * len(names)
-        finite = True
-        for b in self._buckets:
-            if len(b.index) == 1:
-                p, g = params[b.index[0]].array.reshape(-1), grads[b.index[0]].reshape(-1)
-            else:
-                p = np.concatenate([params[i].array for i in b.index], axis=None)
-                g = np.concatenate([grads[i] for i in b.index], axis=None)
-            if b.m is None:
-                b.m = (1.0 - b1) * g
-            else:
-                b.m *= b1
-                b.m += (1.0 - b1) * g
-            g2 = (1.0 - b2) * g
-            g2 *= g
-            if b.v is None:
-                b.v = g2
-            else:
-                b.v *= b2
-                b.v += g2
-            eff = lr * b.mult
-            # p - eff * ((m / bc1) / (sqrt(v / bc2) + eps)) - (eff * decay) * p
-            new = b.m / bc1
-            denom = b.v / bc2
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            new /= denom
-            new *= eff
-            np.subtract(p, new, out=new)
-            new -= np.multiply(p, eff * b.decay, out=denom)
-            finite = finite and bool(np.isfinite(new).all())
-            for i, shape, part in zip(b.index, b.shapes, b.slices):
-                out[i] = Tensor(new[part].reshape(shape), _checked=True)
-        if not finite:
+        for share, work in zip(self._shares, jobs):
+            for b in share:
+                if len(b.index) == 1:
+                    p, g = params[b.index[0]].array.reshape(-1), grads[b.index[0]].reshape(-1)
+                else:
+                    p = np.concatenate([params[i].array for i in b.index], axis=None)
+                    g = np.concatenate([grads[i] for i in b.index], axis=None)
+                new = np.empty(b.size)
+                work.append((b, p, g, new))
+                for i, shape, part in zip(b.index, b.shapes, b.slices):
+                    out[i] = new[part].reshape(shape)
+        if self._threaded:
+            pending = _worker().submit(contextvars.copy_context().run, _update, jobs[1], *scalars)
+            try:
+                finite = _update(jobs[0], *scalars)
+            finally:
+                # the worker writes this step's arrays: return only once it is done
+                other = pending.result()
+        else:
+            finite, other = (_update(work, *scalars) for work in jobs)
+        out = [Tensor(a, _checked=True) for a in out]
+        if not (finite and other):
             for name, t in zip(names, out):
                 check_finite(t.array, name)
         return out

@@ -1,11 +1,19 @@
 import gc
+import os
 import re
+import subprocess
+import sys
+import threading
+import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bindlm import peft
+import bindlm
+from bindlm import peft, train
 
 from bindlm.checkpoint import (
     Checkpoint,
@@ -439,27 +447,108 @@ _ORACLE_PARAM_SETS = [
 ]
 
 
-def test_adamw_step_matches_out_of_place_formula_bitwise():
+def _worker_modes(monkeypatch):
+    """Yields True with share 1 forced onto the worker thread, then False
+    with every share forced onto the caller's."""
+    for threaded in (True, False):
+        monkeypatch.setattr(train, "_use_worker", lambda light, heavy, on=threaded: on)
+        yield threaded
+
+
+def _worker_names(opt):
+    return {opt._names[i] for b in opt._shares[1] for i in b.index}
+
+
+def _run_oracle_case(names, start, grad_steps, lrs, want):
+    opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
+    params = [Tensor(a) for a in start]
+    steps = []
+    for grads, lr, expected in zip(grad_steps, lrs, want):
+        copies = [g.copy() for g in grads]
+        before = [p.array.copy() for p in params]
+        new = opt.step(names, params, grads, lr=lr)
+        for g, c in zip(grads, copies):
+            assert g.tobytes() == c.tobytes()
+        for p, b in zip(params, before):
+            assert p.array.tobytes() == b.tobytes()
+        for name, n, e in zip(names, new, expected):
+            assert n.array.tobytes() == e.tobytes(), name
+        steps.append([n.array.tobytes() for n in new])
+        params = new
+    return opt, steps
+
+
+def test_adamw_step_matches_out_of_place_formula_bitwise(monkeypatch):
     for case in _ORACLE_PARAM_SETS:
         names, shapes, lr_mults, decays = (list(c) for c in zip(*case))
         rng = derive_rng(6, "adamw-oracle")
         start = [rng.standard_normal(s) for s in shapes]
         grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
         lrs = [1e-2, 2e-2, 5e-3, 1e-3]
-        opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
         want = adamw_oracle(start, grad_steps, lrs, lr_mults=lr_mults, decays=decays)
-        params = [Tensor(a) for a in start]
-        for grads, lr, expected in zip(grad_steps, lrs, want):
-            copies = [g.copy() for g in grads]
-            before = [p.array.copy() for p in params]
-            new = opt.step(names, params, grads, lr=lr)
-            for g, c in zip(grads, copies):
-                assert g.tobytes() == c.tobytes()
-            for p, b in zip(params, before):
-                assert p.array.tobytes() == b.tobytes()
-            for n, e in zip(new, expected):
-                assert n.array.tobytes() == e.tobytes()
-            params = new
+        for threaded in _worker_modes(monkeypatch):
+            opt, _ = _run_oracle_case(names, start, grad_steps, lrs, want)
+            assert opt._threaded is threaded
+
+
+def test_optimizers_stepping_in_several_threads_share_the_worker_and_keep_their_bits(
+        monkeypatch):
+    monkeypatch.setattr(train, "_use_worker", lambda light, heavy: True)
+    names, shapes, lr_mults, decays = (list(c) for c in zip(*_ORACLE_PARAM_SETS[1]))
+    rng = derive_rng(9, "adamw-threads")
+    start = [rng.standard_normal(s) for s in shapes]
+    grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(8)]
+    lrs = [1e-2] * 8
+    want = adamw_oracle(start, grad_steps, lrs, lr_mults=lr_mults, decays=decays)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            runs = [callers.submit(_run_oracle_case, names, start, grad_steps, lrs, want)
+                    for _ in range(4)]
+            for run in runs:
+                assert run.result(timeout=120)[0]._threaded
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(t.name.startswith("bindlm-adamw") for t in threading.enumerate()) == 1
+
+
+def _real_name_set(stage):
+    """The names and starting arrays a default-size model trains in the stage."""
+    lm, bind = lm_init(LMConfig(), seed=0), bind_init(BindConfig(), seed=0)
+    if stage == "instruct":
+        peft.apply_peft(lm, rank=peft.DEFAULT_RANK, seed=0)
+    names = peft.trainable_param_names(lm, bind, peft.STAGE_TRAINABLE[stage])
+    return names, [peft.resolve_param(lm, bind, n).array for n in names]
+
+
+@pytest.mark.parametrize("stage,tensors", [("pretrain", 48), ("instruct", 97)])
+def test_adamw_gives_the_same_bits_with_and_without_the_worker(monkeypatch, stage, tensors):
+    names, start = _real_name_set(stage)
+    assert len(names) == tensors
+    rng = derive_rng(8, "adamw-real", stage)
+    grad_steps = [[rng.standard_normal(a.shape) for a in start] for _ in range(4)]
+    lrs = [4e-4, 3e-4, 2e-4, 1e-4]
+    lr_mults, decays = zip(*(AdamW()._lr_mult_and_decay(n) for n in names))
+    want = adamw_oracle(start, grad_steps, lrs, lr_mults=lr_mults, decays=decays)
+    runs = {threaded: _run_oracle_case(names, start, grad_steps, lrs, want)[1]
+            for threaded in _worker_modes(monkeypatch)}
+    assert runs[True] == runs[False]
+
+
+def test_the_worker_takes_half_of_pretrain_and_none_of_instruct(monkeypatch):
+    threaded = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(train, "_cpus", lambda n=cpus: n)
+        for stage in ("pretrain", "instruct"):
+            names, start = _real_name_set(stage)
+            opt = AdamW()
+            opt.step(names, [Tensor(a) for a in start], [np.zeros_like(a) for a in start])
+            loads = [sum(b.size for b in share) for share in opt._shares]
+            assert sum(loads) == sum(a.size for a in start)
+            threaded[cpus, stage] = opt._threaded
+    assert threaded == {(1, "pretrain"): False, (1, "instruct"): False,
+                        (2, "pretrain"): True, (2, "instruct"): False}
 
 
 def _oracle_set_step(opt, grads=None):
@@ -479,31 +568,122 @@ def test_adamw_rejects_a_changed_name_list():
         opt.step(swapped, new, [np.zeros(t.shape) for t in new])
 
 
-def test_adamw_names_the_first_non_finite_parameter_in_name_order():
+def test_adamw_names_the_first_non_finite_parameter_in_name_order(monkeypatch):
     names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
     grads = [np.full(s, 0.5) for s in shapes]
-    # lm.gates.1's bucket (the gates) is stepped before attn_norm's (bias/norm)
-    grads[names.index("lm.gates.1")][0, 0] = np.nan
-    grads[names.index("lm.layers.0.attn_norm")][0, 3] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(
-            NonFiniteError,
-            match=re.escape("non-finite value at index (0, 3) in lm.layers.0.attn_norm "
-                            "of shape (1, 8)")):
-        _oracle_set_step(AdamW(), grads)
+    # ffn_norm's bucket is in the worker's share; final_norm's (bias/norm) is
+    # in the caller's, which runs first when there is no worker
+    grads[names.index("lm.layers.1.ffn_norm")][0, 3] = np.nan
+    grads[names.index("lm.final_norm")][0, 5] = np.nan
+    for _ in _worker_modes(monkeypatch):
+        opt = AdamW()
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteError,
+                match=re.escape("non-finite value at index (0, 3) in lm.layers.1.ffn_norm "
+                                f"of shape (1, {SMALL_TENSOR + 1})")):
+            _oracle_set_step(opt, grads)
+        assert "lm.layers.1.ffn_norm" in _worker_names(opt)
+        assert "lm.final_norm" not in _worker_names(opt)
 
 
-def test_adamw_dense_weights_keep_their_own_arrays():
-    names, new = _oracle_set_step(AdamW())
-    by_name = dict(zip(names, new))
-    for name, t in by_name.items():
-        assert not t.array.flags.writeable, name
-        if t.size > SMALL_TENSOR:
-            others = [o for n, o in by_name.items() if n != name]
-            assert not any(np.shares_memory(t.array, o.array) for o in others), name
-    # small tensors of one (multiplier, decay) class are views of one pass's result
-    gate = by_name["lm.gates.0"].array
-    assert gate.base is not None and gate.base is by_name["lm.gates.2"].array.base
-    assert gate.base is not by_name["lm.final_norm"].array.base
+def test_a_diverging_step_raises_non_finite_error_and_no_warning(monkeypatch):
+    names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
+    for _ in _worker_modes(monkeypatch):
+        opt = AdamW()
+        _, params = _oracle_set_step(opt)
+        assert "lm.layers.0.wq" in _worker_names(opt)
+        grads = [np.full(s, 0.5) for s in shapes]
+        wq = grads[names.index("lm.layers.0.wq")]
+        wq[...] = 1e300  # g * g overflows
+        wq[1, 2] = np.inf  # and m / sqrt(v) is inf / inf
+        # as run_stage calls it: numpy stays silent, the step's check raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    NonFiniteError, match=re.escape("index (1, 2) in lm.layers.0.wq")):
+                opt.step(list(names), params, grads, lr=1e-2)
+
+
+def test_adamw_dense_weights_keep_their_own_arrays(monkeypatch):
+    for _ in _worker_modes(monkeypatch):
+        names, new = _oracle_set_step(AdamW())
+        by_name = dict(zip(names, new))
+        for name, t in by_name.items():
+            assert not t.array.flags.writeable, name
+            if t.size > SMALL_TENSOR:
+                others = [o for n, o in by_name.items() if n != name]
+                assert not any(np.shares_memory(t.array, o.array) for o in others), name
+        # small tensors of one (multiplier, decay) class are views of one pass's result
+        gate = by_name["lm.gates.0"].array
+        assert gate.base is not None and gate.base is by_name["lm.gates.2"].array.base
+        assert gate.base is not by_name["lm.final_norm"].array.base
+
+
+_FORK_SCRIPT = """
+import os, numpy as np
+from bindlm import train
+from bindlm.tensor import Tensor
+train._use_worker = lambda light, heavy: True
+names = ["lm.layers.0.wq", "lm.layers.0.wo"]
+def step():
+    train.AdamW().step(names, [Tensor(np.ones((90, 90)))] * 2, [np.ones((90, 90))] * 2)
+step()
+pid = os.fork()
+if pid == 0:
+    step()
+    os._exit(0)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_steps_with_a_worker_of_its_own():
+    env = dict(os.environ, PYTHONPATH=str(Path(bindlm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FORK_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.split() == ["0"], proc.stderr
+
+
+_THREADS_SCRIPT = """
+import sys, threading
+from pathlib import Path
+from bindlm import train
+from bindlm.bind import BindConfig, bind_init
+from bindlm.cache import cache_build, enhance
+from bindlm.data import DatasetManifest, ingest
+from bindlm.evaluate import perplexity_eval, yesno_eval
+from bindlm.lm import GenerationParams, LMConfig, generate, lm_init
+from bindlm.tokenizer import default_tokenizer
+
+data = Path(sys.argv[1])
+lm_config = LMConfig(vocab_size=512, dim=16, layers=2, heads=2, max_seq=64)
+bind_config = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=16)
+lm, bind, tok = lm_init(lm_config, 0), bind_init(bind_config, 0), default_tokenizer()
+encoders = DatasetManifest.load(data).encoders()
+captions = ingest(data / "captions.jsonl", "caption")
+questions = ingest(data / "instruct.jsonl", "instruction")
+store = cache_build(train.prepare_caption(r, tok, encoders).embedding for r in captions[::2])
+query = enhance(store, train.prepare_caption(captions[1], tok, encoders).embedding, k=2).enhanced
+generate(lm, bind, query, [5, 9], GenerationParams(max_new_tokens=4))
+generate(lm, bind, query, [5, 9], GenerationParams(max_new_tokens=4, temperature=1.0))
+yesno_eval(lm, bind, tok, encoders, questions, cache=store, k=2)
+perplexity_eval(lm, bind, tok, encoders, captions)
+print(threading.active_count())
+train._use_worker = lambda light, heavy: True
+ckpt = train.run_stage(train.default_plan("pretrain", str(data), epochs=1),
+                       lm_config=lm_config, bind_config=bind_config)
+train.run_stage(train.default_plan("instruct", str(data), epochs=1), checkpoint_in=ckpt)
+print(threading.active_count())
+"""
+
+
+def test_only_training_starts_a_thread_and_only_one(dataset):
+    env = dict(os.environ, PYTHONPATH=str(Path(bindlm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(dataset)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the worker, forced on for both stages, is the one thread besides the main one
+    assert proc.stdout.split() == ["1", "2"]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
