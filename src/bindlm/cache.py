@@ -11,13 +11,13 @@ convex combination, which keeps alpha interpretable and the output norm at
 most 1; raw_eq4=True uses the raw similarity row instead.
 
 A row's similarity is one rule, the same wherever the row sits:
-(keys[rows] * q).sum(axis=1) in float64. A `keys @ q` product is not: at one
+(rows * q).sum(axis=1) in float64. A `keys @ q` product is not: at one
 BLAS thread OpenBLAS scores the last M % 4 rows of an M-row product with
 another kernel, so identical rows could differ in their last bits; under
 the rule they always tie. Search applies the rule only to the rows a
 float32 scan cannot rule out. Both modes scale the query by its largest
-magnitude (a zero query by 1), cast it to float32 and score it against a
-float32 copy of the rows; a row's float32 score s and its similarity F then
+magnitude (a zero query by 1), cast it to float32 and score it against the
+float32 rows; a row's float32 score s and its similarity F then
 satisfy |s - F / scale| <= margin, where, with u = 2^-24, |x| <= 1 +
 UNIT_NORM_TOL for every row x and n the norm of the scaled query,
 
@@ -63,11 +63,12 @@ placeholder) scores 0 on every row, so it visits every list; so does a
 nonzero query whose norm is outside [2^-500, 2^500], where a product could
 underflow or overflow past the slack.
 
-Memory: the store holds its rows as float64 keys (the values are the same
-array) and as one float32 copy, the array cache_build and load_cache make.
-build_partitions reorders that copy so each list is one contiguous block,
-list after list, and both modes scan it in that order; the probe scores the
-lists it visits in place, each run of neighbouring lists as one product.
+Memory: the store holds its rows once, as one float32 array, 4 bytes a value.
+build_partitions reorders it into list order, each list one block, and keeps
+the inverse permutation; the probe scores the lists it visits in place. A
+float32 row widens to float64 exactly, so float64 work widens only the rows
+it uses and gets a float64 copy's bits. keys and values are the float64 rows
+in store order, computed when read; no program path reads them.
 
 File format (encoded and bounds-checked by binfmt.py):
 
@@ -138,27 +139,38 @@ class _Partitions:
     centroids: np.ndarray  # [nlist, dim], unit-norm
     radii: np.ndarray  # [nlist]; each member is at most radii[l] radians from centroid l
     rows: np.ndarray  # store row indices, list after list, ascending within a list
+    where: np.ndarray  # the inverse of rows: store row r sits at position where[r]
     offsets: np.ndarray  # [nlist + 1]; list l is rows[offsets[l]:offsets[l + 1]]
     nprobe: int
 
 
 class CacheStore:
+    """Float32 rows, in insertion order, and their ids. Both modes scan the one row
+    array: position i holds row i, or part.rows[i] once lists are stored as blocks."""
+
     def __init__(self, rows: np.ndarray, ids: list[str]):
-        """rows: the store's float32 rows, in insertion order."""
-        self.keys = self.values = rows.astype(np.float64)
         self.ids = ids
-        # the float32 copy both modes scan: row i is keys[i], or keys[part.rows[i]]
-        # once build_partitions has stored each list as one block
         self._rows32 = np.require(rows, np.float32, "CA")  # a file's rows may sit unaligned
         self._partitions: _Partitions | None = None
 
     @property
     def size(self) -> int:
-        return self.keys.shape[0]
+        return self._rows32.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.keys.shape[1]
+        return self._rows32.shape[1]
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The rows in store order, widened to float64 when read; values is this property."""
+        return self._rows().astype(np.float64)
+
+    values = keys
+
+    def _rows(self, ids=slice(None)) -> np.ndarray:
+        """The float32 rows of store rows ids (indices, a mask or a slice), in that order."""
+        return self._rows32[ids if self._partitions is None else self._partitions.where[ids]]
 
     def build_partitions(self, nlist: int | None = None, nprobe: int | None = None,
                          seed: int = 0) -> None:
@@ -173,18 +185,16 @@ class CacheStore:
         if nlist is None:
             nlist = max(1, int(round(np.sqrt(m))))
         nlist = min(nlist, m)
-        if nprobe is None:
-            nprobe = 1  # the bound, not nprobe, keeps the result exact
+        # the bound, not nprobe, keeps the result exact
+        nprobe = min(1 if nprobe is None else nprobe, nlist)
+        rows32 = self._rows()  # store order
         rng = np.random.Generator(np.random.Philox(seed))
-        centroids = self.keys[rng.choice(m, size=nlist, replace=False)].copy()
+        centroids = rows32[rng.choice(m, size=nlist, replace=False)].astype(np.float64)
         assign = None
         for _ in range(KMEANS_ITERATIONS):
-            # 4096 rows at a time: the whole [m, nlist] product would be set-up's
-            # largest array, and the heap keeps its pages after it is freed
-            assign = np.concatenate([(self.keys[a:a + 4096] @ centroids.T).argmax(axis=1)
-                                     for a in range(0, m, 4096)])
+            assign = np.concatenate([(x @ centroids.T).argmax(axis=1) for x in _widened(rows32)])
             for l in range(nlist):
-                members = self.keys[assign == l]
+                members = rows32[assign == l].astype(np.float64)
                 if len(members):
                     c = members.mean(axis=0)
                     norm = np.sqrt((c * c).sum())
@@ -195,23 +205,21 @@ class CacheStore:
         offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
         # a list's radius is the arccos of its members' smallest cosine to the
         # final centroid, less the slack
-        least = []
+        listed, least = rows32[rows], []  # the rows in list order
         for c, a, b in zip(centroids, offsets[:-1], offsets[1:]):
-            members = self.keys[rows[a:b]]
+            members = listed[a:b].astype(np.float64)
             least.append(np.min(members @ c / _norms(members), initial=1.0))
         radii = np.arccos(np.clip(np.array(least) - _slack(self.dim), -1.0, 1.0))
-        # where each store row sits in the float32 copy today, then the copy in list order
-        where = np.arange(m) if self._partitions is None else np.argsort(self._partitions.rows)
-        self._rows32 = self._rows32[where[rows]]
-        self._partitions = _Partitions(centroids, radii, rows, offsets, min(nprobe, nlist))
+        self._rows32 = listed  # argsort inverts the permutation rows
+        self._partitions = _Partitions(centroids, radii, rows, np.argsort(rows), offsets, nprobe)
 
 
 def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
     """Collect a stream of unit-norm embeddings into a frozen store.
 
     Rows keep insertion order; ids come from each embedding's source_id.
-    A dimension violation stops the stream, and a row whose float32 copy
-    is not unit-norm fails the build; either error names the offending id.
+    A dimension violation stops the stream, and an embedding whose float32
+    row is not unit-norm fails the build; either error names the offending id.
     """
     rows, ids = [], []
     dim = None
@@ -223,12 +231,10 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
             raise CacheBuildError(
                 f"embedding {e.source_id!r} has dim {v.shape[0]}, store dim is {dim}"
             )
-        rows.append(v)
+        rows.append(v.astype("<f4"))
         ids.append(e.source_id)
-    if not rows:
-        return CacheStore(np.zeros((0, 0), dtype="<f4"), [])
-    store = CacheStore(np.stack(rows).astype("<f4"), ids)
-    bad = _first_non_unit_row(store.keys)
+    store = CacheStore(np.stack(rows) if rows else np.zeros((0, 0), "<f4"), ids)
+    bad = _first_non_unit_row(store._rows32)
     if bad is not None:
         row, norm = bad
         raise CacheBuildError(f"embedding {ids[row]!r} is not unit-norm (|v| = {norm:.2e})")
@@ -237,6 +243,11 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
 
 def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _widened(rows: np.ndarray):
+    """rows as float64, 4096 at a time: no float64 store, and small k-means products."""
+    return (rows[a:a + 4096].astype(np.float64) for a in range(0, len(rows), 4096))
 
 
 def _slack(dim: int) -> float:
@@ -257,9 +268,9 @@ def _margin(scaled: np.ndarray, scale: float) -> float:
 
 
 def _first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
-    """Index and norm of the first row whose norm is off 1 by more than
-    UNIT_NORM_TOL (a non-finite row always is), or None."""
-    norms = _norms(rows)
+    """Index and float64 norm of the first float32 row whose norm is off 1 by more
+    than UNIT_NORM_TOL (a non-finite row always is), or None."""
+    norms = np.concatenate([np.zeros(0)] + [_norms(x) for x in _widened(rows)])
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     return (int(bad[0]), float(norms[bad[0]])) if bad.size else None
 
@@ -276,8 +287,8 @@ def _rank(sims: np.ndarray, rows: np.ndarray, k: int):
 
 
 def _score(rows32: np.ndarray, part: _Partitions, lists: np.ndarray, q32: np.ndarray):
-    """Float32 scores and row indices of the rows of lists, scored in place, each
-    run of lists that sit next to each other in rows32 as one product."""
+    """Float32 scores and rows32 positions of the rows of lists, scored in place,
+    each run of lists that sit next to each other in rows32 as one product."""
     runs = []
     for l in np.sort(lists).tolist():
         a, b = part.offsets[l], part.offsets[l + 1]
@@ -286,7 +297,7 @@ def _score(rows32: np.ndarray, part: _Partitions, lists: np.ndarray, q32: np.nda
         else:
             runs.append([a, b])
     return (np.concatenate([rows32[a:b] @ q32 for a, b in runs]),
-            np.concatenate([part.rows[a:b] for a, b in runs]))
+            np.concatenate([np.arange(a, b) for a, b in runs]))
 
 
 def _bounds(cos: np.ndarray, radii: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -305,8 +316,8 @@ def _bounds(cos: np.ndarray, radii: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _probe(store: CacheStore, q: np.ndarray, q32: np.ndarray, k: int, margin: float,
            scale: float):
-    """Float32 scores and row indices of every row of the lists visited, and how
-    many lists were visited: phase 1's lists in centroid order, empty ones
+    """Float32 scores and rows32 positions of every row of the lists visited, and
+    how many lists were visited: phase 1's lists in centroid order, empty ones
     included, then the lists phase 2 adds."""
     part = store._partitions
     cos = part.centroids @ q
@@ -317,14 +328,14 @@ def _probe(store: CacheStore, q: np.ndarray, q32: np.ndarray, k: int, margin: fl
     enough = (np.cumsum(ordered) >= k) & (np.cumsum(ordered > 0) >= part.nprobe)
     probed = int(enough.argmax()) + 1 if enough.any() else len(order)
     near = order[:probed]
-    scores, rows = _score(store._rows32, part, near[sizes[near] > 0], q32)
+    scores, pos = _score(store._rows32, part, near[sizes[near] > 0], q32)
     t = (_kth(scores, k) - margin) * scale  # at most the true k-th similarity
     far = order[probed:]
     far = far[(sizes[far] > 0) & (_bounds(cos[far], part.radii[far], q) >= t)]
     if far.size:
-        more, more_rows = _score(store._rows32, part, far, q32)
-        scores, rows = np.concatenate((scores, more)), np.concatenate((rows, more_rows))
-    return scores, rows, probed + len(far)
+        more, more_pos = _score(store._rows32, part, far, q32)
+        scores, pos = np.concatenate((scores, more)), np.concatenate((pos, more_pos))
+    return scores, pos, probed + len(far)
 
 
 def _kth(scores: np.ndarray, k: int) -> float:
@@ -346,18 +357,18 @@ def topk(store: CacheStore, query: JointEmbedding, k: int,
     q32 = scaled.astype(np.float32)
     margin = _margin(scaled, scale)
     if mode == "exact":
-        part = store._partitions
-        scores, rows, probed = store._rows32 @ q32, None if part is None else part.rows, 0
+        scores, pos, probed = store._rows32 @ q32, None, 0
     elif mode == "partitioned":
         if store._partitions is None:
             store.build_partitions()
-        scores, rows, probed = _probe(store, q, q32, k, margin, scale)
+        scores, pos, probed = _probe(store, q, q32, k, margin, scale)
     else:
         raise CacheRangeError(f"unknown mode {mode!r}")
     # np.float64 keeps the comparison in float64: a Python float would be cast to float32
     keep = scores >= np.float64(_kth(scores, k) - 2.0 * margin)
-    near = np.flatnonzero(keep) if rows is None else rows[keep]
-    indices, top = _rank((store.keys[near] * q).sum(axis=1), near, k)
+    near = np.flatnonzero(keep) if pos is None else pos[keep]  # rows32 positions
+    ids = near if store._partitions is None else store._partitions.rows[near]
+    indices, top = _rank((store._rows32[near] * q).sum(axis=1), ids, k)
     return RetrievalResult(indices=indices, similarities=Tensor(top.reshape(1, -1)),
                            scanned=len(scores), probed=probed, rescored=len(near))
 
@@ -370,7 +381,7 @@ def enhance(store: CacheStore, query: JointEmbedding, k: int = DEFAULT_TOP_K,
         raise CacheRangeError(f"alpha = {alpha} outside [0, 1]")
     result = topk(store, query, k, mode=mode)  # checks the query's width
     sims = result.similarities.array.reshape(-1)
-    rows = store.values[result.indices]
+    rows = store._rows(result.indices).astype(np.float64)
     if raw_eq4:
         weights = sims
     else:
@@ -393,7 +404,7 @@ def save_cache(store: CacheStore, path) -> None:
     w.u32(store.dim)
     w.u64(store.size)
     w.u8(1)
-    w.array(store.keys, "<f4")
+    w.array(store._rows(), "<f4")
     for sid in store.ids:
         w.string(sid)
     w.save(path)
@@ -410,7 +421,7 @@ def load_cache(path) -> CacheStore:
         r.fail(f"bad values flag {flag} at offset {r.off - 1}")
     start = r.off
     store = CacheStore(r.array("<f4", (count, dim), "keys"), [])
-    bad = _first_non_unit_row(store.keys)
+    bad = _first_non_unit_row(store._rows32)
     if bad is not None:
         row, norm = bad
         r.fail(f"row {row} of keys is not unit-norm (|v| = {norm:.2e}) "

@@ -284,7 +284,7 @@ def _cmd_cache(args) -> int:
         manifest = DatasetManifest.load(args.data)
         encoders = manifest.encoders()
         corpus = Path(args.data) / manifest.corpus_file("cache")
-        samples = read_raw_samples(corpus)
+        samples = read_raw_samples(corpus, manifest.encoder.dim_raw)
         with binfmt.naming(corpus, ShapeError, IngestError):
             store = cache_build(encode(encoders[s["modality"]], s["raw"], s["source_id"])
                                 for s in samples)
@@ -337,7 +337,8 @@ def _cmd_eval(args) -> int:
     perplexity = args.suite == "perplexity"
     default = manifest.corpus_file("pretrain" if perplexity else "eval_yesno")
     corpus = Path(args.data) / (args.file or default)
-    records = ingest(corpus, "caption" if perplexity else "instruction")
+    records = ingest(corpus, "caption" if perplexity else "instruction",
+                     encoders[Modality.IMAGE].config.dim_raw)
     store = load_cache(args.cache) if args.cache and not perplexity else None
     with binfmt.naming(corpus, ShapeError, IngestError), binfmt.naming(
             f"a record does not fit {args.ckpt}", TruncationError, ShapeError):

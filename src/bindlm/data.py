@@ -271,18 +271,20 @@ def _text(obj: dict, key: str) -> str:
     return obj[key]
 
 
-def _parse_instruction(obj: dict) -> InstructionRecord:
+def _parse_instruction(obj: dict, dim_raw: int | None) -> InstructionRecord:
     response, instruction = _text(obj, "response"), _text(obj, "instruction")
     if obj.keys() == set(_INSTRUCTION_KEYS):
         return InstructionRecord(instruction=instruction, response=response)
     binfmt.keys(obj, "a visual record", _INSTRUCTION_KEYS + SAMPLE_KEYS)
-    return InstructionRecord(instruction=instruction, response=response, **parse_sample(obj))
+    return InstructionRecord(instruction=instruction, response=response,
+                             **parse_sample(obj, dim_raw))
 
 
-def ingest(path, kind: str) -> list:
+def ingest(path, kind: str, dim_raw: int | None = None) -> list:
     """Schema-validated records from a JSONL file.
 
-    Malformed lines are reported with their line numbers, up to 20 offenders.
+    Malformed lines are reported with their line numbers, up to 20 offenders;
+    given dim_raw, so is a raw vector of another length.
     Duplicate source_ids are rejected for caption data. An empty file returns
     an empty list with a warning on stderr.
     """
@@ -291,7 +293,7 @@ def ingest(path, kind: str) -> list:
     seen_ids: set[str] = set()
 
     def parse_caption(obj: dict):
-        rec = CaptionRecord(caption=_text(obj, "caption"), **parse_sample(obj))
+        rec = CaptionRecord(caption=_text(obj, "caption"), **parse_sample(obj, dim_raw))
         if rec.source_id in seen_ids:
             raise ValueError(f"duplicate source_id {rec.source_id!r}")
         seen_ids.add(rec.source_id)
@@ -300,8 +302,8 @@ def ingest(path, kind: str) -> list:
     if kind == "caption":
         records = binfmt.read_jsonl(path, parse_caption, IngestError, _CAPTION_KEYS)
     else:
-        records = binfmt.read_jsonl(path, _parse_instruction, IngestError, _INSTRUCTION_KEYS,
-                                    SAMPLE_KEYS)
+        records = binfmt.read_jsonl(path, lambda obj: _parse_instruction(obj, dim_raw),
+                                    IngestError, _INSTRUCTION_KEYS, SAMPLE_KEYS)
     if not records:
         print(f"warning: {path} contained no records", file=sys.stderr)
     return records

@@ -236,14 +236,19 @@ def encoder_modality(value) -> Modality:
     return Modality(value)
 
 
-def parse_sample(obj: dict) -> dict:
-    """The source_id, encoder modality and raw vector of a key-checked sample; else ValueError."""
+def parse_sample(obj: dict, dim_raw: int | None = None) -> dict:
+    """The source_id, encoder modality and raw vector of a key-checked sample; else
+    ValueError, also for a raw vector whose length is not dim_raw, if given."""
     if not isinstance(obj["source_id"], str):
         raise ValueError("source_id is not a string")
+    raw = raw_vector(obj["raw"])
+    if dim_raw is not None and raw.shape[0] != dim_raw:
+        raise ValueError(f"raw length {raw.shape[0]} != encoder dim_raw {dim_raw}"
+                         f" for source {obj['source_id']!r}")
     return {"source_id": obj["source_id"], "modality": encoder_modality(obj["modality"]),
-            "raw": raw_vector(obj["raw"])}
+            "raw": raw}
 
 
-def read_raw_samples(path) -> list[dict]:
-    """Read raw synthetic samples from JSONL: {source_id, modality, raw}."""
-    return binfmt.read_jsonl(path, parse_sample, ShapeError, SAMPLE_KEYS)
+def read_raw_samples(path, dim_raw: int | None = None) -> list[dict]:
+    """Raw samples {source_id, modality, raw} from JSONL; given dim_raw, each raw is that long."""
+    return binfmt.read_jsonl(path, lambda obj: parse_sample(obj, dim_raw), ShapeError, SAMPLE_KEYS)

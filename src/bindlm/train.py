@@ -484,7 +484,7 @@ def run_stage(
         names = peft.trainable_param_names(lm, bind, plan.trainable)
 
     corpus = Path(plan.data) / manifest.corpus_file(plan.stage)
-    records = ingest(corpus, "instruction" if tuning else "caption")
+    records = ingest(corpus, "instruction" if tuning else "caption", manifest.encoder.dim_raw)
     if not records:
         raise PipelineError(f"stage {plan.stage}: corpus is empty")
     prepare = prepare_instruction if tuning else prepare_caption

@@ -45,12 +45,18 @@ def test_build_empty_store_then_query_errors():
         topk(store, q, 1)
 
 
+def _rows32(embs) -> np.ndarray:
+    """The float32 rows a store of embs holds, in insertion order."""
+    return np.stack([e.vector.array.reshape(-1) for e in embs]).astype("<f4")
+
+
 def test_build_keeps_insertion_order():
     rng = derive_rng(0, "cache-order")
-    store = cache_build(_embs(rng, 3, 8))
+    embs = _embs(rng, 3, 8)
+    store = cache_build(embs)
     assert store.size == 3
     assert store.ids == ["e0", "e1", "e2"]
-    assert store.values is store.keys
+    assert store.values.tobytes() == _rows32(embs).astype(np.float64).tobytes()
 
 
 def test_build_rejects_dim_mismatch_naming_id():
@@ -466,16 +472,18 @@ def test_k_equal_to_the_store_size_rescores_every_row(mode):
 
 
 def test_partitions_store_each_kmeans_list_as_one_block():
-    """The one float32 copy of the rows is reordered into list order, each list
+    """The store's one float32 row array is reordered into list order, each list
     one block, from whatever order the build before left it in."""
-    store = cache_build(_embs(derive_rng(18, "cache-layout"), 300, 16))
-    assert store._rows32.tobytes() == store.keys.astype(np.float32).tobytes()
+    embs = _embs(derive_rng(18, "cache-layout"), 300, 16)
+    want = _rows32(embs)
+    store = cache_build(embs)
+    assert store._rows32.tobytes() == want.tobytes()
     parts = []
     for seed in (0, 5):
         store.build_partitions(nlist=17, seed=seed)
         p = store._partitions
         assert np.array_equal(np.sort(p.rows), np.arange(store.size))
-        assert store._rows32.tobytes() == store.keys[p.rows].astype(np.float32).tobytes()
+        assert store._rows32.tobytes() == want[p.rows].tobytes()
         lists, centroids = kmeans_oracle(store.keys, 17, seed)
         assert len(p.offsets) == len(lists) + 1 and p.offsets[0] == 0
         for l, rows in enumerate(lists):
@@ -486,6 +494,36 @@ def test_partitions_store_each_kmeans_list_as_one_block():
     first, part = parts
     assert not np.array_equal(part.rows, first.rows)
     assert not np.array_equal(part.centroids, first.centroids)
+
+
+def _held_bytes(store) -> int:
+    """Bytes of the arrays a store and its partitions hold; each must own its
+    data, so that no view keeps a larger buffer alive."""
+    arrays = [v for obj in (store, store._partitions) if obj is not None
+              for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert all(a.base is None for a in arrays)
+    return sum(a.nbytes for a in arrays)
+
+
+def test_a_store_holds_four_bytes_per_value(tmp_path):
+    """One float32 row array, plus index arrays of m entries and the centroids
+    once partitioned; keys and values are the float32 rows widened, in store
+    order, whatever the layout."""
+    embs = _embs(derive_rng(19, "cache-bytes"), 500, 24)
+    rows = _rows32(embs).astype(np.float64)
+    m, dim = rows.shape
+    store = cache_build(embs)
+    assert _held_bytes(store) == 4 * m * dim
+    assert store.keys.tobytes() == store.values.tobytes() == rows.tobytes()
+    save_cache(store, tmp_path / "c.bnc")
+    store = load_cache(tmp_path / "c.bnc")
+    assert _held_bytes(store) == 4 * m * dim
+    for seed in (0, 3):
+        store.build_partitions(nlist=20, seed=seed)
+        p = store._partitions
+        small = p.centroids.nbytes + p.radii.nbytes + p.offsets.nbytes
+        assert _held_bytes(store) <= 4 * m * dim + 2 * m * np.dtype(np.intp).itemsize + small
+        assert store.keys.tobytes() == store.values.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +634,9 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_cache(store, p)
     loaded = load_cache(p)
     assert loaded.keys.tobytes() == store.keys.tobytes()
-    assert loaded.values is loaded.keys
+    # the file's row block starts after the 21-byte header
+    rows = np.frombuffer(p.read_bytes(), "<f4", count=37 * 24, offset=21).astype(np.float64)
+    assert loaded.values.tobytes() == rows.tobytes()
     assert loaded.ids == store.ids
     p2 = tmp_path / "c2.bnc"
     save_cache(loaded, p2)

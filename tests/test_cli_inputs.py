@@ -535,6 +535,10 @@ def test_short_raw_vector_in_a_corpus_names_the_file_and_source(tmp_path, capsys
         save_checkpoint(small_checkpoint(), tmp_path / "in.bnk")
         command = command + [str(tmp_path / "in.bnk")]
     code = cli(command + ["--data", str(out), "--out", str(tmp_path / "out.bin")])
-    _assert_clean_failure(capsys, code, 2, f"{path}: raw length 5",
-                          f"for source {record['source_id']!r}")
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    # one error line, naming the file, the line and the source
+    [line] = [x for x in err.splitlines() if x.startswith("error: ")]
+    assert f"{path}: line 2: raw length 5 != encoder dim_raw 96" in line
+    assert f"for source {record['source_id']!r}" in line
     assert not (tmp_path / "out.bin").exists()
