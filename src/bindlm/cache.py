@@ -105,6 +105,8 @@ DEFAULT_ALPHA = 0.5
 UNIT_NORM_TOL = 1e-6
 # Spherical k-means rounds that build_partitions runs.
 KMEANS_ITERATIONS = 6
+# Rows per block that cache_build fills, and per float64 chunk (_widened).
+_CHUNK = 4096
 
 
 class EmptyCacheError(DataError):
@@ -220,8 +222,10 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
     Rows keep insertion order; ids come from each embedding's source_id.
     A dimension violation stops the stream, and an embedding whose float32
     row is not unit-norm fails the build; either error names the offending id.
+    Each row is cast into a preallocated block of _CHUNK float32 rows, so a
+    build peaks near twice the store's size, when the blocks are joined.
     """
-    rows, ids = [], []
+    blocks, ids = [], []
     dim = None
     for e in embeddings:
         v = e.vector.array.reshape(-1)
@@ -231,9 +235,16 @@ def cache_build(embeddings: Iterable[JointEmbedding]) -> CacheStore:
             raise CacheBuildError(
                 f"embedding {e.source_id!r} has dim {v.shape[0]}, store dim is {dim}"
             )
-        rows.append(v.astype("<f4"))
+        at = len(ids) % _CHUNK
+        if at == 0:
+            blocks.append(np.empty((_CHUNK, dim), "<f4"))
+        blocks[-1][at] = v  # the same rounding as astype
         ids.append(e.source_id)
-    store = CacheStore(np.stack(rows) if rows else np.zeros((0, 0), "<f4"), ids)
+    if not blocks:
+        return CacheStore(np.zeros((0, 0), "<f4"), ids)
+    blocks[-1] = blocks[-1][:at + 1]
+    store = CacheStore(np.concatenate(blocks), ids)
+    del blocks  # freed before the unit-norm check widens rows
     bad = _first_non_unit_row(store._rows32)
     if bad is not None:
         row, norm = bad
@@ -246,8 +257,8 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _widened(rows: np.ndarray):
-    """rows as float64, 4096 at a time: no float64 store, and small k-means products."""
-    return (rows[a:a + 4096].astype(np.float64) for a in range(0, len(rows), 4096))
+    """rows as float64, _CHUNK at a time: no float64 store, and small k-means products."""
+    return (rows[a:a + _CHUNK].astype(np.float64) for a in range(0, len(rows), _CHUNK))
 
 
 def _slack(dim: int) -> float:

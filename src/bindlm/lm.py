@@ -12,16 +12,20 @@ cached keys, so the cost per token no longer grows with the prefix. The
 condition is the same vector at every position, so cached keys never go
 stale.
 
-Each LoRA-adapted linear runs in one of two forms, chosen by whether a Tape
-is recording. Training records the factored form
-x @ W + s (x @ A^T) @ B^T + bias, because the gradients of A and B need it,
-as one tape node per adapted linear (peft.lora_forward).
-Without a tape (generate, the evals, the CLI) the adapter is folded into one
-dense weight, peft.merge(W, A, B, s), computed on first use and kept on the
-InjectedLM for as long as W, A and B are the same tensors; each linear is
-then one matmul plus the bias. Both forms read the adapter's tensors from
-lm.params and its scaling from lm.adapters. The two forms agree to
-rounding, and bitwise while B = 0.
+lm_forward runs one of two paths, chosen by whether a Tape is recording.
+Training's forward records every step as a tensor primitive, and keeps each
+LoRA-adapted linear in the factored form x @ W + s (x @ A^T) @ B^T + bias,
+because the gradients of A and B need it, as one tape node per adapted
+linear (peft.lora_forward). Without a tape (generate, the evals, the CLI)
+the forward runs on the parameters' plain float64 arrays through the
+kernels the primitives compute with (tensor._rmsnorm, _attention, ...), so
+it gives the primitives' bits without a Tensor per step; only the logits
+are wrapped. There each adapter is folded into one dense weight,
+peft.merge(W, A, B, s), computed on first use and kept on the InjectedLM
+for as long as W, A and B are the same tensors; each linear is then one
+matmul plus the bias. Both forms read the adapter's tensors from lm.params
+and its scaling from lm.adapters. The two forms agree to rounding, and
+bitwise while B = 0.
 """
 
 from __future__ import annotations
@@ -52,6 +56,15 @@ from .tensor import (
     silu,
     softmax_cross_entropy,
     uniform_init,
+    _add,
+    _attention,
+    _concat,
+    _gather,
+    _matmul,
+    _mul,
+    _rmsnorm,
+    _rope,
+    _silu,
     _tape,
 )
 from .tokenizer import BOS, EOS, VOCAB_SIZE, VocabularyError
@@ -176,25 +189,32 @@ def lm_init(config: LMConfig, seed: int) -> InjectedLM:
 
 
 def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
-    """x @ W for the named linear, through its adapter if it has one.
-
-    Under a recording Tape the adapter stays factored so A and B get
-    gradients. Otherwise x meets the folded weight W + s A^T B^T, which is
-    refolded whenever W, A or B is no longer the tensor it was folded from:
-    the memo holds those tensors, so a freed id cannot alias a new one.
-    """
+    """x @ W for the named linear under a Tape; an adapter stays factored
+    (peft.lora_forward), so that A and B get gradients."""
     params = lm.params
     w = params[name]
     if name not in lm.adapters:
         return matmul(x, w)
-    a, b, bias = params[name + ".lora_a"], params[name + ".lora_b"], params[name + ".bias"]
-    scaling = lm.adapters[name].scaling
-    if _tape() is not None:
-        return peft.lora_forward(x, w, a, b, bias, scaling)
+    return peft.lora_forward(x, w, params[name + ".lora_a"], params[name + ".lora_b"],
+                             params[name + ".bias"], lm.adapters[name].scaling)
+
+
+def _plain_linear(lm: InjectedLM, name: str, x: np.ndarray) -> np.ndarray:
+    """x @ W on arrays, through the adapter folded into W + s A^T B^T, plus the bias.
+
+    The fold is redone whenever W, A or B is no longer the tensor it was
+    folded from: the memo holds those tensors, so a freed id cannot alias a
+    new one.
+    """
+    params = lm.params
+    w = params[name]
+    if name not in lm.adapters:
+        return _matmul(x, w.array)
+    a, b = params[name + ".lora_a"], params[name + ".lora_b"]
     hit = lm._folded.get(name)
     if not (hit and hit[0] is w and hit[1] is a and hit[2] is b):
-        hit = lm._folded[name] = (w, a, b, peft.merge(w, a, b, scaling))
-    return add(matmul(x, hit[3]), bias)
+        hit = lm._folded[name] = (w, a, b, peft.merge(w, a, b, lm.adapters[name].scaling).array)
+    return _add(_matmul(x, hit[3]), params[name + ".bias"].array)
 
 
 class KVCache:
@@ -202,12 +222,14 @@ class KVCache:
 
     Passing one cache to successive lm_forward calls feeds a sequence in
     chunks: each call forwards only its new tokens and attends over every
-    cached key. Every chunk must carry the same condition.
+    cached key. Every chunk must carry the same condition, and every chunk
+    must run with a Tape or every chunk without: a tape-free forward caches
+    arrays, a recorded one Tensors, so that gradients reach earlier chunks.
     """
 
     def __init__(self):
-        self.keys: list[Tensor] = []
-        self.values: list[Tensor] = []
+        self.keys: list[np.ndarray | Tensor] = []
+        self.values: list[np.ndarray | Tensor] = []
 
     @property
     def length(self) -> int:
@@ -219,8 +241,10 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
     """Logits [N, V] for a token sequence, optionally condition-injected.
 
     With a cache the tokens continue the cached positions, and the cache
-    gains their keys and values. A NaN or Inf anywhere in the forward
-    reaches the logits, which raise NonFiniteError.
+    gains their keys and values. Under a recording Tape each step is a
+    primitive; with none the forward runs on plain arrays (_plain_forward).
+    A NaN or Inf anywhere in the forward reaches the logits, which raise
+    NonFiniteError.
     """
     ids = list(tokens)
     if not ids:
@@ -235,35 +259,83 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
         )
     if condition is not None and condition.shape != (1, lm.config.dim):
         raise ShapeError(f"condition must be [1, {lm.config.dim}], got {condition.shape}")
-    x = embedding(lm.params["tok_emb"], ids)
-    if lm.config.positions == "learned":
-        x = add(x, embedding(lm.params["pos_emb"], range(start, start + n)))
+    if _tape() is None:
+        logits = Tensor(_plain_forward(lm, ids, start, condition, cache), _checked=True)
+    else:
+        logits = _taped_forward(lm, ids, start, condition, cache)
+    check_finite(logits.array, "logits")
+    return logits
+
+
+def _plain_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor | None,
+                   cache: KVCache | None) -> np.ndarray:
+    """_taped_forward's steps, each adapter folded (_plain_linear), as tensor.py's
+    kernels on the parameters' arrays: the primitives' bits, without a Tensor
+    per step."""
+    cfg, params = lm.config, lm.params
+    n = len(ids)
+    x = _gather(params["tok_emb"].array, np.asarray(ids, dtype=np.int64))
+    if cfg.positions == "learned":
+        x = _add(x, _gather(params["pos_emb"].array, slice(start, start + n)))
     keys, values = [], []
-    for l in range(lm.config.layers):
+    for l in range(cfg.layers):
         if condition is not None:
-            x = add(x, mul(lm.params[lm.gate_name(l)], condition))
-        h = rmsnorm(x, lm.params[f"layers.{l}.attn_norm"])
+            x = _add(x, _mul(params[lm.gate_name(l)].array, condition.array))
+        h = _rmsnorm(x, params[f"layers.{l}.attn_norm"].array)[0]
+        q = _plain_linear(lm, f"layers.{l}.wq", h)
+        k = _plain_linear(lm, f"layers.{l}.wk", h)
+        v = _plain_linear(lm, f"layers.{l}.wv", h)
+        if cfg.positions == "rope":
+            cos, sin = lm._rope_cos[start:start + n], lm._rope_sin[start:start + n]
+            q = _rope(q, cos, sin, cfg.heads)
+            k = _rope(k, cos, sin, cfg.heads)
+        if start:
+            k = _concat(cache.keys[l], k)
+            v = _concat(cache.values[l], v)
+        keys.append(k)
+        values.append(v)
+        x = _add(x, _plain_linear(lm, f"layers.{l}.wo", _attention(q, k, v, cfg.heads)[0]))
+        h2 = _rmsnorm(x, params[f"layers.{l}.ffn_norm"].array)[0]
+        gated = _mul(_silu(_plain_linear(lm, f"layers.{l}.w_gate", h2))[0],
+                     _plain_linear(lm, f"layers.{l}.w_up", h2))
+        x = _add(x, _plain_linear(lm, f"layers.{l}.w_down", gated))
+    if cache is not None:
+        cache.keys, cache.values = keys, values
+    return _matmul(_rmsnorm(x, params["final_norm"].array)[0], params["head"].array)
+
+
+def _taped_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor | None,
+                   cache: KVCache | None) -> Tensor:
+    """The forward as recorded primitives, adapters factored, for training."""
+    cfg, params = lm.config, lm.params
+    n = len(ids)
+    x = embedding(params["tok_emb"], ids)
+    if cfg.positions == "learned":
+        x = add(x, embedding(params["pos_emb"], range(start, start + n)))
+    keys, values = [], []
+    for l in range(cfg.layers):
+        if condition is not None:
+            x = add(x, mul(params[lm.gate_name(l)], condition))
+        h = rmsnorm(x, params[f"layers.{l}.attn_norm"])
         q = _linear(lm, f"layers.{l}.wq", h)
         k = _linear(lm, f"layers.{l}.wk", h)
         v = _linear(lm, f"layers.{l}.wv", h)
-        if lm.config.positions == "rope":
+        if cfg.positions == "rope":
             cos, sin = lm._rope_cos[start:start + n], lm._rope_sin[start:start + n]
-            q = rope(q, cos, sin, lm.config.heads)
-            k = rope(k, cos, sin, lm.config.heads)
+            q = rope(q, cos, sin, cfg.heads)
+            k = rope(k, cos, sin, cfg.heads)
         if start:
             k = concat_rows(cache.keys[l], k)
             v = concat_rows(cache.values[l], v)
         keys.append(k)
         values.append(v)
-        x = add(x, _linear(lm, f"layers.{l}.wo", causal_attention(q, k, v, lm.config.heads)))
-        h2 = rmsnorm(x, lm.params[f"layers.{l}.ffn_norm"])
+        x = add(x, _linear(lm, f"layers.{l}.wo", causal_attention(q, k, v, cfg.heads)))
+        h2 = rmsnorm(x, params[f"layers.{l}.ffn_norm"])
         gated = mul(silu(_linear(lm, f"layers.{l}.w_gate", h2)), _linear(lm, f"layers.{l}.w_up", h2))
         x = add(x, _linear(lm, f"layers.{l}.w_down", gated))
     if cache is not None:
         cache.keys, cache.values = keys, values
-    logits = matmul(rmsnorm(x, lm.params["final_norm"]), lm.params["head"])
-    check_finite(logits.array, "logits")
-    return logits
+    return matmul(rmsnorm(x, params["final_norm"]), params["head"])
 
 
 def _condition_from(bind: BindNetwork | None, embedding_in) -> Tensor | None:

@@ -9,11 +9,11 @@ B = 0 makes it an exact no-op at attach time, mirroring the zero-gate
 philosophy of the conditioning pathway.
 
 Training keeps each adapter factored (lora_forward), since A and B need their
-own gradients, and records each adapted linear as one tape node. Inference
-folds the adapter into the dense weight once (merge), so an adapted linear
-costs one matmul plus the bias; lm._linear picks the form by whether a Tape
-is recording. The folded form agrees with the factored one to rounding, and
-bitwise while B = 0.
+own gradients, and records each adapted linear as one tape node. Inference,
+lm_forward's tape-free path on plain arrays, folds the adapter into the
+dense weight once (merge), so an adapted linear costs one matmul plus the
+bias. The folded form agrees with the factored one to rounding, and bitwise
+while B = 0.
 
 Stage presets map parameter groups onto the training schedule. The joint
 pretrain stage also trains the base LM, since this artifact has no pretrained
@@ -92,7 +92,7 @@ def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
 def merge(w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
     """Dense [in, out] weight W + s A^T B^T: the adapted linear, bias excluded.
 
-    lm._linear folds every adapter through this for tape-free forwards.
+    lm._plain_linear folds every adapter through this for tape-free forwards.
     """
     return Tensor(w.array + scaling * (a.array.T @ b.array.T))
 

@@ -12,6 +12,13 @@ such a path, so frozen weights and subgraphs that no parameter feeds cost
 nothing. ``grad_check`` compares those gradients against central
 differences.
 
+A primitive computes its value with a kernel: a module-level function on
+plain arrays that checks nothing (``_rmsnorm``, ``_attention``, ``_silu``,
+``_rope`` and the one-line ``_matmul``, ``_add``, ``_mul``, ``_gather``,
+``_concat``). A forward that no Tape records, lm_forward's tape-free path,
+calls the kernels directly, so it gives the primitives' bits without a
+Tensor, a shape check or a tape probe per step.
+
 Every contraction (matmul and its gradients, the six products inside
 causal_attention) is a numpy ``@`` and so runs on BLAS. Results are
 therefore bitwise reproducible for a fixed machine, BLAS build and BLAS
@@ -22,9 +29,10 @@ thread count.
 Finiteness is checked where values enter and leave a computation, not on
 every primitive output. A Tensor built by a caller (parameters, loaded
 weights, embeddings) is checked when it is made; primitives wrap their
-results unchecked, so a NaN or Inf born inside a forward travels on to
-the boundary that catches it: lm_forward's logits, the loss of
-softmax_cross_entropy, AdamW's new parameters and grad_check's values.
+results unchecked and kernels return them unchecked, so a NaN or Inf born
+inside a forward travels on to the boundary that catches it: lm_forward's
+logits, the loss of softmax_cross_entropy, AdamW's new parameters and
+grad_check's values.
 softmax_cross_entropy also checks its logits, because it drops ignored
 rows, and with them any non-finite value in those rows. The elementwise
 kernels (the sigmoid inside silu, the mean square inside rmsnorm) are
@@ -243,6 +251,95 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Kernels: the forward arithmetic on plain arrays
+# ---------------------------------------------------------------------------
+#
+# See the module docstring. Some also return what the primitive's backward
+# saves. The one-line kernels give every step of a tape-free forward a name
+# that tests can replace, to put a NaN in front of it.
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a + b
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * b
+
+
+def _gather(table: np.ndarray, idx) -> np.ndarray:
+    return table[idx]
+
+
+def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, b])
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
+    # elsewhere, so both branches round exactly as a sign-split form would.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * sigmoid(x), and the sigmoid."""
+    s = _sigmoid(x)
+    return x * s, s
+
+
+RMS_EPS = 1e-6
+
+
+def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = RMS_EPS):
+    """Row-wise x / sqrt(mean(x^2) + eps) * gain, then 1 / sqrt(...) and x times it."""
+    # sum / n is what .mean computes, without its Python-level wrapper
+    inv = 1.0 / np.sqrt((x * x).sum(axis=1, keepdims=True) / x.shape[1] + eps)
+    normed = x * inv
+    return normed * gain, inv, normed
+
+
+_MASK_FILL = -1e30  # finite stand-in for -inf; exp underflows to exactly 0.0
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
+    """Causal attention of [M, C] queries over [N, C] keys/values (see
+    causal_attention), then the head-major q, k, v views and the probabilities."""
+    m, c = q.shape
+    n = k.shape[0]
+    hd = c // n_heads
+    # head-major (h, rows, hd) views: every contraction is one batched BLAS call
+    qh = q.reshape(m, n_heads, hd).transpose(1, 0, 2)
+    kh = k.reshape(n, n_heads, hd).transpose(1, 0, 2)
+    vh = v.reshape(n, n_heads, hd).transpose(1, 0, 2)
+    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
+    if m > 1:
+        scores = scores + np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m)
+    scores = scores - scores.max(axis=2, keepdims=True)
+    expd = np.exp(scores)
+    probs = expd / expd.sum(axis=2, keepdims=True)
+    return (probs @ vh).transpose(1, 0, 2).reshape(m, c), qh, kh, vh, probs
+
+
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> np.ndarray:
+    """Per head, rotate the (even, odd) column pairs of [N, C] rows by [N, hd/2] angles."""
+    n, c = x.shape
+    xh = x.reshape(n, n_heads, c // n_heads)
+    xe, xo = xh[:, :, 0::2], xh[:, :, 1::2]
+    cc = cos[:, None, :]
+    ss = sin[:, None, :]
+    yh = np.empty_like(xh)
+    yh[:, :, 0::2] = xe * cc - xo * ss
+    yh[:, :, 1::2] = xe * ss + xo * cc
+    return yh.reshape(n, c)
+
+
+# ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
 
@@ -251,7 +348,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C = A @ B for 2-D tensors, on BLAS."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _op(a.array @ b.array, (a, b), _matmul_backward, a, b)
+    return _op(_matmul(a.array, b.array), (a, b), _matmul_backward, a, b)
 
 
 def _matmul_backward(a, b, g, need):
@@ -279,7 +376,7 @@ def _transpose_backward(g, need):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _op(a.array + b.array, (a, b), _add_backward, a, b)
+    return _op(_add(a.array, b.array), (a, b), _add_backward, a, b)
 
 
 def _add_backward(a, b, g, need):
@@ -288,7 +385,7 @@ def _add_backward(a, b, g, need):
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _op(a.array * b.array, (a, b), _mul_backward, a, b)
+    return _op(_mul(a.array, b.array), (a, b), _mul_backward, a, b)
 
 
 def _mul_backward(a, b, g, need):
@@ -305,26 +402,15 @@ def _scale_backward(c, g, need):
     return [g * c]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
-    # elsewhere, so both branches round exactly as a sign-split form would.
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
-
-
 def silu(x: Tensor) -> Tensor:
     """y_i = x_i * sigmoid(x_i)."""
-    s = _sigmoid(x.array)
-    return _op(x.array * s, (x,), _silu_backward, x, s)
+    y, s = _silu(x.array)
+    return _op(y, (x,), _silu_backward, x, s)
 
 
 def _silu_backward(x, s, g, need):
     # d/dx = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
     return [g * (s * (1.0 + x.array * (1.0 - s)))]
-
-
-RMS_EPS = 1e-6
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
@@ -333,11 +419,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = RMS_EPS) -> Tensor:
         raise ShapeError(f"rmsnorm eps must be > 0, got {eps}")
     if x.array.ndim != 2 or gain.array.ndim != 2 or gain.shape != (1, x.shape[1]):
         raise ShapeError(f"rmsnorm shapes: x {x.shape}, gain {gain.shape}")
-    n = x.shape[1]
-    # sum / n is what .mean computes, without its Python-level wrapper
-    inv = 1.0 / np.sqrt((x.array * x.array).sum(axis=1, keepdims=True) / n + eps)
-    normed = x.array * inv
-    return _op(normed * gain.array, (x, gain), _rmsnorm_backward, x, gain, n, inv, normed)
+    y, inv, normed = _rmsnorm(x.array, gain.array, eps)
+    return _op(y, (x, gain), _rmsnorm_backward, x, gain, x.shape[1], inv, normed)
 
 
 def _rmsnorm_backward(x, gain, n, inv, normed, g, need):
@@ -361,16 +444,13 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ShapeError(
             f"embedding id out of range [0, {table.shape[0]}): {int(idx.min())}..{int(idx.max())}"
         )
-    return _op(table.array[idx], (table,), _embedding_backward, table, idx)
+    return _op(_gather(table.array, idx), (table,), _embedding_backward, table, idx)
 
 
 def _embedding_backward(table, idx, g, need):
     dt = np.zeros_like(table.array)
     np.add.at(dt, idx, g)
     return [dt]
-
-
-_MASK_FILL = -1e30  # finite stand-in for -inf; exp underflows to exactly 0.0
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
@@ -384,27 +464,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     if (q.array.ndim != 2 or k.shape != v.shape or q.shape[1:] != k.shape[1:]
             or q.shape[0] > k.shape[0]):
         raise ShapeError(f"attention shapes: q {q.shape}, k {k.shape}, v {v.shape}")
-    m, c = q.shape
-    n = k.shape[0]
-    if c % n_heads != 0:
-        raise ShapeError(f"dim {c} not divisible by {n_heads} heads")
-    hd = c // n_heads
+    if q.shape[1] % n_heads != 0:
+        raise ShapeError(f"dim {q.shape[1]} not divisible by {n_heads} heads")
+    out, qh, kh, vh, probs = _attention(q.array, k.array, v.array, n_heads)
+    return _op(out, (q, k, v), _causal_attention_backward, qh, kh, vh, probs)
+
+
+def _causal_attention_backward(qh, kh, vh, probs, g, need):
+    n_heads, m, hd = qh.shape
+    n, c = kh.shape[1], n_heads * hd
     sc = 1.0 / np.sqrt(hd)
-    # head-major (h, rows, hd) views: every contraction is one batched BLAS call
-    qh = q.array.reshape(m, n_heads, hd).transpose(1, 0, 2)
-    kh = k.array.reshape(n, n_heads, hd).transpose(1, 0, 2)
-    vh = v.array.reshape(n, n_heads, hd).transpose(1, 0, 2)
-    scores = (qh @ kh.transpose(0, 2, 1)) * sc
-    if m > 1:
-        scores = scores + np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m)
-    scores = scores - scores.max(axis=2, keepdims=True)
-    expd = np.exp(scores)
-    probs = expd / expd.sum(axis=2, keepdims=True)
-    return _op((probs @ vh).transpose(1, 0, 2).reshape(m, c), (q, k, v), _causal_attention_backward,
-               m, n, c, n_heads, hd, sc, qh, kh, vh, probs)
-
-
-def _causal_attention_backward(m, n, c, n_heads, hd, sc, qh, kh, vh, probs, g, need):
     gh = g.reshape(m, n_heads, hd).transpose(1, 0, 2)
     dq = dk = dv = None
     if need[2]:
@@ -424,7 +493,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Stack [M, C] above [N, C] into [M + N, C]."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"concat_rows shape mismatch: {a.shape} over {b.shape}")
-    return _op(np.concatenate([a.array, b.array]), (a, b), _concat_rows_backward, a.shape[0])
+    return _op(_concat(a.array, b.array), (a, b), _concat_rows_backward, a.shape[0])
 
 
 def _concat_rows_backward(m, g, need):
@@ -437,21 +506,14 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> Tensor:
     cos/sin are constant [N, hd/2] tables; the backward rotates the gradient
     by the opposite angle.
     """
-    n, c = x.shape
-    hd = c // n_heads
-    xh = x.array.reshape(n, n_heads, hd)
-    xe, xo = xh[:, :, 0::2], xh[:, :, 1::2]
-    cc = cos[:, None, :]
-    ss = sin[:, None, :]
-    yh = np.empty_like(xh)
-    yh[:, :, 0::2] = xe * cc - xo * ss
-    yh[:, :, 1::2] = xe * ss + xo * cc
-    return _op(yh.reshape(n, c), (x,), _rope_backward, n, c, n_heads, hd, cc, ss)
+    return _op(_rope(x.array, cos, sin, n_heads), (x,), _rope_backward, n_heads, cos, sin)
 
 
-def _rope_backward(n, c, n_heads, hd, cc, ss, g, need):
-    gh = g.reshape(n, n_heads, hd)
+def _rope_backward(n_heads, cos, sin, g, need):
+    n, c = g.shape
+    gh = g.reshape(n, n_heads, c // n_heads)
     ge, go = gh[:, :, 0::2], gh[:, :, 1::2]
+    cc, ss = cos[:, None, :], sin[:, None, :]
     dx = np.empty_like(gh)
     dx[:, :, 0::2] = ge * cc + go * ss
     dx[:, :, 1::2] = -ge * ss + go * cc

@@ -2,11 +2,15 @@
 
 Nothing here calls into bindlm's op layer; every formula is written out
 directly so the oracles cannot share bugs with the code under test. There
-are two exceptions. unpruned_grad replays a tape's own recorded backward
+are three exceptions. unpruned_grad replays a tape's own recorded backward
 closures: it is the reference for how Tape.grad chooses what to replay, not
 for the closures' arithmetic, which grad_check covers. lora_forward_oracle
 is the chain of tensor primitives that peft.lora_forward fuses into one
 node: it is the reference for the fused node's bits, forward and backward.
+tape_free_forward_oracle is the decoder as tensor primitives with folded
+adapters: it is the reference for the bits of lm_forward's tape-free path,
+which runs the primitives' kernels on plain arrays; the kernels' own
+arithmetic is held to the einsum and textbook oracles here.
 """
 
 import hashlib
@@ -14,7 +18,9 @@ import math
 
 import numpy as np
 
-from bindlm.tensor import add, matmul, scale, transpose
+from bindlm.peft import merge
+from bindlm.tensor import (add, causal_attention, concat_rows, embedding, matmul, mul, rmsnorm,
+                           rope, scale, silu, transpose)
 
 
 def philox_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -96,6 +102,45 @@ def lm_oracle(params: dict, tokens, condition, n_layers: int, n_heads: int) -> n
         x = x + (swish * up) @ params[f"layers.{layer}.w_down"]
     x = rms(x, params["final_norm"])
     return x @ params["head"]
+
+
+def tape_free_forward_oracle(lm, tokens, condition=None, past=None):
+    """Logits [N, V] and each layer's keys and values, all Tensors, for tokens
+    that follow the positions in past, one tensor primitive per step and every
+    adapter folded by peft.merge. past is the (keys, values) an earlier call
+    returned, or None to start at position 0."""
+    cfg, params = lm.config, lm.params
+    start = 0 if past is None else past[0][0].shape[0]
+    n = len(tokens)
+
+    def linear(name, x):
+        if name not in lm.adapters:
+            return matmul(x, params[name])
+        folded = merge(params[name], params[name + ".lora_a"], params[name + ".lora_b"],
+                       lm.adapters[name].scaling)
+        return add(matmul(x, folded), params[name + ".bias"])
+
+    x = embedding(params["tok_emb"], tokens)
+    if cfg.positions == "learned":
+        x = add(x, embedding(params["pos_emb"], range(start, start + n)))
+    keys, values = [], []
+    for l in range(cfg.layers):
+        if condition is not None:
+            x = add(x, mul(params["gates.shared" if cfg.shared_gate else f"gates.{l}"], condition))
+        h = rmsnorm(x, params[f"layers.{l}.attn_norm"])
+        q, k, v = (linear(f"layers.{l}.{w}", h) for w in ("wq", "wk", "wv"))
+        if cfg.positions == "rope":
+            cos, sin = lm._rope_cos[start:start + n], lm._rope_sin[start:start + n]
+            q, k = rope(q, cos, sin, cfg.heads), rope(k, cos, sin, cfg.heads)
+        if past is not None:
+            k, v = concat_rows(past[0][l], k), concat_rows(past[1][l], v)
+        keys.append(k)
+        values.append(v)
+        x = add(x, linear(f"layers.{l}.wo", causal_attention(q, k, v, cfg.heads)))
+        h2 = rmsnorm(x, params[f"layers.{l}.ffn_norm"])
+        gated = mul(silu(linear(f"layers.{l}.w_gate", h2)), linear(f"layers.{l}.w_up", h2))
+        x = add(x, linear(f"layers.{l}.w_down", gated))
+    return matmul(rmsnorm(x, params["final_norm"]), params["head"]), keys, values
 
 
 def einsum_matmul(a, b, g):

@@ -1,4 +1,6 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +74,51 @@ def test_build_rejects_non_unit_rows():
 
     with pytest.raises(CacheBuildError, match="placeholder"):
         cache_build([placeholder_embedding(8)])
+
+
+def test_build_fills_blocks_without_losing_a_row():
+    # rows on both sides of each 4,096-row block boundary, and a short last block
+    embs = _embs(derive_rng(20, "cache-blocks"), 2 * 4096 + 3, 4)
+    store = cache_build(iter(embs))
+    assert store.ids == [e.source_id for e in embs]
+    assert store._rows32.tobytes() == _rows32(embs).tobytes()
+    assert store._rows32.base is None  # no unused block rows held behind the store
+
+
+def test_build_errors_name_the_row_in_a_later_block():
+    rng = derive_rng(21, "cache-block-errors")
+    embs = _embs(rng, 4100, 4)
+    wide = JointEmbedding.of(rng.standard_normal(5), Modality.IMAGE, "wide")
+    with pytest.raises(CacheBuildError,
+                       match="^" + re.escape("embedding 'wide' has dim 5, store dim is 4") + "$"):
+        cache_build(iter(embs[:4098] + [wide] + embs[4098:]))
+    from bindlm.encoders import placeholder_embedding
+
+    with pytest.raises(CacheBuildError, match="^" + re.escape(
+            "embedding 'placeholder' is not unit-norm (|v| = 0.00e+00)") + "$"):
+        cache_build(iter(embs[:4098] + [placeholder_embedding(4)] + embs[4098:]))
+
+
+def test_a_streamed_build_peaks_below_twice_the_store():
+    m, dim = 65_536, 64
+
+    def stream():
+        rng = derive_rng(22, "cache-peak")
+        for a in range(0, m, 4096):
+            x = rng.standard_normal((4096, dim))
+            yield from (JointEmbedding.of(v, Modality.IMAGE, f"r{a + i}") for i, v in enumerate(x))
+
+    tracemalloc.start()
+    try:
+        store = cache_build(stream())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store.size == m
+    # the blocks and the store they are joined into, plus 8 MiB for the
+    # 65,536 ids and the stream's 4,096-row chunk; one float32 array per row
+    # held until a final stack peaked at 54 MiB here
+    assert peak < 2 * store._rows32.nbytes + 8 * 2**20
 
 
 def test_rows_unit_norm_within_1e6_after_quantization():

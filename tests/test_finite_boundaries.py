@@ -1,10 +1,13 @@
-"""A NaN placed in front of any primitive is caught where values leave.
+"""A NaN placed in front of any primitive or kernel is caught where values leave.
 
-Primitive outputs are not checked for NaN or Inf. These tests plant a NaN
-in one input of one primitive call, built with ``Tensor(..., _checked=True)``
-so nothing rejects it on the way in, and assert that the computation still
-ends in the boundary's error: NonFiniteError from lm_forward's logits,
-DivergenceError naming the step the NaN was planted in, or GradCheckError.
+Primitive and kernel outputs are not checked for NaN or Inf. These tests
+plant a NaN in one input of one call, built with ``Tensor(..., _checked=True)``
+or as a plain array so nothing rejects it on the way in, and assert that the
+computation still ends in the boundary's error: NonFiniteError from
+lm_forward's logits, DivergenceError naming the step the NaN was planted in,
+or GradCheckError. A tape-free forward calls tensor.py's kernels on arrays
+instead of the primitives, so generation is probed at the kernel each
+primitive computes with.
 """
 
 import numpy as np
@@ -28,18 +31,20 @@ _MODULES = (tensor, lm_module, peft, bind_module, train)
 
 
 def _poisoned(name, args):
-    """args with a NaN in the first input, where the primitive reads it."""
-    arr = args[0].array.copy()
-    if name == "embedding":
-        arr[list(args[1])[0]] = np.nan  # the first gathered row
+    """args with a NaN in the first input, a Tensor or an array, where the
+    primitive or kernel reads it."""
+    first = args[0]
+    arr = getattr(first, "array", first).copy()
+    if name in ("embedding", "_gather"):
+        arr[np.arange(len(arr))[args[1]][0]] = np.nan  # the first gathered row
     else:
         arr.reshape(-1)[0] = np.nan  # for softmax_cross_entropy, row 0 is a prompt row
-    return (Tensor(arr, _checked=True),) + tuple(args[1:])
+    return (Tensor(arr, _checked=True) if isinstance(first, Tensor) else arr,) + tuple(args[1:])
 
 
 class Planter:
-    """Replaces one primitive, a tensor one or peft.lora_forward, in every
-    module that calls it.
+    """Replaces one primitive or kernel, a tensor one or peft.lora_forward, in
+    every module that calls it.
 
     Calls are counted while armed() holds; call number ``at`` gets a NaN
     in front of it (None plants nothing and only counts).
@@ -79,22 +84,26 @@ def _generate(lm, bind, emb):
     return generate(lm, bind, emb, [7, 8, 9, 10], GenerationParams(max_new_tokens=3))
 
 
-_GENERATE_PRIMITIVES = ("matmul", "add", "mul", "silu", "rmsnorm", "embedding",
-                        "causal_attention", "concat_rows")
+# the kernel each primitive computes with, for every kind of operation a
+# tape-free decode runs; the bind network's primitives call the same kernels
+_GENERATE_KERNELS = {"matmul": "_matmul", "add": "_add", "mul": "_mul", "silu": "_silu",
+                     "rmsnorm": "_rmsnorm", "embedding": "_gather",
+                     "causal_attention": "_attention", "concat_rows": "_concat", "rope": "_rope"}
 
 
 @pytest.mark.parametrize("positions,name",
-                         [("learned", n) for n in _GENERATE_PRIMITIVES]
-                         + [("rope", n) for n in _GENERATE_PRIMITIVES + ("rope",)])
+                         [("learned", n) for n in _GENERATE_KERNELS if n != "rope"]
+                         + [("rope", n) for n in _GENERATE_KERNELS])
 def test_nan_in_front_of_a_primitive_reaches_the_logits(monkeypatch, positions, name):
+    kernel = _GENERATE_KERNELS[name]
     lm, bind, emb = _decoder(positions)
     with monkeypatch.context() as m:
-        counter = Planter(m, name)
+        counter = Planter(m, kernel)
         _generate(lm, bind, emb)
     assert counter.calls > 1
     for at in (1, counter.calls // 2, counter.calls):  # bind network side to head side
         with monkeypatch.context() as m:
-            Planter(m, name, at=at)
+            Planter(m, kernel, at=at)
             with pytest.raises(NonFiniteError):
                 _generate(lm, bind, emb)
 

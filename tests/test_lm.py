@@ -32,7 +32,7 @@ from bindlm.tensor import (
 )
 from bindlm.tokenizer import BOS, EOS
 
-from _oracles import lm_oracle
+from _oracles import lm_oracle, tape_free_forward_oracle
 
 # vocab must cover the tokenizer specials (BOS=256, EOS=257)
 TINY = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
@@ -272,8 +272,8 @@ def _spread_lm(cfg, seed, lora):
     rng = derive_rng(seed, "kv-spread")
     lm = lm_init(cfg, seed)
     lm.params["head"] = Tensor(rng.standard_normal((cfg.dim, cfg.vocab_size)))
-    for l in range(cfg.layers):
-        lm.params[f"gates.{l}"] = Tensor([[0.4 - 0.3 * l]])
+    for l, name in enumerate([n for n in lm.params if n.startswith("gates.")]):
+        lm.params[name] = Tensor([[0.4 - 0.3 * l]])
     if lora:
         apply_peft(lm, rank=2, seed=seed)
         for name in list(lm.params):
@@ -300,6 +300,35 @@ def test_cached_chunks_match_full_forward(positions, conditioned, lora):
             at += size
             assert cache.length == at
         assert np.abs(np.concatenate(rows) - full).max() <= 1e-10
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("lora", [False, True])
+@pytest.mark.parametrize("shared_gate", [False, True])
+@pytest.mark.parametrize("chunks", [[16], [5] + [1] * 11, [3, 4, 1, 8]], ids=["16", "5+1x11", "3-4-1-8"])
+def test_tape_free_forward_is_the_primitives_bit_for_bit(positions, conditioned, lora, shared_gate,
+                                                         chunks):
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16, positions=positions,
+                   shared_gate=shared_gate)
+    lm = _spread_lm(cfg, 40, lora)
+    if lora:
+        assert lm.params["layers.1.w_down.lora_b"].array.any()
+        assert lm.params["layers.1.w_down.bias"].array.any()
+    rng = derive_rng(41, "plain-forward")
+    tokens = rng.integers(0, cfg.vocab_size, size=cfg.max_seq).tolist()
+    cond = _cond(rng, cfg.dim) if conditioned else None
+    cache, past, at = KVCache(), None, 0
+    for size in chunks:
+        got = lm_forward(lm, tokens[at:at + size], cond, cache).array
+        want, *past = tape_free_forward_oracle(lm, tokens[at:at + size], cond, past)
+        at += size
+        assert got.tobytes() == want.array.tobytes()
+        cached = cache.keys + cache.values
+        assert len(cached) == 2 * cfg.layers
+        for a, b in zip(cached, past[0] + past[1]):
+            assert a.shape == b.shape == (at, cfg.dim)
+            assert a.tobytes() == b.array.tobytes()
 
 
 def test_cached_forward_gradients_match_full_forward():
