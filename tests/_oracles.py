@@ -209,13 +209,40 @@ def lora_forward_oracle(x, w, a, b, bias, scaling):
 
 def adamw_oracle(params, grad_steps, lrs, lr_mults, decays,
                  b1=0.9, b2=0.95, eps=1e-8) -> list[list[np.ndarray]]:
-    """Out-of-place bias-corrected AdamW with decoupled decay, per step.
+    """Out-of-place AdamW with decoupled decay, per step, in Kingma and Ba's
+    folded form (arXiv 1412.6980, section 2): the bias corrections go into the
+    step's lr and epsilon, lr_t = lr * sqrt(1 - b2^t) / (1 - b1^t) and
+    eps_t = eps * sqrt(1 - b2^t), with the scalar and elementwise operations
+    in bindlm.train's order, so the optimizer must give these bits exactly.
 
     params: starting arrays; grad_steps[t][i] and lrs[t]: the gradient of
     param i and the learning rate at step t; lr_mults[i], decays[i]: the
     per-param learning-rate multiplier and weight decay. Returns the params
     after each step.
     """
+    ps = [np.array(p, dtype=np.float64) for p in params]
+    ms = [None] * len(ps)
+    vs = [None] * len(ps)
+    history = []
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        root = math.sqrt(1.0 - b2 ** t)
+        lr_t = lr * root / (1.0 - b1 ** t)
+        eps_t = eps * root
+        for i, g in enumerate(grads):
+            ms[i] = (1.0 - b1) * g if ms[i] is None else b1 * ms[i] + (1.0 - b1) * g
+            vs[i] = (1.0 - b2) * g * g if vs[i] is None else b2 * vs[i] + (1.0 - b2) * g * g
+            step = -(lr_t * lr_mults[i]) * (ms[i] / (np.sqrt(vs[i]) + eps_t))
+            ps[i] = step + ps[i] * (1.0 - lr * lr_mults[i] * decays[i])
+        history.append([p.copy() for p in ps])
+    return history
+
+
+def adamw_textbook_oracle(params, grad_steps, lrs, lr_mults, decays,
+                          b1=0.9, b2=0.95, eps=1e-8) -> list[list[np.ndarray]]:
+    """adamw_oracle's steps written as the AdamW paper (arXiv 1711.05101)
+    writes them: bias-corrected moments, eps added to sqrt(v_hat), then the
+    decoupled decay. Equal to the folded form in exact arithmetic, so the two
+    agree to rounding, not bit for bit."""
     ps = [np.array(p, dtype=np.float64) for p in params]
     ms = [None] * len(ps)
     vs = [None] * len(ps)

@@ -1,9 +1,12 @@
-"""Structure-aware fuzz of every JSON document a command reads, through the CLI.
+"""Structure-aware fuzz of every JSON document a command reads, and of the
+training plan file, through the CLI.
 
 Each document is walked: every object key, and every array's first element,
-is deleted or replaced by a value of another kind. The mutants are enumerated
-in a fixed order and run in-process through cli([...]). Each must exit 0, or
-exit 2 with one `error:` line naming the file; no exception may escape and no
+is deleted or replaced by a value of another kind. A plan file gets the same
+values in each key's line, in a line with an unknown key and in a line
+without `=`, plus an empty value. The mutants are enumerated in a fixed
+order and run in-process through cli([...]). Each must exit 0, or exit 2
+with one `error:` line naming the file; no exception may escape and no
 Python type text may reach the output.
 """
 
@@ -22,6 +25,7 @@ from bindlm.cli import cli
 from bindlm.encoders import EncoderConfig
 from bindlm.lm import LMConfig, lm_init
 from bindlm.tokenizer import default_tokenizer
+from bindlm.train import PLAN_KEYS
 
 # None deletes the node; any other entry is the JSON text put in its place
 REPLACEMENTS = [None, "null", "true", "2.5", '"x"', "[]", "{}", "1e400", "1" + "0" * 400]
@@ -168,6 +172,18 @@ def _faults(code, out, err, named) -> str | None:
     return None
 
 
+def _run(args):
+    """cli(args)'s exit code, stdout and stderr; an escaping exception is a
+    fault, recorded as exit None with its type and text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli(args)
+        except Exception as exc:  # any escape is a fault; record it and go on
+            code, err = None, io.StringIO(f"{type(exc).__name__}: {exc}")
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("site", list(SITES))
 def test_every_mutant_exits_cleanly_naming_the_file(world, tmp_path, site):
     name, document, command = SITES[site]
@@ -180,17 +196,66 @@ def test_every_mutant_exits_cleanly_naming_the_file(world, tmp_path, site):
     failures = []
     for path, replacement, text in mutants(doc):
         write(target, text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli(args)
-            except Exception as exc:  # any escape is a fault; record it and go on
-                code, err = None, io.StringIO(f"{type(exc).__name__}: {exc}")
+        code, out, err = _run(args)
         named = [str(target)]
         if site == "manifest" and path[0] == "files" and replacement == '"x"':
             named.append(str(root / "data" / "x"))  # the file the mutant names
-        fault = _faults(code, out.getvalue(), err.getvalue(), named)
+        fault = _faults(code, out, err, named)
         if fault:
             failures.append(f"{'/'.join(map(str, path))} <- {replacement}: {fault}")
         target.write_bytes(original)
     assert failures == []
+
+
+# a valid value for each plan key: one short epoch, so a mutant that trains
+# ends in well under a second
+_PLAN = {"epochs": "1", "batch_size": "1", "lr": "0.001", "warmup_epochs": "0", "seed": "0",
+         "lora_rank": "2"}
+
+
+def plan_mutants(stage):
+    """(site, replacement, plan text): each of the stage's keys, an unknown
+    key and a line without `=`, its line deleted (None) or holding each of
+    REPLACEMENTS' texts or an empty value, the other keys valid."""
+    keys = sorted(PLAN_KEYS if stage == "instruct" else PLAN_KEYS - {"lora_rank"})
+    valid = {**_PLAN, "trainable": ", ".join(sorted(peft.STAGE_TRAINABLE[stage]))}
+    for site in keys + ["colour", "no-equals"]:
+        for replacement in REPLACEMENTS + [""]:
+            lines = [f"{k} = {valid[k]}" for k in keys if k != site]
+            if replacement is not None:
+                lines.append(replacement if site == "no-equals" else f"{site} = {replacement}")
+            yield site, replacement, "\n".join(lines) + "\n"
+
+
+def test_plan_mutants_cover_every_key():
+    sites = {site for site, _, _ in plan_mutants("instruct")}
+    assert sites == PLAN_KEYS | {"colour", "no-equals"}
+    assert len(list(plan_mutants("pretrain"))) == (len(PLAN_KEYS) + 1) * (len(REPLACEMENTS) + 1)
+    text = dict(((s, r), t) for s, r, t in plan_mutants("pretrain"))
+    assert "lr = 1e400\n" in text["lr", "1e400"] and "lr = 0.001" not in text["lr", "1e400"]
+    assert text["no-equals", "[]"].endswith("\n[]\n")
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "instruct"])
+def test_every_plan_mutant_exits_cleanly_naming_the_plan_file(world, tmp_path, stage):
+    command = ["train", "--stage", stage, "--data", str(world / "data"),
+               "--out", str(tmp_path / "out.bnk")]
+    if stage == "instruct":  # a small pretrain checkpoint without adapters to start from
+        lm = lm_init(LMConfig(vocab_size=418, dim=16, layers=1, heads=2, max_seq=32,
+                              ffn_hidden=24), 0)
+        bind = bind_init(BindConfig(dim_joint=64, dim_lm=16, dim_hidden=24), 0)
+        ck = Checkpoint.from_models(lm, bind, default_tokenizer(), EncoderConfig(seed=3), {},
+                                    0, ["pretrain:seed=0:steps=0"])
+        save_checkpoint(ck, tmp_path / "pre.bnk")
+        command += ["--init", str(tmp_path / "pre.bnk")]
+    plan = tmp_path / "plan.kv"
+    failures, trained = [], 0
+    for site, replacement, text in plan_mutants(stage):
+        plan.write_text(text)
+        code, out, err = _run(command + ["--plan", str(plan)])
+        trained += code == 0
+        fault = _faults(code, out, err, [str(plan)])
+        if fault:
+            failures.append(f"{site} <- {replacement!r}: {fault}")
+    assert failures == []
+    assert trained >= len(PLAN_KEYS)  # each deleted line at least falls back to a default

@@ -46,7 +46,7 @@ from bindlm.train import (
 from bindlm.tensor import NonFiniteError, Tape, Tensor, derive_rng
 from bindlm.tokenizer import default_tokenizer
 
-from _oracles import adamw_oracle, unpruned_grad
+from _oracles import adamw_oracle, adamw_textbook_oracle, unpruned_grad
 
 TINY_LM = LMConfig(vocab_size=512, dim=16, layers=2, heads=2, max_seq=64)
 TINY_BIND = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=16)
@@ -489,6 +489,28 @@ def test_adamw_step_matches_out_of_place_formula_bitwise(monkeypatch):
         for threaded in _worker_modes(monkeypatch):
             opt, _ = _run_oracle_case(names, start, grad_steps, lrs, want)
             assert opt._threaded is threaded
+
+
+def test_adamw_matches_the_textbook_formula_to_rounding():
+    """The folded form equals bias-corrected AdamW in exact arithmetic; here to
+    1e-12 relative, element by element, through a step whose gradients are
+    all zero and a tensor whose gradient is zero at every step."""
+    for case in _ORACLE_PARAM_SETS:
+        names, shapes, lr_mults, decays = (list(c) for c in zip(*case))
+        rng = derive_rng(6, "adamw-textbook")
+        start = [rng.standard_normal(s) for s in shapes]
+        grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(4)]
+        grad_steps[1] = [np.zeros(s) for s in shapes]
+        for grads in grad_steps:
+            grads[names.index("lm.gates.0")][...] = 0.0
+        lrs = [1e-2, 2e-2, 5e-3, 1e-3]
+        want = adamw_textbook_oracle(start, grad_steps, lrs, lr_mults=lr_mults, decays=decays)
+        opt = AdamW(lr=1e-2, weight_decay=0.01, gate_lr_mult=25.0)
+        params = [Tensor(a) for a in start]
+        for grads, lr, expected in zip(grad_steps, lrs, want):
+            params = opt.step(names, params, grads, lr=lr)
+            for name, got, w in zip(names, params, expected):
+                np.testing.assert_allclose(got.array, w, rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_optimizers_stepping_in_several_threads_share_the_worker_and_keep_their_bits(
