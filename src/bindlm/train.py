@@ -245,8 +245,8 @@ def _update(jobs, lr: float, lr_t: float, eps_t: float, first: bool) -> bool:
     """One share's passes; True when every new value is finite. Each job is
     (bucket, params, grads, out), flat, with out the caller's array for the
     new parameters, -(lr_t*mult) * (m / (sqrt(v) + eps_t)) + p * (1 -
-    lr*mult*decay) in that order (+ p where the decay is 0). Allocates no
-    array: every result goes to out, to the moments or to the scratch."""
+    lr*mult*decay) in that order. Allocates no array: every result goes to
+    out, to the moments or to the scratch."""
     b1, b2 = ADAM_BETAS
     finite = True
     for b, p, g, new in jobs:
@@ -265,7 +265,7 @@ def _update(jobs, lr: float, lr_t: float, eps_t: float, first: bool) -> bool:
         denom += eps_t
         np.divide(b.m, denom, out=new)
         new *= -(lr_t * b.mult)
-        new += np.multiply(p, 1.0 - lr * b.mult * b.decay, out=denom) if b.decay else p
+        new += np.multiply(p, 1.0 - lr * b.mult * b.decay, out=denom)
         # the scratch's float64 values are spent, so its bytes hold the flags
         finite = finite and bool(np.isfinite(new, out=b.flags).all())
     return finite

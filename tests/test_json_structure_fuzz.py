@@ -227,15 +227,6 @@ def plan_mutants(stage):
             yield site, replacement, "\n".join(lines) + "\n"
 
 
-def test_plan_mutants_cover_every_key():
-    sites = {site for site, _, _ in plan_mutants("instruct")}
-    assert sites == PLAN_KEYS | {"colour", "no-equals"}
-    assert len(list(plan_mutants("pretrain"))) == (len(PLAN_KEYS) + 1) * (len(REPLACEMENTS) + 1)
-    text = dict(((s, r), t) for s, r, t in plan_mutants("pretrain"))
-    assert "lr = 1e400\n" in text["lr", "1e400"] and "lr = 0.001" not in text["lr", "1e400"]
-    assert text["no-equals", "[]"].endswith("\n[]\n")
-
-
 @pytest.mark.parametrize("stage", ["pretrain", "instruct"])
 def test_every_plan_mutant_exits_cleanly_naming_the_plan_file(world, tmp_path, stage):
     command = ["train", "--stage", stage, "--data", str(world / "data"),
@@ -249,8 +240,9 @@ def test_every_plan_mutant_exits_cleanly_naming_the_plan_file(world, tmp_path, s
         save_checkpoint(ck, tmp_path / "pre.bnk")
         command += ["--init", str(tmp_path / "pre.bnk")]
     plan = tmp_path / "plan.kv"
-    failures, trained = [], 0
+    failures, trained, sites = [], 0, set()
     for site, replacement, text in plan_mutants(stage):
+        sites.add(site)
         plan.write_text(text)
         code, out, err = _run(command + ["--plan", str(plan)])
         trained += code == 0
@@ -258,4 +250,6 @@ def test_every_plan_mutant_exits_cleanly_naming_the_plan_file(world, tmp_path, s
         if fault:
             failures.append(f"{site} <- {replacement!r}: {fault}")
     assert failures == []
+    keys = PLAN_KEYS if stage == "instruct" else PLAN_KEYS - {"lora_rank"}
+    assert sites == keys | {"colour", "no-equals"}
     assert trained >= len(PLAN_KEYS)  # each deleted line at least falls back to a default
