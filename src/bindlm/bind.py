@@ -8,6 +8,11 @@ One linear projection followed by exactly three residual gated-FFN blocks:
 The norm is applied to the block input before both branches (pre-norm), and
 the residual is taken from the un-normed input. w3 starts at zero so every
 block is the identity map at initialization.
+
+Under a recording Tape bind_forward records each step as a tensor primitive,
+for training. Without one (generation and the evals) it runs the same steps
+on the parameters' plain arrays through the kernels those primitives compute
+with, as lm_forward does, which gives the same bits without a Tensor per step.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ import numpy as np
 
 from .encoders import DIM_JOINT, JointEmbedding
 from .tensor import (ShapeError, Tensor, add, check_fields, derive_rng, matmul, mul, rmsnorm, silu,
-                     uniform_init)
+                     uniform_init, _add, _matmul, _mul, _rmsnorm, _silu, _tape)
 
 N_BLOCKS = 3
+_BLOCK_PARAMS = ("w1", "w2", "w3", "norm_gain")  # _block_update's order
 
 
 @dataclass(frozen=True)
@@ -80,16 +86,15 @@ def bind_forward(net: BindNetwork, f: "JointEmbedding | Tensor") -> Tensor:
         raise ShapeError(
             f"expected [1, {net.config.dim_joint}] embedding, got {vec.shape}"
         )
-    x = matmul(vec, net.params["w0"])
+    params = net.params
+    if _tape() is None:
+        x = _matmul(vec.array, params["w0"].array)
+        for i in range(N_BLOCKS):
+            w1, w2, w3, gain = (params[f"blocks.{i}.{n}"].array for n in _BLOCK_PARAMS)
+            h = _rmsnorm(x, gain)[0]
+            x = _add(x, _matmul(_mul(_matmul(h, w2), _silu(_matmul(h, w1))[0]), w3))
+        return Tensor(x, _checked=True)
+    x = matmul(vec, params["w0"])
     for i in range(N_BLOCKS):
-        x = add(
-            x,
-            _block_update(
-                x,
-                net.params[f"blocks.{i}.w1"],
-                net.params[f"blocks.{i}.w2"],
-                net.params[f"blocks.{i}.w3"],
-                net.params[f"blocks.{i}.norm_gain"],
-            ),
-        )
+        x = add(x, _block_update(x, *(params[f"blocks.{i}.{n}"] for n in _BLOCK_PARAMS)))
     return x

@@ -16,21 +16,27 @@ lm_forward runs one of two paths, chosen by whether a Tape is recording.
 Training's forward records every step as a tensor primitive, and keeps each
 LoRA-adapted linear in the factored form x @ W + s (x @ A^T) @ B^T + bias,
 because the gradients of A and B need it, as one tape node per adapted
-linear (peft.lora_forward). Without a tape (generate, the evals, the CLI)
-the forward runs on the parameters' plain float64 arrays through the
+linear (peft.lora_forward); its cache grows by concat_rows. Without a tape
+(generate, the evals, the CLI) the forward runs on plain arrays through the
 kernels the primitives compute with (tensor._rmsnorm, _attention, ...), so
 it gives the primitives' bits without a Tensor per step; only the logits
-are wrapped. There each adapter is folded into one dense weight,
-peft.merge(W, A, B, s), computed on first use and kept on the InjectedLM
-for as long as W, A and B are the same tensors; each linear is then one
-matmul plus the bias. Both forms read the adapter's tensors from lm.params
-and its scaling from lm.adapters. The two forms agree to rounding, and
-bitwise while B = 0.
+are wrapped. What does not change from token to token is resolved once per
+request into a plan (_plan): each linear's weight with its adapter folded
+in, peft.merge(W, A, B, s), and its bias; the norm gains; and each layer's
+gate * condition. A plain lm_forward call builds one; a KVCache keeps the
+one its first chunk built, so generate builds one per request. The fold
+itself is memoized on the InjectedLM for as long as W, A and B are the same
+tensors. A tape-free cache holds per-layer float64 buffers sized to the
+rows the request can reach (P + N for generate), which each chunk writes in
+place, so decoding copies no key or value prefix. Both adapter forms read
+the adapter's tensors from lm.params and its scaling from lm.adapters. The
+two forms agree to rounding, and bitwise while B = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +64,6 @@ from .tensor import (
     uniform_init,
     _add,
     _attention,
-    _concat,
     _gather,
     _matmul,
     _mul,
@@ -130,7 +135,7 @@ class InjectedLM:
         self.config = config
         self.params = params
         self.adapters: dict[str, peft.LoraSpec] = {}
-        # linear name -> (W, A, B, folded weight); see _linear
+        # linear name -> (W, A, B, folded weight); see _resolve_linear
         self._folded: dict[str, tuple] = {}
         if config.positions == "rope":
             hd = config.dim // config.heads
@@ -199,8 +204,13 @@ def _linear(lm: InjectedLM, name: str, x: Tensor) -> Tensor:
                              params[name + ".bias"], lm.adapters[name].scaling)
 
 
-def _plain_linear(lm: InjectedLM, name: str, x: np.ndarray) -> np.ndarray:
-    """x @ W on arrays, through the adapter folded into W + s A^T B^T, plus the bias.
+_LINEARS = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+_Linear = tuple[np.ndarray, "np.ndarray | None"]  # weight, bias
+
+
+def _resolve_linear(lm: InjectedLM, name: str) -> _Linear:
+    """The named linear's weight array, its adapter folded into W + s A^T B^T,
+    and the adapter's bias array (None without an adapter).
 
     The fold is redone whenever W, A or B is no longer the tensor it was
     folded from: the memo holds those tensors, so a freed id cannot alias a
@@ -209,12 +219,68 @@ def _plain_linear(lm: InjectedLM, name: str, x: np.ndarray) -> np.ndarray:
     params = lm.params
     w = params[name]
     if name not in lm.adapters:
-        return _matmul(x, w.array)
+        return w.array, None
     a, b = params[name + ".lora_a"], params[name + ".lora_b"]
     hit = lm._folded.get(name)
     if not (hit and hit[0] is w and hit[1] is a and hit[2] is b):
         hit = lm._folded[name] = (w, a, b, peft.merge(w, a, b, lm.adapters[name].scaling).array)
-    return _add(_matmul(x, hit[3]), params[name + ".bias"].array)
+    return hit[3], params[name + ".bias"].array
+
+
+def _plain_linear(x: np.ndarray, linear: _Linear) -> np.ndarray:
+    """x @ W on arrays for a (weight, bias) pair from _resolve_linear, plus the bias."""
+    w, bias = linear
+    y = _matmul(x, w)
+    return y if bias is None else _add(y, bias)
+
+
+class _LayerPlan(NamedTuple):
+    inject: np.ndarray | None  # gate * condition, None without a condition
+    attn_norm: np.ndarray
+    wq: _Linear
+    wk: _Linear
+    wv: _Linear
+    wo: _Linear
+    ffn_norm: np.ndarray
+    w_gate: _Linear
+    w_up: _Linear
+    w_down: _Linear
+
+
+class _Plan(NamedTuple):
+    """The arrays a tape-free forward reads, resolved once per request."""
+
+    lm: InjectedLM
+    condition: Tensor | None
+    tok_emb: np.ndarray
+    pos_emb: np.ndarray | None  # None under rope
+    layers: list[_LayerPlan]
+    final_norm: np.ndarray
+    head: np.ndarray
+
+
+def _plan(lm: InjectedLM, condition: Tensor | None) -> _Plan:
+    """Every linear's weight and bias (_resolve_linear), every norm gain and
+    each layer's gate * condition, for the forwards of one request."""
+    params = lm.params
+    layers = []
+    for l in range(lm.config.layers):
+        p = f"layers.{l}."
+        inject = None if condition is None else _mul(params[lm.gate_name(l)].array,
+                                                     condition.array)
+        layers.append(_LayerPlan(inject=inject, attn_norm=params[p + "attn_norm"].array,
+                                 ffn_norm=params[p + "ffn_norm"].array,
+                                 **{w: _resolve_linear(lm, p + w) for w in _LINEARS}))
+    pos_emb = params["pos_emb"].array if lm.config.positions == "learned" else None
+    return _Plan(lm, condition, params["tok_emb"].array, pos_emb, layers,
+                 params["final_norm"].array, params["head"].array)
+
+
+def _write_rows(rows: np.ndarray, buf: np.ndarray, at: int) -> np.ndarray:
+    """Copy rows into buf from row at on; return buf's rows up to the last one written."""
+    end = at + rows.shape[0]
+    buf[at:end] = rows
+    return buf[:end]
 
 
 class KVCache:
@@ -222,18 +288,51 @@ class KVCache:
 
     Passing one cache to successive lm_forward calls feeds a sequence in
     chunks: each call forwards only its new tokens and attends over every
-    cached key. Every chunk must carry the same condition, and every chunk
-    must run with a Tape or every chunk without: a tape-free forward caches
-    arrays, a recorded one Tensors, so that gradients reach earlier chunks.
+    cached key. A cache serves one request: every chunk must carry the same
+    condition. The first tape-free chunk resolves the plan (_plan), and later
+    chunks given the same model and condition Tensor reuse it, so they run
+    on the weights that chunk saw.
+
+    rows caps the positions the cache holds; None means the model's max_seq.
+    Without a Tape each layer's keys and values sit in float64 buffers of
+    rows rows, allocated by the first chunk; every chunk writes its rows in
+    place and attention reads the filled prefix. Under a Tape they are
+    Tensors that concat_rows extends, so that gradients reach earlier
+    chunks. A cache keeps the mode of its first chunk: a chunk in the other
+    mode raises ShapeError.
     """
 
-    def __init__(self):
-        self.keys: list[np.ndarray | Tensor] = []
-        self.values: list[np.ndarray | Tensor] = []
+    def __init__(self, rows: int | None = None):
+        self.rows = rows
+        self.length = 0
+        self._taped: bool | None = None  # set by the first chunk
+        self._keys: list[np.ndarray | Tensor] = []  # buffers without a Tape
+        self._values: list[np.ndarray | Tensor] = []
+        self._plan: _Plan | None = None
 
     @property
-    def length(self) -> int:
-        return self.keys[0].shape[0] if self.keys else 0
+    def keys(self) -> list[np.ndarray | Tensor]:
+        """Each layer's keys, [length, C]."""
+        return self._keys if self._taped else [buf[:self.length] for buf in self._keys]
+
+    @property
+    def values(self) -> list[np.ndarray | Tensor]:
+        """Each layer's values, [length, C]."""
+        return self._values if self._taped else [buf[:self.length] for buf in self._values]
+
+    def _plain_plan(self, lm: InjectedLM, condition: Tensor | None) -> _Plan:
+        """The plan for this cache's chunks; the first chunk also allocates the buffers."""
+        plan = self._plan
+        if plan is None or plan.lm is not lm or plan.condition is not condition:
+            plan = self._plan = _plan(lm, condition)
+        if not self._keys:
+            shape = (lm.config.max_seq if self.rows is None else self.rows, lm.config.dim)
+            self._keys = [np.empty(shape) for _ in range(lm.config.layers)]
+            self._values = [np.empty(shape) for _ in range(lm.config.layers)]
+        return plan
+
+
+_MODES = {True: "under a Tape", False: "without a Tape"}
 
 
 def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
@@ -253,55 +352,63 @@ def lm_forward(lm: InjectedLM, tokens, condition: Tensor | None = None,
     n = len(ids)
     if start + n > lm.config.max_seq:
         raise TruncationError(f"sequence length {start + n} > max_seq {lm.config.max_seq}")
+    if cache is not None and cache.rows is not None and start + n > cache.rows:
+        raise TruncationError(f"sequence length {start + n} > the cache's {cache.rows} rows")
     if max(ids) >= lm.config.vocab_size or min(ids) < 0:
         raise VocabularyError(
             f"token id outside [0, {lm.config.vocab_size}): {min(ids)}..{max(ids)}"
         )
     if condition is not None and condition.shape != (1, lm.config.dim):
         raise ShapeError(f"condition must be [1, {lm.config.dim}], got {condition.shape}")
-    if _tape() is None:
-        logits = Tensor(_plain_forward(lm, ids, start, condition, cache), _checked=True)
-    else:
+    taped = _tape() is not None
+    if cache is not None:
+        if cache._taped is None:
+            cache._taped = taped
+        elif cache._taped != taped:
+            raise ShapeError(f"a KVCache filled {_MODES[cache._taped]} cannot take a chunk "
+                             f"{_MODES[taped]}")
+    if taped:
         logits = _taped_forward(lm, ids, start, condition, cache)
+    else:
+        plan = _plan(lm, condition) if cache is None else cache._plain_plan(lm, condition)
+        logits = Tensor(_plain_forward(plan, ids, start, cache), _checked=True)
     check_finite(logits.array, "logits")
     return logits
 
 
-def _plain_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor | None,
-                   cache: KVCache | None) -> np.ndarray:
-    """_taped_forward's steps, each adapter folded (_plain_linear), as tensor.py's
-    kernels on the parameters' arrays: the primitives' bits, without a Tensor
-    per step."""
-    cfg, params = lm.config, lm.params
-    n = len(ids)
-    x = _gather(params["tok_emb"].array, np.asarray(ids, dtype=np.int64))
-    if cfg.positions == "learned":
-        x = _add(x, _gather(params["pos_emb"].array, slice(start, start + n)))
-    keys, values = [], []
-    for l in range(cfg.layers):
-        if condition is not None:
-            x = _add(x, _mul(params[lm.gate_name(l)].array, condition.array))
-        h = _rmsnorm(x, params[f"layers.{l}.attn_norm"].array)[0]
-        q = _plain_linear(lm, f"layers.{l}.wq", h)
-        k = _plain_linear(lm, f"layers.{l}.wk", h)
-        v = _plain_linear(lm, f"layers.{l}.wv", h)
-        if cfg.positions == "rope":
-            cos, sin = lm._rope_cos[start:start + n], lm._rope_sin[start:start + n]
+def _plain_forward(plan: _Plan, ids: list[int], start: int, cache: KVCache | None) -> np.ndarray:
+    """_taped_forward's steps, each adapter folded, as tensor.py's kernels on the
+    plan's arrays: the primitives' bits, without a Tensor per step. A cache's
+    keys and values are written into its buffers (_write_rows), not concatenated."""
+    lm = plan.lm
+    cfg = lm.config
+    end = start + len(ids)
+    rope = cfg.positions == "rope"
+    x = _gather(plan.tok_emb, np.asarray(ids, dtype=np.int64))
+    if rope:
+        cos, sin = lm._rope_cos[start:end], lm._rope_sin[start:end]
+    else:
+        x = _add(x, _gather(plan.pos_emb, slice(start, end)))
+    for l, layer in enumerate(plan.layers):
+        if layer.inject is not None:
+            x = _add(x, layer.inject)
+        h = _rmsnorm(x, layer.attn_norm)[0]
+        q = _plain_linear(h, layer.wq)
+        k = _plain_linear(h, layer.wk)
+        v = _plain_linear(h, layer.wv)
+        if rope:
             q = _rope(q, cos, sin, cfg.heads)
             k = _rope(k, cos, sin, cfg.heads)
-        if start:
-            k = _concat(cache.keys[l], k)
-            v = _concat(cache.values[l], v)
-        keys.append(k)
-        values.append(v)
-        x = _add(x, _plain_linear(lm, f"layers.{l}.wo", _attention(q, k, v, cfg.heads)[0]))
-        h2 = _rmsnorm(x, params[f"layers.{l}.ffn_norm"].array)[0]
-        gated = _mul(_silu(_plain_linear(lm, f"layers.{l}.w_gate", h2))[0],
-                     _plain_linear(lm, f"layers.{l}.w_up", h2))
-        x = _add(x, _plain_linear(lm, f"layers.{l}.w_down", gated))
+        if cache is not None:
+            k = _write_rows(k, cache._keys[l], start)
+            v = _write_rows(v, cache._values[l], start)
+        x = _add(x, _plain_linear(_attention(q, k, v, cfg.heads)[0], layer.wo))
+        h2 = _rmsnorm(x, layer.ffn_norm)[0]
+        gated = _mul(_silu(_plain_linear(h2, layer.w_gate))[0], _plain_linear(h2, layer.w_up))
+        x = _add(x, _plain_linear(gated, layer.w_down))
     if cache is not None:
-        cache.keys, cache.values = keys, values
-    return _matmul(_rmsnorm(x, params["final_norm"].array)[0], params["head"].array)
+        cache.length = end
+    return _matmul(_rmsnorm(x, plan.final_norm)[0], plan.head)
 
 
 def _taped_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor | None,
@@ -325,8 +432,8 @@ def _taped_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor
             q = rope(q, cos, sin, cfg.heads)
             k = rope(k, cos, sin, cfg.heads)
         if start:
-            k = concat_rows(cache.keys[l], k)
-            v = concat_rows(cache.values[l], v)
+            k = concat_rows(cache._keys[l], k)
+            v = concat_rows(cache._values[l], v)
         keys.append(k)
         values.append(v)
         x = add(x, _linear(lm, f"layers.{l}.wo", causal_attention(q, k, v, cfg.heads)))
@@ -334,7 +441,7 @@ def _taped_forward(lm: InjectedLM, ids: list[int], start: int, condition: Tensor
         gated = mul(silu(_linear(lm, f"layers.{l}.w_gate", h2)), _linear(lm, f"layers.{l}.w_up", h2))
         x = add(x, _linear(lm, f"layers.{l}.w_down", gated))
     if cache is not None:
-        cache.keys, cache.values = keys, values
+        cache._keys, cache._values, cache.length = keys, values, start + n
     return matmul(rmsnorm(x, params["final_norm"]), params["head"])
 
 
@@ -381,14 +488,17 @@ def generate(
     prompt = list(prompt_tokens)
     if not prompt:
         raise ShapeError("prompt must be nonempty")
-    if len(prompt) + 1 + params.max_new_tokens > lm.config.max_seq:
+    # [BOS] + prompt, then every new token but the last: P + N positions
+    rows = len(prompt) + params.max_new_tokens
+    if rows > lm.config.max_seq:
         raise TruncationError(
             f"prompt {len(prompt)} + new {params.max_new_tokens} exceeds "
             f"max_seq {lm.config.max_seq}"
         )
     condition = _condition_from(bind, embedding_in)
     rng = None  # only sampling draws from it, so greedy decoding never builds it
-    cache = KVCache()
+    # one forward needs no cache; more share one plan and buffers of P + N rows
+    cache = KVCache(rows) if params.max_new_tokens > 1 else None
     feed = [BOS] + prompt
     out: list[int] = []
     for _ in range(params.max_new_tokens):

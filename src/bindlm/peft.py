@@ -92,7 +92,7 @@ def _lora_forward_backward(x, w, at, bt, xa, s, bias_shape, g, need):
 def merge(w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
     """Dense [in, out] weight W + s A^T B^T: the adapted linear, bias excluded.
 
-    lm._plain_linear folds every adapter through this for tape-free forwards.
+    lm._resolve_linear folds every adapter through this for tape-free forwards.
     """
     return Tensor(w.array + scaling * (a.array.T @ b.array.T))
 

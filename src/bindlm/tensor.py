@@ -15,9 +15,9 @@ differences.
 A primitive computes its value with a kernel: a module-level function on
 plain arrays that checks nothing (``_rmsnorm``, ``_attention``, ``_silu``,
 ``_rope`` and the one-line ``_matmul``, ``_add``, ``_mul``, ``_gather``,
-``_concat``). A forward that no Tape records, lm_forward's tape-free path,
-calls the kernels directly, so it gives the primitives' bits without a
-Tensor, a shape check or a tape probe per step.
+``_concat``). A forward that no Tape records, the tape-free path of
+lm_forward and of bind_forward, calls the kernels directly, so it gives the
+primitives' bits without a Tensor, a shape check or a tape probe per step.
 
 Every contraction (matmul and its gradients, the six products inside
 causal_attention) is a numpy ``@`` and so runs on BLAS. Results are

@@ -3,7 +3,7 @@ import pytest
 
 from bindlm.bind import BindConfig, BindNetwork, N_BLOCKS, _block_update, bind_forward, bind_init
 from bindlm.encoders import JointEmbedding, Modality
-from bindlm.tensor import ShapeError, Tensor, derive_rng, grad_check, tensor_sum
+from bindlm.tensor import ShapeError, Tape, Tensor, derive_rng, grad_check, tensor_sum
 
 from _oracles import bind_init_oracle, bind_oracle
 
@@ -59,6 +59,18 @@ def test_init_draws_match_the_explicit_construction(cfg, seed):
     for name, a in want.items():
         got = net.params[name].array
         assert got.dtype == a.dtype and got.shape == a.shape and got.tobytes() == a.tobytes()
+
+
+def test_tape_free_forward_is_the_primitives_bit_for_bit():
+    cfg = BindConfig(dim_joint=8, dim_lm=16, dim_hidden=32)
+    rng = derive_rng(11, "bind-plain")
+    net = BindNetwork(cfg, {name: Tensor(rng.standard_normal(t.shape) * 0.3)
+                            for name, t in bind_init(cfg, seed=11).params.items()})
+    e = _embedding(rng, 8)
+    with Tape() as tape:
+        taped = bind_forward(net, e)
+    assert len(tape) > 0
+    assert bind_forward(net, e).array.tobytes() == taped.array.tobytes()
 
 
 def test_init_deterministic():

@@ -17,7 +17,7 @@ from bindlm.bind import BindConfig, bind_init
 from bindlm.checkpoint import Checkpoint, save_checkpoint
 from bindlm.cli import cli
 from bindlm.encoders import EncoderConfig
-from bindlm.lm import LMConfig, lm_init
+from bindlm.lm import LMConfig, lm_init, prompt_template
 from bindlm.tokenizer import default_tokenizer
 
 from test_cli import _assert_clean_failure, _gen, _raw_input_file
@@ -136,9 +136,8 @@ def test_plan_groups_without_parameters_are_data_error(tmp_path, capsys):
     _assert_clean_failure(capsys, code, 2, "no trainable parameters", "lora")
 
 
-def _emits_undecodable_id(ck, path):
-    """Zero every layer and aim the head at id 419: the tokenizer defines 418
-    ids, and the greedy token is 419 after any prompt."""
+def _always_emits(ck, path, token):
+    """Zero every layer and aim the head at token: the greedy token after any prompt."""
     params = ck.params
     for name in params:
         if name.startswith("lm.layers."):
@@ -146,14 +145,14 @@ def _emits_undecodable_id(ck, path):
     params["lm.tok_emb"] = np.ones_like(params["lm.tok_emb"])
     params["lm.pos_emb"] = np.zeros_like(params["lm.pos_emb"])
     params["lm.head"] = np.zeros_like(params["lm.head"])
-    params["lm.head"][:, 419] = 1.0
+    params["lm.head"][:, token] = 1.0
     save_checkpoint(ck, path)
 
 
 def test_undecodable_token_is_data_error(tmp_path, capsys):
     out = _gen(tmp_path)
     ckpt = tmp_path / "ck.bnk"
-    _emits_undecodable_id(small_checkpoint(), ckpt)
+    _always_emits(small_checkpoint(), ckpt, 419)  # the tokenizer defines 418 ids
     probe = _raw_input_file(tmp_path, out)
     for temperature in ("0", "1.0"):
         code = cli(["generate", "--ckpt", str(ckpt), "--modality", "image", "--input", str(probe),
@@ -161,6 +160,22 @@ def test_undecodable_token_is_data_error(tmp_path, capsys):
         _assert_clean_failure(capsys, code, 2, "token id 419", "418 ids")
     code = cli(["eval", "--suite", "yesno", "--ckpt", str(ckpt), "--data", str(out)])
     _assert_clean_failure(capsys, code, 2, "token id 419", "418 ids")
+
+
+def test_generate_fills_max_seq_exactly(tmp_path, capsys):
+    # [BOS] + prompt and every new token but the last: P + N positions of 32
+    out = _gen(tmp_path)
+    ckpt = tmp_path / "ck.bnk"
+    _always_emits(small_checkpoint(), ckpt, ord("a"))
+    probe = _raw_input_file(tmp_path, out)
+    capsys.readouterr()  # drain setup output
+    prompt = len(default_tokenizer().encode(prompt_template("hi")))
+    args = ["generate", "--ckpt", str(ckpt), "--modality", "image", "--input", str(probe),
+            "--prompt", "hi", "--max-new"]
+    assert cli(args + [str(32 - prompt)]) == 0
+    assert capsys.readouterr().out.strip() == "a" * (32 - prompt)
+    code = cli(args + [str(33 - prompt)])
+    _assert_clean_failure(capsys, code, 2, f"prompt {prompt} + new {33 - prompt} exceeds max_seq 32")
 
 
 def _narrow_encoder(ck, path):

@@ -7,7 +7,9 @@ computation still ends in the boundary's error: NonFiniteError from
 lm_forward's logits, DivergenceError naming the step the NaN was planted in,
 or GradCheckError. A tape-free forward calls tensor.py's kernels on arrays
 instead of the primitives, so generation is probed at the kernel each
-primitive computes with.
+primitive computes with; concat_rows, which a tape-free forward replaces by
+writing the new keys and values into the cache's buffers, is probed at that
+write (lm._write_rows).
 """
 
 import numpy as np
@@ -85,10 +87,12 @@ def _generate(lm, bind, emb):
 
 
 # the kernel each primitive computes with, for every kind of operation a
-# tape-free decode runs; the bind network's primitives call the same kernels
+# tape-free decode runs, the bind network's included; concat_rows maps to the
+# K/V cache's write, which takes its place there
 _GENERATE_KERNELS = {"matmul": "_matmul", "add": "_add", "mul": "_mul", "silu": "_silu",
                      "rmsnorm": "_rmsnorm", "embedding": "_gather",
-                     "causal_attention": "_attention", "concat_rows": "_concat", "rope": "_rope"}
+                     "causal_attention": "_attention", "concat_rows": "_write_rows",
+                     "rope": "_rope"}
 
 
 @pytest.mark.parametrize("positions,name",

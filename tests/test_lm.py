@@ -252,6 +252,17 @@ def test_generate_errors():
         generate(lm, None, None, [1] * 10, GenerationParams(max_new_tokens=10))
 
 
+def test_generate_fits_prompt_plus_new_tokens_exactly_in_max_seq():
+    # [BOS] + prompt and every new token but the last: P + N positions
+    lm = lm_init(TINY, 0)
+    lm.params["head"] = Tensor(np.zeros((TINY.dim, TINY.vocab_size)))
+    prompt = [1] * 10
+    fits = GenerationParams(max_new_tokens=TINY.max_seq - len(prompt))
+    assert generate(lm, None, None, prompt, fits) == [0] * fits.max_new_tokens  # no EOS
+    with pytest.raises(TruncationError, match="prompt 10 [+] new 7 exceeds max_seq 16"):
+        generate(lm, None, None, prompt, GenerationParams(max_new_tokens=7))
+
+
 @pytest.mark.parametrize("field,value", [
     ("temperature", float("nan")), ("temperature", -1.0), ("temperature", float("inf")),
     ("top_k", -4), ("max_new_tokens", -3),
@@ -350,6 +361,31 @@ def test_cached_forward_gradients_match_full_forward():
         assert np.abs(a - b).max() <= 1e-10
 
 
+def test_a_cache_keeps_the_mode_of_its_first_chunk():
+    lm = lm_init(TINY, 0)
+    taped = KVCache()
+    with Tape():
+        lm_forward(lm, [1, 2, 3], None, taped)
+    with pytest.raises(ShapeError, match="filled under a Tape cannot take a chunk without"):
+        lm_forward(lm, [4], None, taped)
+    plain = KVCache()
+    lm_forward(lm, [1, 2, 3], None, plain)
+    with Tape(), pytest.raises(ShapeError, match="filled without a Tape cannot take a chunk under"):
+        lm_forward(lm, [4], None, plain)
+    for cache in (taped, plain):
+        assert cache.length == 3  # the refused chunk left the cache alone
+
+
+def test_cache_cannot_pass_its_rows():
+    lm = lm_init(TINY, 0)
+    cache = KVCache(rows=5)
+    lm_forward(lm, [1, 2, 3], None, cache)
+    with pytest.raises(TruncationError, match="sequence length 6 > the cache's 5 rows"):
+        lm_forward(lm, [4, 5, 6], None, cache)
+    lm_forward(lm, [4, 5], None, cache)
+    assert cache.length == 5 and all(k.shape == (5, TINY.dim) for k in cache.keys)
+
+
 def test_cache_cannot_pass_max_seq():
     cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16)
     lm = lm_init(cfg, 0)
@@ -399,6 +435,45 @@ def test_generate_matches_full_recompute(positions):
             got = generate(lm, bind, emb, prompt, params)
             assert got == _full_recompute_generate(lm, cond, prompt, params)
             assert len(got) == params.max_new_tokens or got[-1] == EOS
+
+
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+@pytest.mark.parametrize("lora", [False, True])
+def test_generate_is_the_tape_free_oracle_step_by_step(positions, lora, monkeypatch):
+    """Greedy generate against tape_free_forward_oracle fed one token at a time:
+    the same tokens, and byte-equal logits at every step, up to an exact
+    max_seq fit."""
+    from bindlm import lm as lm_module
+
+    cfg = LMConfig(vocab_size=260, dim=8, layers=2, heads=2, max_seq=16, positions=positions)
+    lm = _spread_lm(cfg, 42, lora)
+    lm.params["head"] = Tensor(lm.params["head"].array * 0.1)  # keep EOS from winning early
+    bind = bind_init(BindConfig(dim_joint=4, dim_lm=cfg.dim, dim_hidden=8), 42)
+    emb = JointEmbedding.of(derive_rng(42, "oracle-gen").standard_normal(4), Modality.IMAGE, "x")
+    prompt = derive_rng(43, "oracle-prompt").integers(0, 256, size=5).tolist()
+    params = GenerationParams(max_new_tokens=cfg.max_seq - len(prompt))
+    seen = []
+
+    def recorded(*args):
+        logits = real(*args)
+        seen.append(logits.array)
+        return logits
+
+    real = lm_module.lm_forward
+    monkeypatch.setattr(lm_module, "lm_forward", recorded)
+    got = generate(lm, bind, emb, prompt, params)
+    monkeypatch.undo()
+    assert len(got) == params.max_new_tokens and EOS not in got
+
+    cond = bind_forward(bind, emb)
+    past, feed = None, [BOS] + prompt
+    for step, token in enumerate(got):
+        want, *past = tape_free_forward_oracle(lm, feed, cond, past)
+        assert seen[step].tobytes() == want.array.tobytes()
+        assert token == int(np.argmax(want.array[-1]))
+        feed = [token]
+    assert len(seen) == len(got)
+    assert past[0][0].shape[0] == cfg.max_seq  # P + N positions: the last token is never fed
 
 
 # ---------------------------------------------------------------------------
