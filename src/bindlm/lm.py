@@ -31,6 +31,10 @@ rows the request can reach (P + N for generate), which each chunk writes in
 place, so decoding copies no key or value prefix. Both adapter forms read
 the adapter's tensors from lm.params and its scaling from lm.adapters. The
 two forms agree to rounding, and bitwise while B = 0.
+
+The condition is bind_forward of the embedding, run by caption_loss and
+generate (under the Tape when one records), or for caption_loss one
+computed beforehand: run_stage's, once per example, for a frozen bind network.
 """
 
 from __future__ import annotations
@@ -459,14 +463,18 @@ def caption_loss(
     embedding_in: "JointEmbedding | Tensor | None",
     prompt_tokens,
     target_tokens,
+    condition: Tensor | None = None,
 ) -> Tensor:
-    """Mean NLL of the target continuation, prompt positions masked out."""
+    """Mean NLL of the target continuation, prompt positions masked out; the
+    condition is bind_forward(bind, embedding_in) unless given, and then
+    bind and embedding_in are not read."""
     prompt = list(prompt_tokens)
     target = list(target_tokens)
     if not target:
         raise EmptyBatchError("empty target")
     seq = [BOS] + prompt + target
-    condition = _condition_from(bind, embedding_in)
+    if condition is None:
+        condition = _condition_from(bind, embedding_in)
     logits = lm_forward(lm, seq[:-1], condition)
     labels = [-1] * len(prompt) + target
     return softmax_cross_entropy(logits, labels, ignore_index=-1)

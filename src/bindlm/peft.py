@@ -56,7 +56,8 @@ def lora_forward(x: Tensor, w: Tensor, a: Tensor, b: Tensor, bias: Tensor,
     One tape node with the bits of the matmul/transpose/scale/add chain it
     replaces: A^T and B^T are multiplied as contiguous copies, and the inputs
     are listed as (x, A, B, x, W, bias) so that x's two gradients accumulate
-    in that chain's order, the adapter path's first.
+    in that chain's order, the adapter path's first. The chain's scale and
+    its two sums run in place, in its order, on the two products' arrays.
     """
     if (x.array.ndim != 2 or x.shape[1] != w.shape[0] or a.shape[1] != w.shape[0]
             or b.shape[0] != w.shape[1]):
@@ -65,7 +66,11 @@ def lora_forward(x: Tensor, w: Tensor, a: Tensor, b: Tensor, bias: Tensor,
     at = np.ascontiguousarray(a.array.T)
     bt = np.ascontiguousarray(b.array.T)
     xa = x.array @ at
-    y = x.array @ w.array + (xa @ bt) * scaling + bias.array
+    y = x.array @ w.array
+    adapter = xa @ bt
+    adapter *= scaling
+    y += adapter
+    y += bias.array
     return _op(y, (x, a, b, x, w, bias), _lora_forward_backward, x.array, w.array, at, bt, xa,
                scaling, bias.shape)
 

@@ -18,6 +18,8 @@ plain arrays that checks nothing (``_rmsnorm``, ``_attention``, ``_silu``,
 ``_concat``). A forward that no Tape records, the tape-free path of
 lm_forward and of bind_forward, calls the kernels directly, so it gives the
 primitives' bits without a Tensor, a shape check or a tape probe per step.
+The sigmoid inside ``_silu`` divides once, and ``_attention`` slices its
+causal mask from one cached read-only triangle (``_causal_mask``).
 
 Every contraction (matmul and its gradients, the six products inside
 causal_attention) is a numpy ``@`` and so runs on BLAS. Results are
@@ -282,9 +284,10 @@ def _concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
     # elsewhere, so both branches round exactly as a sign-split form would.
+    # Selecting the numerator first and dividing once gives the same bits.
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,6 +308,18 @@ def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = RMS_EPS):
 
 
 _MASK_FILL = -1e30  # finite stand-in for -inf; exp underflows to exactly 0.0
+_CAUSAL = np.zeros((0, 0))  # read-only triu(_MASK_FILL, k=1), as long as the longest n yet
+
+
+def _causal_mask(m: int, n: int) -> np.ndarray:
+    """np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m), sliced from _CAUSAL."""
+    global _CAUSAL
+    tri = _CAUSAL
+    if tri.shape[0] < n:
+        tri = np.triu(np.full((n, n), _MASK_FILL), k=1)
+        tri.setflags(write=False)
+        _CAUSAL = tri
+    return tri[n - m:n, :n]
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
@@ -319,7 +334,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int):
     vh = v.reshape(n, n_heads, hd).transpose(1, 0, 2)
     scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(hd))
     if m > 1:
-        scores = scores + np.triu(np.full((m, n), _MASK_FILL), k=1 + n - m)
+        scores += _causal_mask(m, n)
     scores = scores - scores.max(axis=2, keepdims=True)
     expd = np.exp(scores)
     probs = expd / expd.sum(axis=2, keepdims=True)

@@ -44,6 +44,7 @@ class Tokenizer:
                                       f" defined before it")
             self._bytes[_FIRST_MERGE_ID + i] = self._bytes[a] + self._bytes[b]
         self.ranks = {m: i for i, m in enumerate(self.merges)}
+        self._pieces: dict[str, list[int]] = {}  # see encode
 
     @property
     def vocab_size(self) -> int:
@@ -62,9 +63,16 @@ class Tokenizer:
         return ids
 
     def encode(self, text: str) -> list[int]:
+        """The ids of text, piece by piece. A piece always merges to the same
+        ids, so each distinct piece is merged once and its ids kept on the
+        tokenizer: the memo grows by distinct pieces only, not by calls."""
         out: list[int] = []
+        pieces = self._pieces
         for piece in _PIECE_RE.findall(text):
-            out.extend(self._merge_piece(list(piece.encode("utf-8"))))
+            ids = pieces.get(piece)
+            if ids is None:
+                ids = pieces[piece] = self._merge_piece(list(piece.encode("utf-8")))
+            out.extend(ids)
         return out
 
     def decode(self, ids: list[int]) -> str:

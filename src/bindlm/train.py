@@ -23,7 +23,9 @@ not tensor by tensor: a tensor above SMALL_TENSOR scalars (a dense weight)
 is a pass of its own on its own arrays, and the small tensors (LoRA
 factors, biases, norm gains, gates) share one pass per (learning-rate
 multiplier, decay) pair over their concatenation. The elementwise operations
-are the same either way, so every element gets the same bits.
+are the same either way, so every element gets the same bits. Handed back
+the Tensors it returned, a pass over several reads its last result instead
+of concatenating them again.
 
 The passes fall into two shares of about equal scalar count. With two CPUs,
 and a lighter share of at least half the heavier one's scalars (pretrain's;
@@ -32,6 +34,11 @@ worker thread, the only thread bindlm starts, runs share 1 while the caller
 runs share 0; numpy releases the GIL inside each pass. The shares write no
 common array and every element goes through the same operations in the same
 order, so no bit depends on the worker.
+
+When no bind.* name trains (instruct and hq_instruct by default), run_stage
+computes each example's condition once per stage, tape-free (the taped
+bits), and the steps record only the LM; a trained bind network runs under
+each step's Tape.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binfmt, peft
-from .bind import BindConfig, bind_init
+from .bind import BindConfig, bind_forward, bind_init
 from .checkpoint import Checkpoint
 from .data import (
     CAPTION_INSTRUCTION,
@@ -187,16 +194,18 @@ SMALL_TENSOR = 4096
 class _Bucket:
     """Tensors updated in one pass: their positions in the step's name list,
     shapes and slices of the concatenation, their shared lr multiplier and
-    decay, the moments of the concatenation, and the pass's view of its
-    share's scratch array (as float64 and as bool)."""
+    decay, the moments of the concatenation, the pass's view of its share's
+    scratch array (as float64 and as bool), and for several tensors the last
+    step's result (see AdamW.step)."""
 
-    __slots__ = ("index", "shapes", "slices", "mult", "decay", "m", "v", "scratch", "flags")
+    __slots__ = ("index", "shapes", "slices", "mult", "decay", "m", "v", "scratch", "flags", "last")
 
     def __init__(self, mult: float, decay: float):
         self.index: list[int] = []
         self.shapes: list[tuple[int, ...]] = []
         self.slices: list[slice] = []
         self.mult, self.decay = mult, decay
+        self.last: tuple[list[Tensor], np.ndarray] | None = None  # returned Tensors, their base
 
     @property
     def size(self) -> int:
@@ -331,8 +340,11 @@ class AdamW:
         One pass per bucket (see _plan): a lone tensor on flat views of its
         own arrays, several on the concatenation of their parameters and of
         their gradients, each new parameter then a view of the pass's
-        result. The moments are updated in place, with the float operations
-        of m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order, then
+        result. When a bucket's parameters are, by identity, the Tensors the
+        last step returned for it, that step's result already is their
+        concatenation, and the pass reads it instead of concatenating. The
+        moments are updated in place, with the float operations of
+        m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in that order, then
         _update's folded step: 15 numpy calls a pass, one a division.
         Share 1 runs on the worker thread when _plan chose it, in a copy of
         the caller's context so that its numpy error state holds there too.
@@ -355,12 +367,20 @@ class AdamW:
                 if len(b.index) == 1:
                     p, g = params[b.index[0]].array.reshape(-1), grads[b.index[0]].reshape(-1)
                 else:
-                    p = np.concatenate([params[i].array for i in b.index], axis=None)
+                    if b.last and all(params[i] is t for i, t in zip(b.index, b.last[0])):
+                        p = b.last[1]
+                    else:
+                        p = np.concatenate([params[i].array for i in b.index], axis=None)
                     g = np.concatenate([grads[i] for i in b.index], axis=None)
                 new = np.empty(b.size)
                 work.append((b, p, g, new))
-                for i, shape, part in zip(b.index, b.shapes, b.slices):
-                    out[i] = new[part].reshape(shape)
+                # views of new, which the pass fills before step returns them
+                views = [Tensor(new[part].reshape(shape), _checked=True)
+                         for shape, part in zip(b.shapes, b.slices)]
+                for i, t in zip(b.index, views):
+                    out[i] = t
+                if len(b.index) > 1:
+                    b.last = (views, new)
         if self._threaded:
             pending = _worker().submit(contextvars.copy_context().run, _update, jobs[1], *scalars)
             try:
@@ -370,7 +390,6 @@ class AdamW:
                 other = pending.result()
         else:
             finite, other = (_update(work, *scalars) for work in jobs)
-        out = [Tensor(a, _checked=True) for a in out]
         if not (finite and other):
             for name, t in zip(names, out):
                 check_finite(t.array, name)
@@ -498,9 +517,16 @@ def run_stage(
             raise PipelineError(
                 f"{corpus}: sequence length {n} > max_seq {lm.config.max_seq} for {which}")
 
+    # resolved once: each step's new Tensors replace them here and in the models
+    params = [peft.resolve_param(lm, bind, n) for n in names]
     if counters is not None:
-        counters["trainable_params"] = sum(peft.resolve_param(lm, bind, n).size for n in names)
+        counters["trainable_params"] = sum(p.size for p in params)
         counters["placeholder_records"] = sum(e.embedding.is_placeholder() for e in examples)
+    # a frozen bind network gives an example the same condition at every step
+    conditions = [None] * len(examples)
+    if not any(n.startswith("bind.") for n in names):
+        with np.errstate(over="ignore", invalid="ignore"):
+            conditions = [bind_forward(bind, ex.embedding) for ex in examples]
 
     rng = derive_rng(plan.seed, "train", plan.stage)
     opt = AdamW(lr=plan.lr)
@@ -513,7 +539,7 @@ def run_stage(
     for _epoch in range(plan.epochs):
         order = rng.permutation(len(examples))
         for b in range(steps_per_epoch):
-            batch = [examples[i] for i in order[b * plan.batch_size:(b + 1) * plan.batch_size]]
+            batch = order[b * plan.batch_size:(b + 1) * plan.batch_size]
             # an overflow or NaN anywhere in the step reaches the logits, the
             # loss or a new parameter, whose checks raise, so numpy need not
             # warn of it as well
@@ -521,19 +547,19 @@ def run_stage(
                 with np.errstate(over="ignore", invalid="ignore"):
                     with Tape() as tape:
                         total = None
-                        for ex in batch:
+                        for i in batch:
+                            ex = examples[i]
                             li = caption_loss(lm, bind, ex.embedding, ex.prompt_ids,
-                                              ex.target_ids)
+                                              ex.target_ids, conditions[i])
                             total = li if total is None else add(total, li)
                         loss = scale(total, 1.0 / len(batch))
                     check_finite(loss.array, "loss")
-                    params = [peft.resolve_param(lm, bind, n) for n in names]
                     grads = tape.grad(loss, params)
-                    updated = opt.step(names, params, grads,
-                                       lr=lr_at(local_step, total_steps, warmup_steps, plan.lr))
+                    params = opt.step(names, params, grads,
+                                      lr=lr_at(local_step, total_steps, warmup_steps, plan.lr))
             except NonFiniteError as exc:
                 raise DivergenceError(step + 1, str(exc)) from exc
-            for n, t in zip(names, updated):
+            for n, t in zip(names, params):
                 peft.set_param(lm, bind, n, t)
             step += 1
             local_step += 1

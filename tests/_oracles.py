@@ -11,16 +11,24 @@ tape_free_forward_oracle is the decoder as tensor primitives with folded
 adapters: it is the reference for the bits of lm_forward's tape-free path,
 which runs the primitives' kernels on plain arrays; the kernels' own
 arithmetic is held to the einsum and textbook oracles here.
+taped_stage_oracle is an adapter stage as run_stage ran it before it
+computed a frozen bind network's conditions once per example: every step
+records the bind network under its Tape. It is the reference for the bits
+of that precomputed path, not for the arithmetic of training.
 """
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
-from bindlm.peft import merge
-from bindlm.tensor import (add, causal_attention, concat_rows, embedding, matmul, mul, rmsnorm,
-                           rope, scale, silu, transpose)
+from bindlm.data import DatasetManifest, ingest
+from bindlm.lm import caption_loss
+from bindlm.peft import apply_peft, merge, resolve_param, set_param, trainable_param_names
+from bindlm.tensor import (Tape, add, causal_attention, concat_rows, derive_rng, embedding,
+                           matmul, mul, rmsnorm, rope, scale, silu, transpose)
+from bindlm.train import AdamW, lr_at, prepare_instruction
 
 
 def philox_stream(seed: int, *labels: str) -> np.random.Generator:
@@ -141,6 +149,40 @@ def tape_free_forward_oracle(lm, tokens, condition=None, past=None):
         gated = mul(silu(linear(f"layers.{l}.w_gate", h2)), linear(f"layers.{l}.w_up", h2))
         x = add(x, linear(f"layers.{l}.w_down", gated))
     return matmul(rmsnorm(x, params["final_norm"]), params["head"]), keys, values
+
+
+def taped_stage_oracle(plan, checkpoint_in) -> tuple[dict, list[float]]:
+    """The trained arrays of plan's trainable names and each step's loss, for
+    an adapter stage with one example a step: each step's loss is
+    caption_loss of the example's embedding under the step's Tape, so the
+    bind network runs and is recorded at every step, then AdamW steps with
+    lr_at's rate."""
+    assert plan.batch_size == 1
+    manifest = DatasetManifest.load(plan.data)
+    encoders = manifest.encoders()
+    lm, bind, tok = checkpoint_in.to_models()
+    apply_peft(lm, rank=plan.lora_rank, seed=plan.seed)
+    names = trainable_param_names(lm, bind, plan.trainable)
+    records = ingest(Path(plan.data) / manifest.corpus_file(plan.stage), "instruction",
+                     manifest.encoder.dim_raw)
+    examples = [prepare_instruction(r, tok, encoders) for r in records]
+    rng = derive_rng(plan.seed, "train", plan.stage)
+    opt = AdamW(lr=plan.lr)
+    total, warmup = len(examples) * plan.epochs, len(examples) * plan.warmup_epochs
+    losses: list[float] = []
+    for _ in range(plan.epochs):
+        for i in rng.permutation(len(examples)):
+            ex = examples[i]
+            with Tape() as tape:
+                loss = scale(caption_loss(lm, bind, ex.embedding, ex.prompt_ids, ex.target_ids),
+                             1.0)
+            params = [resolve_param(lm, bind, n) for n in names]
+            new = opt.step(names, params, tape.grad(loss, params),
+                           lr=lr_at(len(losses), total, warmup, plan.lr))
+            for name, t in zip(names, new):
+                set_param(lm, bind, name, t)
+            losses.append(loss.item())
+    return {n: resolve_param(lm, bind, n).array for n in names}, losses
 
 
 def einsum_matmul(a, b, g):

@@ -29,6 +29,7 @@ from bindlm.tensor import (
     tensor_sum,
     transpose,
 )
+from bindlm import tensor
 
 from _oracles import (
     attention_oracle,
@@ -452,6 +453,17 @@ def test_attention_with_fewer_queries_is_the_tail_of_the_square_call(seed):
         assert np.abs(tail - square[n - m:]).max() <= 1e-12
     with pytest.raises(ShapeError):
         causal_attention(q, Tensor(k.array[:3]), Tensor(v.array[:3]), heads)
+
+
+def test_causal_mask_is_a_read_only_slice_of_one_triangle(monkeypatch):
+    monkeypatch.setattr(tensor, "_CAUSAL", np.zeros((0, 0)))  # grown from nothing here
+    for n in range(1, 65):
+        for m in range(1, n + 1):
+            mask = tensor._causal_mask(m, n)
+            want = np.triu(np.full((m, n), tensor._MASK_FILL), k=1 + n - m)
+            assert mask.shape == want.shape and mask.tobytes() == want.tobytes(), (m, n)
+            assert not mask.flags.writeable
+    assert tensor._CAUSAL.shape == (64, 64)
 
 
 @pytest.mark.parametrize("seed", range(3))

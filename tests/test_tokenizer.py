@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bindlm.lm import PROMPT_TEMPLATE, YESNO_SUFFIX, prompt_template, yesno_prompt
 from bindlm.tokenizer import (
@@ -14,6 +16,7 @@ from bindlm.tokenizer import (
     build_default_vocab,
     default_tokenizer,
     train_merges,
+    _PIECE_RE,
 )
 
 
@@ -120,3 +123,18 @@ def test_merges_never_cross_pieces():
     # "xy xy" must stay two pieces even though the pair (y, space) repeats
     ids = tok.encode("xy xy")
     assert tok.decode(ids[:1]) == "xy"
+
+
+# one tokenizer for every example, so that later texts meet pieces that
+# earlier ones left in its memo
+_MEMO_TOK = default_tokenizer()
+_WORDS = [" yes", " no", "a", " red", " torus", "?", "!!", " é", "\n", " ", "Response", ":"]
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_WORDS)).map("".join)))
+def test_memoized_encode_merges_every_piece_as_an_unmemoized_merge_does(text):
+    want = [i for piece in _PIECE_RE.findall(text)
+            for i in _MEMO_TOK._merge_piece(list(piece.encode("utf-8")))]
+    assert _MEMO_TOK.encode(text) == want
+    assert _MEMO_TOK.encode(text) == want  # every piece from the memo now
+    assert set(_MEMO_TOK._pieces) >= set(_PIECE_RE.findall(text))

@@ -21,7 +21,7 @@ from bindlm.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from bindlm.bind import BindConfig, bind_init, bind_param_shapes
+from bindlm.bind import BindConfig, bind_forward, bind_init, bind_param_shapes
 from bindlm.data import (
     DatasetManifest,
     generate_caption_corpus,
@@ -46,7 +46,7 @@ from bindlm.train import (
 from bindlm.tensor import NonFiniteError, Tape, Tensor, derive_rng
 from bindlm.tokenizer import default_tokenizer
 
-from _oracles import adamw_oracle, adamw_textbook_oracle, unpruned_grad
+from _oracles import adamw_oracle, adamw_textbook_oracle, taped_stage_oracle, unpruned_grad
 
 TINY_LM = LMConfig(vocab_size=512, dim=16, layers=2, heads=2, max_seq=64)
 TINY_BIND = BindConfig(dim_joint=16, dim_lm=16, dim_hidden=16)
@@ -427,6 +427,60 @@ def test_pruned_step_gradients_match_unpruned_replay(stage, positions):
         assert len(calls) < n_nodes
 
 
+@pytest.mark.parametrize("positions", ["learned", "rope"])
+def test_a_precomputed_condition_gives_the_taped_loss_and_gradients(positions):
+    rng = derive_rng(7, "frozen-condition", positions)
+    lm = lm_init(LMConfig(vocab_size=300, dim=16, layers=2, heads=2, max_seq=32,
+                          positions=positions, ffn_hidden=24), seed=2)
+    bind = bind_init(TINY_BIND, seed=2)
+    peft.apply_peft(lm, rank=2, seed=2)
+    # move every zero-initialized tensor off zero so no gradient vanishes
+    for params in (lm.params, bind.params):
+        for name, t in params.items():
+            if not t.array.any():
+                params[name] = Tensor(0.3 * rng.standard_normal(t.shape))
+    names = peft.trainable_param_names(lm, bind, peft.STAGE_TRAINABLE["instruct"])
+    params = [peft.resolve_param(lm, bind, n) for n in names]
+    emb = Tensor(rng.standard_normal((1, TINY_BIND.dim_joint)))
+    runs = []
+    for condition in (None, bind_forward(bind, emb)):
+        with Tape() as tape:
+            loss = caption_loss(lm, bind, emb if condition is None else None,
+                                [5, 9, 2, 30], [11, 3, 7], condition)
+        runs.append((loss.array.tobytes(), tape.grad(loss, params), len(tape)))
+    (taped_loss, taped, taped_nodes), (loss, grads, nodes) = runs
+    assert loss == taped_loss
+    for name, g, want in zip(names, grads, taped):
+        assert g.tobytes() == want.tobytes() and np.abs(g).max() > 0, name
+    # the projection, then seven primitives in each of the three blocks
+    assert taped_nodes - nodes == 1 + 3 * 7
+
+
+@pytest.mark.parametrize("trainable", [None, "lora,bias_norm,gates,bind_network"])
+def test_an_adapter_stage_is_the_in_tape_reference_bit_for_bit(
+        monkeypatch, dataset, tmp_path, trainable):
+    pre = run_stage(_tiny_plan("pretrain", dataset, epochs=1),
+                    lm_config=TINY_LM, bind_config=TINY_BIND)
+    plan_file = tmp_path / "instruct.kv"
+    plan_file.write_text("epochs = 2\n" + (f"trainable = {trainable}\n" if trainable else ""))
+    plan = plan_from_file(plan_file, "instruct", str(dataset), 0)
+    calls = []
+    for module in (train, bindlm.lm):
+        monkeypatch.setattr(module, "bind_forward",
+                            lambda *args, real=module.bind_forward: calls.append(1) or real(*args))
+    history = []
+    got = run_stage(plan, checkpoint_in=pre, history=history)
+    # a frozen bind network runs once per example, a trained one once per step
+    assert len(calls) == (len(history) if trainable else len(history) // plan.epochs)
+    want, losses = taped_stage_oracle(plan, pre)
+    assert [h["loss"] for h in history] == losses
+    for name, arr in want.items():
+        assert got.params[name].tobytes() == arr.tobytes(), name
+    bind_names = [n for n in pre.params if n.startswith("bind.")]
+    moved = {n for n in bind_names if got.params[n].tobytes() != pre.params[n].tobytes()}
+    assert moved == (set(bind_names) if trainable else set())
+
+
 # (name, shape, lr multiplier, decay): one tensor of each class, then tensors
 # on both sides of SMALL_TENSOR with several small ones in each of the three
 # (multiplier, decay) classes, so some are updated through a shared pass
@@ -578,6 +632,45 @@ def _oracle_set_step(opt, grads=None):
     params = [Tensor(np.ones(s)) for s in shapes]
     grads = grads or [np.full(s, 0.5) for s in shapes]
     return names, opt.step(list(names), params, grads, lr=1e-2)
+
+
+def test_adamw_reads_its_last_result_for_the_tensors_it_returned(monkeypatch):
+    names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
+    opt = AdamW()
+    _, params = _oracle_set_step(opt)
+    joined = []
+    concatenate = np.concatenate
+
+    def recorded(arrays, *args, **kwargs):
+        joined.append([id(a) for a in arrays])
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", recorded)
+    opt.step(list(names), params, [np.full(s, 0.25) for s in shapes], lr=1e-2)
+    several = [b for share in opt._shares for b in share if len(b.index) > 1]
+    # one concatenation per bucket of several tensors: its gradients'
+    assert several and len(joined) == len(several)
+    param_ids = {id(t.array) for t in params}
+    assert not any(i in param_ids for ids in joined for i in ids)
+
+
+def test_adamw_concatenates_again_when_a_returned_tensor_is_replaced():
+    names, shapes, _, _ = zip(*_ORACLE_PARAM_SETS[1])
+    rng = derive_rng(12, "adamw-replaced")
+    start = [Tensor(rng.standard_normal(s)) for s in shapes]
+    grad_steps = [[rng.standard_normal(s) for s in shapes] for _ in range(2)]
+    opts = [AdamW() for _ in range(3)]
+    kept, mine, theirs = (opt.step(list(names), start, grad_steps[0], lr=1e-2) for opt in opts)
+    gate = names.index("lm.gates.1")  # in a bucket with the other gates
+    mine[gate] = Tensor(mine[gate].array + 0.5)
+    # all new Tensors: every bucket of several concatenates
+    theirs = [Tensor(t.array + 0.5 if i == gate else t.array.copy()) for i, t in enumerate(theirs)]
+    kept, got, want = (opt.step(list(names), params, grad_steps[1], lr=1e-2)
+                       for opt, params in zip(opts, (kept, mine, theirs)))
+    for name, g, w in zip(names, got, want):
+        assert g.array.tobytes() == w.array.tobytes(), name
+    # the replacement was read, not the last step's result
+    assert got[gate].array.tobytes() != kept[gate].array.tobytes()
 
 
 def test_adamw_rejects_a_changed_name_list():
